@@ -29,13 +29,14 @@ from perfbench import THREAD_VARIABLES, tracing
 from perfbench.stats import failed_frac
 from perfbench.workloads import WORKLOADS, Repetition, Workload, repeat, setup
 
-#: A timed run starts with extra cold set-ups, at least this many and until
-#: this many seconds have passed; with one per repetition they make the
-#: ``setup_s`` median.
-SETUP_SAMPLES = 2
-SETUP_SECONDS = 2.5
+#: Before each repetition a timed run makes extra cold set-ups, at least one
+#: and until this many seconds have passed; with the repetitions' own
+#: set-ups they make the ``setup_s`` median.
+SETUP_SECONDS = 1.0
 #: Repetitions a timed run makes even when they overrun ``--seconds``.
 MIN_REPETITIONS = 2
+#: A traced run whose top-level layers cover less of the job time fails.
+MIN_COVERAGE = 0.95
 
 #: End-to-end metric name -> unit, in report order.
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB",
@@ -121,18 +122,21 @@ def timed_run(workload: Workload, seed: int, seconds: float,
     specs = workload.specs(settings, seed)
     started = time.perf_counter()
     setups: list[float] = []
-    while (len(setups) < SETUP_SAMPLES
-           or time.perf_counter() - started < SETUP_SECONDS):
-        setups.append(setup(workload, settings))
     repetitions: list[Repetition] = []
     children_kb = 0
     while True:
+        # The machine's speed drifts over seconds, so set-up is sampled next
+        # to every repetition rather than all in one stretch.
+        window_started = time.perf_counter()
+        setups.append(setup(workload, settings))
+        while time.perf_counter() - window_started < SETUP_SECONDS:
+            setups.append(setup(workload, settings))
         with ChildPeakRss() as children:
             repetitions.append(repeat(workload, settings, specs, scratch))
         children_kb = max(children_kb, children.total_kb)
-        elapsed = time.perf_counter() - started
+        now = time.perf_counter()
         if (len(repetitions) >= MIN_REPETITIONS
-                and elapsed + repetitions[-1].duration_s > seconds):
+                and (now - started) + (now - window_started) > seconds):
             break
     setups.extend(rep.setup_s for rep in repetitions)
     metrics = {
@@ -170,6 +174,21 @@ def traced_run(workload: Workload, seed: int, scratch: Path,
     return metrics, [untraced, traced], tracer.missing
 
 
+def trace_problems(metrics: dict[str, float], missing: list[str]) -> list[str]:
+    """Why a traced run cannot be trusted (empty if it can).
+
+    A traced function that was renamed or moved is not wrapped, so its layer
+    would read 0 s and look like a gain; coverage under
+    :data:`MIN_COVERAGE` means time went to a layer nobody traces.
+    """
+    problems = [f"{name} not found, so not traced" for name in missing]
+    coverage = metrics["trace.coverage"]
+    if coverage < MIN_COVERAGE:
+        problems.append(f"trace.coverage {coverage:.4f} < {MIN_COVERAGE}: "
+                        "a layer is missing from the trace")
+    return problems
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="perfbench/run.py",
                                      description=__doc__.splitlines()[0])
@@ -194,10 +213,7 @@ def main(argv: list[str]) -> int:
             metrics, repetitions, missing = traced_run(workload, args.seed,
                                                        scratch)
             units = tracing.LAYER_UNITS
-            if missing:
-                print("trace: not found, so not traced: " + ", ".join(missing))
-            if metrics["trace.coverage"] < 0.95:
-                print("trace: coverage below 0.95, a layer is missing")
+            repetitions[-1].problems.extend(trace_problems(metrics, missing))
         else:
             metrics, repetitions = timed_run(workload, args.seed, args.seconds,
                                              scratch)

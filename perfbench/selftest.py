@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
-import statistics
 import tempfile
 import unittest
 from pathlib import Path
@@ -14,9 +13,9 @@ from repro.active.loop import ActiveLearningResult, IterationRecord
 from repro.evaluation.metrics import MatchingMetrics
 from repro.experiments.faults import FaultInjector
 
-from perfbench.bench import END_TO_END_UNITS
-from perfbench.stats import failed_frac, percentile, trapezoid_auc
-from perfbench.tracing import LAYER_UNITS, Tracer
+from perfbench.bench import END_TO_END_UNITS, trace_problems
+from perfbench.stats import failed_frac, trapezoid_auc
+from perfbench.tracing import LAYER_UNITS, Tracer, install, layer_metrics
 from perfbench.workloads import WORKLOADS, repeat, run_problems
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,17 +33,17 @@ class ArithmeticTest(unittest.TestCase):
         with self.assertRaises(ValueError):
             trapezoid_auc([3, 3], [0.5, 0.5])
 
-    def test_percentile(self):
-        values = [4.0, 1.0, 3.0, 2.0]
-        self.assertEqual(percentile(values, 0), 1.0)
-        self.assertEqual(percentile(values, 100), 4.0)
-        self.assertEqual(percentile(values, 25), 1.75)
-        for sample in ([5.0], [2.0, 9.0], [3.0, 1.0, 7.0, 5.0, 4.0]):
-            self.assertEqual(percentile(sample, 50), statistics.median(sample))
-        with self.assertRaises(ValueError):
-            percentile([], 50)
-        with self.assertRaises(ValueError):
-            percentile(values, 101)
+    def test_engine_job_arithmetic(self):
+        tracer = Tracer(Path("."))
+        tracer.jobs = [(10.0, 11.0), (10.0, 13.0), (11.0, 13.0), (13.0, 20.0)]
+        metrics = layer_metrics(tracer, wall_s=10.0, untraced_wall_s=8.0,
+                                run_started=10.0, workers=2, retried=0,
+                                failed=0)
+        self.assertEqual(metrics["engine.job_s_p50"], 2.5)
+        self.assertEqual(metrics["engine.job_s_max"], 7.0)
+        self.assertEqual(metrics["engine.first_result_s"], 1.0)
+        self.assertEqual(metrics["engine.utilization"], 13.0 / 20.0)
+        self.assertEqual(metrics["trace.overhead_ratio"], 1.25)
 
     def test_failed_frac(self):
         self.assertEqual(failed_frac(0, 12), 0.0)
@@ -114,6 +113,17 @@ class TracerTest(unittest.TestCase):
         # Only the outer layer is top-level inside the job.
         self.assertEqual(tracer.seconds["engine.job.children"],
                          tracer.seconds["demo.outer"])
+
+    def test_every_traced_function_is_found(self):
+        tracer = install(Tracer(Path(".")))
+        tracer.uninstall()
+        self.assertEqual(tracer.missing, [])
+
+    def test_untrustworthy_trace_fails_the_run(self):
+        self.assertEqual(trace_problems({"trace.coverage": 0.99}, []), [])
+        self.assertTrue(trace_problems(
+            {"trace.coverage": 0.99}, ["model_selection.silhouette_score"]))
+        self.assertTrue(trace_problems({"trace.coverage": 0.9}, []))
 
 
 class DeclarationTest(unittest.TestCase):

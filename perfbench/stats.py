@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -20,19 +19,6 @@ def trapezoid_auc(labeled: Sequence[float], f1: Sequence[float]) -> float:
     area = sum((labeled[i + 1] - labeled[i]) * (f1[i] + f1[i + 1]) / 2.0
                for i in range(len(labeled) - 1))
     return area / span
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """``q``-th percentile by linear interpolation between closest ranks."""
-    if not values:
-        raise ValueError("percentile of no values")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    position = (len(ordered) - 1) * q / 100.0
-    lower = math.floor(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * (position - lower)
 
 
 def failed_frac(failed: int, attempted: int) -> float:

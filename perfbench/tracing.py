@@ -23,12 +23,11 @@ from __future__ import annotations
 import functools
 import json
 import os
+import statistics
 import time
 from collections import Counter
 from pathlib import Path
 from typing import Callable
-
-from perfbench.stats import percentile
 
 #: ``after(tracer, args, result)`` runs when a counted span ends.
 After = Callable[["Tracer", tuple, object], None]
@@ -306,7 +305,8 @@ def layer_metrics(tracer: Tracer, *, wall_s: float, untraced_wall_s: float,
     values["loop.self_s"] = seconds["loop.run"] - seconds["loop.run.children"]
     durations = [end - start for start, end in tracer.jobs]
     job_seconds = sum(durations)
-    values["engine.job_s_p50"] = percentile(durations, 50) if durations else 0.0
+    values["engine.job_s_p50"] = (statistics.median(durations)
+                                  if durations else 0.0)
     values["engine.job_s_max"] = max(durations, default=0.0)
     values["engine.first_result_s"] = (
         min(end for _, end in tracer.jobs) - run_started if tracer.jobs else 0.0)

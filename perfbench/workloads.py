@@ -9,6 +9,7 @@ the same seed always produces the same inputs and the same learning curves.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import shutil
 import sys
@@ -84,6 +85,8 @@ WORKLOADS: dict[str, Workload] = {workload.name: workload for workload in (
 def setup(workload: Workload, settings: ExperimentSettings) -> float:
     """Cold-load every dataset and feature matrix the workload touches."""
     clear_dataset_cache()
+    # Garbage left by earlier work is collected here, not inside the timing.
+    gc.collect()
     start = time.perf_counter()
     for name in workload.dataset_names(settings):
         get_dataset(name, settings)
@@ -120,7 +123,6 @@ class Repetition:
 
     setup_s: float
     wall_s: float
-    duration_s: float
     attempted: int
     failed: int
     #: Mean normalised F1 AUC over the correct runs (NaN if there are none).
@@ -141,7 +143,6 @@ def repeat(workload: Workload, settings: ExperimentSettings,
     ``scratch``, which is deleted afterwards, and a second engine over the
     same store must then execute nothing and return identical results.
     """
-    started = time.perf_counter()
     setup_s = setup(workload, settings)
     store_dir = None
     store = None
@@ -182,9 +183,7 @@ def repeat(workload: Workload, settings: ExperimentSettings,
         if store_dir is not None:
             shutil.rmtree(store_dir, ignore_errors=True)
     return Repetition(
-        setup_s=setup_s, wall_s=wall_s,
-        duration_s=time.perf_counter() - started,
-        attempted=len(specs), failed=failed,
+        setup_s=setup_s, wall_s=wall_s, attempted=len(specs), failed=failed,
         f1_auc=sum(aucs) / len(aucs) if aucs else math.nan,
         problems=problems, engine=engine, run_started=run_started)
 
