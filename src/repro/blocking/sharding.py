@@ -44,8 +44,8 @@ def shard_ranges(total: int, num_shards: int) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-# Worker-process state, set by the pool initializer (mirrors the experiment
-# engine's _WORKER_SETTINGS pattern).
+# Worker-process state, set by the pool initializer (the spawn-safe pattern
+# of the experiment engine's _init_worker).
 _WORKER_BLOCKER = None
 
 

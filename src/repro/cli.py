@@ -46,7 +46,6 @@ from repro.experiments.engine import (
     ACTIVE_LEARNING_METHODS,
     ExperimentEngine,
     ParallelExecutor,
-    SerialExecutor,
 )
 from repro.experiments.store import ArtifactStore
 from repro.exceptions import ManifestError
@@ -89,21 +88,19 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
                              "REPRO_CHAOS environment variable")
 
 
-def _fault_tolerance(args: argparse.Namespace, base_policy=None,
-                     base_keep_going: bool = False):
-    """Resolve the flags (plus a manifest's [execution] base) to
-    ``(retry_policy, keep_going, injector)``.
+def _executor(args: argparse.Namespace, base_policy=None,
+              base_keep_going: bool = False) -> ParallelExecutor:
+    """The executor the sweep flags (plus a manifest's [execution] base)
+    ask for.
 
-    CLI flags override the manifest's declared policy field by field; any
-    fault-tolerance request (flags, manifest section, chaos spec) implies a
-    policy so the executor runs in fault-tolerant mode.
+    CLI flags override the manifest's declared policy field by field.
+    ParallelExecutor validates the job count, so --jobs 0 fails loudly.
     """
     from repro.experiments.faults import FaultInjector, RetryPolicy
 
     injector = (FaultInjector.from_spec(args.chaos)
                 if args.chaos else FaultInjector.from_environment())
     policy = base_policy
-    keep_going = base_keep_going or args.keep_going
     if args.retries is not None or args.timeout is not None:
         base = policy if policy is not None else RetryPolicy()
         policy = replace(
@@ -113,23 +110,9 @@ def _fault_tolerance(args: argparse.Namespace, base_policy=None,
             timeout=(args.timeout if args.timeout is not None
                      else base.timeout),
         )
-    if policy is None and (keep_going or injector is not None):
-        policy = RetryPolicy()
-    return policy, keep_going, injector
-
-
-def _make_executor(jobs: int, retry_policy=None, keep_going: bool = False,
-                   injector=None) -> SerialExecutor | ParallelExecutor:
-    """An executor for ``jobs`` workers with optional fault tolerance.
-
-    ParallelExecutor validates the job count, so --jobs 0 fails loudly
-    instead of silently degrading to serial execution.
-    """
-    if jobs == 1:
-        return SerialExecutor(retry_policy=retry_policy,
-                              keep_going=keep_going, injector=injector)
-    return ParallelExecutor(jobs=jobs, retry_policy=retry_policy,
-                            keep_going=keep_going, injector=injector)
+    return ParallelExecutor(jobs=args.jobs, retry_policy=policy,
+                            keep_going=base_keep_going or args.keep_going,
+                            injector=injector)
 
 
 def _matcher_config(args: argparse.Namespace,
@@ -377,8 +360,7 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
     settings = default_settings(
         args.scale, datasets=tuple(args.datasets) if args.datasets else None)
-    policy, keep_going, injector = _fault_tolerance(args)
-    executor = _make_executor(args.jobs, policy, keep_going, injector)
+    executor = _executor(args)
     store = ArtifactStore(args.store) if args.store else None
     dry_run = getattr(args, "dry_run", False)
     engine = ExperimentEngine(settings, executor=executor, store=store,
@@ -512,8 +494,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
     scenarios = resolve_scenarios(args.scenarios)
     settings = default_settings(
         args.scale, datasets=tuple(args.datasets) if args.datasets else None)
-    policy, keep_going, injector = _fault_tolerance(args)
-    executor = _make_executor(args.jobs, policy, keep_going, injector)
+    executor = _executor(args)
     store = ArtifactStore(args.store) if args.store else None
     engine = ExperimentEngine(settings, executor=executor, store=store)
     methods = tuple(args.methods) if args.methods else ACTIVE_LEARNING_METHODS
@@ -579,10 +560,8 @@ def _manifest_build(args: argparse.Namespace) -> int:
                   "with --ignore-lockfile.")
             return 1
 
-    policy, keep_going, injector = _fault_tolerance(
-        args, base_policy=manifest_policy,
-        base_keep_going=manifest_keep_going)
-    executor = _make_executor(args.jobs, policy, keep_going, injector)
+    executor = _executor(args, base_policy=manifest_policy,
+                         base_keep_going=manifest_keep_going)
     store = ArtifactStore(args.store) if args.store else None
     engine = ExperimentEngine(settings, executor=executor, store=store,
                               plan_only=args.dry_run,

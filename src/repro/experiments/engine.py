@@ -7,10 +7,11 @@ module turns that grid into explicit jobs:
 * :class:`RunSpec` — a frozen, hashable description of one run, including a
   fingerprint of the :class:`~repro.experiments.configs.ExperimentSettings`
   it is valid under, so results can be stored and looked up by content.
-* :class:`SerialExecutor` / :class:`ParallelExecutor` — pluggable execution
-  backends; the parallel one fans jobs out over a
+* :class:`ParallelExecutor` — the one job scheduler.  ``jobs=1`` runs jobs
+  in the calling process; ``jobs>=2`` fans them out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each keep
   their own dataset cache (one benchmark load per worker, not per job).
+  Both go through the same retry-aware scheduling loop.
 * :class:`ExperimentEngine` — ties an executor to an optional
   :class:`~repro.experiments.store.ArtifactStore`: completed runs are loaded
   from the store instead of re-executed (resume), fresh results are persisted.
@@ -30,6 +31,7 @@ import warnings
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Executor,
     Future,
     ProcessPoolExecutor,
     as_completed,
@@ -37,7 +39,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -380,102 +382,14 @@ def _execute_spec_unguarded(
 
 
 # --------------------------------------------------------------------------- #
-# Executors
+# Executor
 # --------------------------------------------------------------------------- #
-class SerialExecutor:
-    """Execute jobs one after another in the calling process.
-
-    ``execute`` yields ``(spec, result)`` pairs as runs complete so the
-    engine can persist each run before the next one starts.
-
-    With a :class:`~repro.experiments.faults.RetryPolicy` the executor
-    retries transient failures in place (deterministic backoff, fault
-    injection honored); per-job *timeouts* and worker-crash recovery need
-    process isolation and are therefore exclusive to
-    :class:`ParallelExecutor`.  ``keep_going`` records permanent failures in
-    ``last_failures`` instead of aborting the sweep.
-    """
-
-    def __init__(
-        self,
-        retry_policy: RetryPolicy | None = None,
-        keep_going: bool = False,
-        injector: FaultInjector | None = None,
-    ) -> None:
-        if retry_policy is None and (keep_going or injector is not None):
-            retry_policy = RetryPolicy()
-        self.retry_policy = retry_policy
-        self.keep_going = keep_going
-        self.injector = injector
-        self.last_failures: list[FailureRecord] = []
-        self.last_retries = 0
-        if retry_policy is not None and retry_policy.timeout is not None:
-            warnings.warn(
-                "SerialExecutor cannot enforce per-job timeouts (jobs run in "
-                "the calling process); use ParallelExecutor for --timeout",
-                stacklevel=2)
-
-    def execute(
-        self, specs: Sequence[RunSpec], settings: ExperimentSettings,
-    ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        self.last_failures = []
-        self.last_retries = 0
-        if self.retry_policy is None:
-            for spec in specs:
-                yield spec, execute_spec(spec, settings)
-            return
-        yield from self._execute_with_policy(specs, settings)
-
-    def _execute_with_policy(
-        self, specs: Sequence[RunSpec], settings: ExperimentSettings,
-    ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        policy = self.retry_policy
-        assert policy is not None
-        injector = (self.injector.resolve(list(specs))
-                    if self.injector is not None else None)
-        init_injector(injector)
-        try:
-            for spec in specs:
-                fingerprint = spec.fingerprint()
-                failed = 0
-                tracebacks: list[str] = []
-                elapsed: list[float] = []
-                while True:
-                    started = time.monotonic()
-                    try:
-                        if injector is not None:
-                            fault_injection_point(fingerprint, failed)
-                        result = execute_spec(spec, settings)
-                    except Exception as error:
-                        elapsed.append(time.monotonic() - started)
-                        tracebacks.append(record_traceback(error))
-                        failed += 1
-                        if policy.retryable(error, failed):
-                            self.last_retries += 1
-                            time.sleep(policy.backoff_seconds(
-                                fingerprint, failed - 1))
-                            continue
-                        self.last_failures.append(FailureRecord.from_failure(
-                            spec, fingerprint, error, failed,
-                            tuple(tracebacks), tuple(elapsed)))
-                        if self.keep_going:
-                            break
-                        raise
-                    else:
-                        yield spec, result
-                        break
-        finally:
-            init_injector(None)
+_T = TypeVar("_T")
 
 
-# Worker-process state for ParallelExecutor, set by the pool initializer.
-_WORKER_SETTINGS: ExperimentSettings | None = None
-
-
-def _init_worker(settings: ExperimentSettings,
-                 scenarios: tuple[Scenario, ...] = (),
+def _init_worker(scenarios: tuple[Scenario, ...] = (),
                  injector: FaultInjector | None = None) -> None:
-    """Pool initializer: hand each worker the settings its jobs run under.
+    """Pool initializer: install the batch's scenarios and chaos injector.
 
     Workers keep their own dataset cache (``get_dataset`` fills it on the
     first job touching a benchmark), so loading is amortized per worker, not
@@ -487,48 +401,71 @@ def _init_worker(settings: ExperimentSettings,
     scenarios must travel with the pool (Scenario is frozen and picklable by
     design).  ``injector`` ships the batch's resolved chaos injector the
     same way — injection state must travel through the initializer, never
-    through ambient parent globals, to stay spawn-safe.
+    through ambient parent globals, to stay spawn-safe.  The settings a job
+    runs under travel with the job itself (:func:`_execute_attempt`).
     """
-    global _WORKER_SETTINGS
-    _WORKER_SETTINGS = settings
     from repro.scenarios import register_scenario
     for scenario in scenarios:
         register_scenario(scenario, replace=True)
     init_injector(injector)
 
 
-def _execute_in_worker(spec: RunSpec, attempt: int = 0) -> ActiveLearningResult:
-    """Top-level (picklable) job body run inside a pool worker."""
-    assert _WORKER_SETTINGS is not None, "worker initializer did not run"
+def _execute_attempt(spec: RunSpec, settings: ExperimentSettings,
+                     attempt: int) -> ActiveLearningResult:
+    """Top-level (picklable) job body: one attempt at one spec."""
     if active_injector() is not None:
         fault_injection_point(spec.fingerprint(), attempt)
-    return execute_spec(spec, _WORKER_SETTINGS)
+    return execute_spec(spec, settings)
+
+
+class _InProcessPool(Executor):
+    """The ``jobs=1`` stand-in for a process pool.
+
+    ``submit`` runs the job in the calling process and returns an
+    already-finished future, so one scheduling loop serves every job count;
+    ``shutdown`` (inherited) does nothing.  Only an ``Exception`` lands in
+    the future — a ``KeyboardInterrupt`` propagates out of ``submit``.
+    """
+
+    def submit(self, fn: Callable[..., _T], /, *args: Any,
+               **kwargs: Any) -> Future[_T]:
+        future: Future[_T] = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 class ParallelExecutor:
-    """Fan jobs out over a :class:`ProcessPoolExecutor`.
+    """Run jobs in-process (``jobs=1``) or over a :class:`ProcessPoolExecutor`.
 
     ``execute`` yields ``(spec, result)`` pairs in *completion* order, so the
-    engine persists every finished run immediately — an interrupted parallel
-    sweep resumes from the completed runs, not just a submission-order
-    prefix.  When a job fails (or the interrupt lands) while runs are
-    executing, queued jobs are cancelled and finished siblings are still
-    yielded for persistence; only a failure raised by the *consumer* while
-    it handles a result (which closes the generator) can drop
-    completed-but-unyielded siblings.  Curves stay bit-identical to serial
-    execution because results are keyed by spec and every run is seeded
-    independently of the order in which its siblings finish.
+    engine persists every finished run immediately — an interrupted sweep
+    resumes from the completed runs, not just a submission-order prefix.
+    When a job fails (or the interrupt lands) while runs are executing,
+    queued jobs are cancelled and finished siblings are still yielded for
+    persistence; only a failure raised by the *consumer* while it handles a
+    result (which closes the generator) can drop completed-but-unyielded
+    siblings.  Curves are bit-identical at every job count because results
+    are keyed by spec and every run is seeded independently of the order in
+    which its siblings finish.
 
-    With a :class:`~repro.experiments.faults.RetryPolicy` the executor runs
-    in fault-tolerant mode: transient failures are resubmitted with
-    deterministic backoff, jobs exceeding ``policy.timeout`` are cancelled
-    by tearing down (and rebuilding) the worker pool — a
-    :class:`ProcessPoolExecutor` cannot preempt a single running task — and
-    a :class:`BrokenProcessPool` (worker OOM-killed or crashed) rebuilds the
-    pool and resubmits the in-flight specs, quarantining any spec that
-    kills the pool :data:`~repro.experiments.faults.POOL_KILL_QUARANTINE`
-    times.  ``keep_going`` turns permanent failures into ``last_failures``
-    records instead of aborting the sweep.
+    Every batch runs under a :class:`~repro.experiments.faults.RetryPolicy`.
+    Without one it is ``RetryPolicy(max_attempts=1)`` — one attempt per job,
+    and the first permanent failure aborts the sweep (and is recorded in
+    ``last_failures``) — or ``RetryPolicy()`` when ``keep_going`` or an
+    ``injector`` asks for fault tolerance.  At every job count, transient
+    failures are resubmitted with deterministic backoff and ``keep_going``
+    turns permanent failures into ``last_failures`` records instead of
+    aborting the sweep.  Two guarantees need process isolation, hence
+    ``jobs>=2``: jobs exceeding ``policy.timeout`` are cancelled by tearing
+    down (and rebuilding) the worker pool — a :class:`ProcessPoolExecutor`
+    cannot preempt a single running task — and a :class:`BrokenProcessPool`
+    (worker OOM-killed or crashed) rebuilds the pool and resubmits the
+    in-flight specs, quarantining any spec that kills the pool
+    :data:`~repro.experiments.faults.POOL_KILL_QUARANTINE` times.  With
+    ``jobs=1`` a timeout only draws a warning.
     """
 
     def __init__(
@@ -540,79 +477,37 @@ class ParallelExecutor:
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        if retry_policy is None:
+            retry_policy = (RetryPolicy() if keep_going or injector is not None
+                            else RetryPolicy(max_attempts=1))
+        if jobs == 1 and retry_policy.timeout is not None:
+            warnings.warn(
+                "ParallelExecutor(jobs=1) cannot enforce per-job timeouts "
+                "(jobs run in the calling process); use jobs >= 2 for "
+                "--timeout", stacklevel=2)
         self.jobs = jobs
-        if retry_policy is None and (keep_going or injector is not None):
-            retry_policy = RetryPolicy()
-        self.retry_policy = retry_policy
+        self.retry_policy: RetryPolicy = retry_policy
         self.keep_going = keep_going
         self.injector = injector
         self.last_failures: list[FailureRecord] = []
         self.last_retries = 0
 
-    def execute(
-        self, specs: Sequence[RunSpec], settings: ExperimentSettings,
-    ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        self.last_failures = []
-        self.last_retries = 0
-        if not specs:
-            return
-        if self.retry_policy is not None:
-            # Fault tolerance needs process isolation even for one job —
-            # per-job timeouts and kill recovery cannot work in-process.
-            yield from self._execute_with_policy(specs, settings)
-            return
-        if self.jobs == 1 or len(specs) == 1:
-            yield from SerialExecutor().execute(specs, settings)
-            return
-        batch_scenarios = tuple(
-            {spec.scenario: get_scenario(spec.scenario) for spec in specs}
-            .values())
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(specs)),
-            initializer=_init_worker,
-            initargs=(settings, batch_scenarios),
-        ) as pool:
-            futures = {pool.submit(_execute_in_worker, spec): spec
-                       for spec in specs}
-            consumed: set = set()
-            try:
-                for future in as_completed(futures):
-                    consumed.add(future)
-                    yield futures[future], future.result()
-            except GeneratorExit:
-                # The consumer stopped early; don't run what it won't see.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            except BaseException:
-                # One run failed, or the sweep was interrupted (Ctrl-C).
-                # Cancel the queued jobs, wait out the few still running
-                # (on SIGINT the workers are interrupted too, so this is
-                # short), and hand every salvageable finished run to the
-                # engine for persistence before the error propagates —
-                # otherwise a resume would re-execute runs that completed.
-                pool.shutdown(wait=True, cancel_futures=True)
-                for future, spec in futures.items():
-                    if (future not in consumed and future.done()
-                            and not future.cancelled()
-                            and future.exception() is None):
-                        yield spec, future.result()
-                raise
-
     def _new_pool(
         self,
         workers: int,
-        settings: ExperimentSettings,
         batch_scenarios: tuple[Scenario, ...],
         injector: FaultInjector | None,
-    ) -> ProcessPoolExecutor:
+    ) -> Executor:
+        if self.jobs == 1:
+            return _InProcessPool()
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(settings, batch_scenarios, injector),
+            initargs=(batch_scenarios, injector),
         )
 
     @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    def _terminate_pool(pool: Executor) -> None:
         """Hard-stop a pool whose workers may be hung, dead, or healthy.
 
         ``shutdown`` alone would join the workers, which blocks forever on a
@@ -629,10 +524,10 @@ class ParallelExecutor:
             if process.is_alive():
                 process.kill()
 
-    def _execute_with_policy(
+    def execute(
         self, specs: Sequence[RunSpec], settings: ExperimentSettings,
     ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        """Fault-tolerant scheduling loop (active when a policy is set).
+        """The scheduling loop: run ``specs``, yield results as they finish.
 
         A sliding window of at most ``workers`` jobs is kept in flight, so a
         job's submit time approximates its start time and the per-job
@@ -641,8 +536,11 @@ class ParallelExecutor:
         re-enter the window after their deterministic backoff without ever
         blocking jobs that are ready to run.
         """
+        self.last_failures = []
+        self.last_retries = 0
+        if not specs:
+            return
         policy = self.retry_policy
-        assert policy is not None
         keep_going = self.keep_going
         injector = (self.injector.resolve(list(specs))
                     if self.injector is not None else None)
@@ -661,9 +559,10 @@ class ParallelExecutor:
                       tuple[RunSpec, float]] = {}
         abort: BaseException | None = None
         # Parent-side injector: the store's torn-write hook fires in this
-        # process while the engine persists results.
+        # process while the engine persists results, and at jobs=1 so does
+        # every job.
         init_injector(injector)
-        pool = self._new_pool(workers, settings, batch_scenarios, injector)
+        pool = self._new_pool(workers, batch_scenarios, injector)
 
         def fail_attempt(spec: RunSpec, error: BaseException,
                          seconds: float) -> bool:
@@ -740,8 +639,7 @@ class ParallelExecutor:
                 else:
                     ready.append(spec)
             self._terminate_pool(pool)
-            pool = self._new_pool(workers, settings, batch_scenarios,
-                                  injector)
+            pool = self._new_pool(workers, batch_scenarios, injector)
             return salvaged, fatal
 
         try:
@@ -758,14 +656,16 @@ class ParallelExecutor:
                 broken_on_submit = False
                 while ready and len(running) < workers:
                     spec = ready.popleft()
+                    # Taken before submit: at jobs=1, submit runs the job.
+                    started = time.monotonic()
                     try:
-                        future = pool.submit(_execute_in_worker, spec,
+                        future = pool.submit(_execute_attempt, spec, settings,
                                              failed_attempts[spec])
                     except BrokenProcessPool:
                         ready.appendleft(spec)
                         broken_on_submit = True
                         break
-                    running[future] = (spec, time.monotonic())
+                    running[future] = (spec, started)
                 if broken_on_submit:
                     salvaged, fatal = recover(None)
                     for item in salvaged:
@@ -785,8 +685,14 @@ class ParallelExecutor:
                                      for _, started in running.values())
                 deadlines.extend(entry[0] - now for entry in waiting)
                 timeout = max(0.0, min(deadlines)) if deadlines else None
-                done, _ = wait(set(running), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
+                try:
+                    done, _ = wait(set(running), timeout=timeout,
+                                   return_when=FIRST_COMPLETED)
+                except KeyboardInterrupt as interrupt:
+                    # Ctrl-C: queued jobs are cancelled below and finished
+                    # ones persisted, so a resume skips them.
+                    abort = interrupt
+                    break
                 pool_broken = False
                 for future in sorted(
                         done, key=lambda f: fingerprints[running[f][0]]):
@@ -829,9 +735,10 @@ class ParallelExecutor:
                             abort = fatal
                             break
             if abort is not None:
-                # Fail-fast abort: wait out still-running siblings, hand
-                # every salvageable finished run to the engine for
-                # persistence, then propagate.
+                # Fail-fast abort or interrupt: wait out still-running
+                # siblings (on SIGINT the workers are interrupted too, so
+                # this is short), hand every salvageable finished run to the
+                # engine for persistence, then propagate.
                 pool.shutdown(wait=True, cancel_futures=True)
                 for future, (spec, _started) in running.items():
                     if (future.done() and not future.cancelled()
@@ -930,7 +837,8 @@ class ExperimentEngine:
         (mismatching specs are rejected — they would silently describe a
         different run).
     executor:
-        Execution backend; defaults to :class:`SerialExecutor`.
+        Execution backend; defaults to ``ParallelExecutor(jobs=1)``, which
+        runs jobs in the calling process.
     store:
         Optional :class:`ArtifactStore`.  Specs with a stored result are
         *not* re-executed; each fresh result is persisted as soon as its run
@@ -956,13 +864,13 @@ class ExperimentEngine:
     def __init__(
         self,
         settings: ExperimentSettings,
-        executor: SerialExecutor | ParallelExecutor | None = None,
+        executor: ParallelExecutor | None = None,
         store: ArtifactStore | None = None,
         plan_only: bool = False,
         manifest_id: str | None = None,
     ) -> None:
         self.settings = settings
-        self.executor = executor or SerialExecutor()
+        self.executor = executor or ParallelExecutor(jobs=1)
         self.store = store
         self.plan_only = plan_only
         self.manifest_id = manifest_id
@@ -1089,9 +997,8 @@ class ExperimentEngine:
                 if self.store is not None:
                     executed_fingerprints.append(self._persist(spec, result))
         finally:
-            failures = list(getattr(self.executor, "last_failures", ()))
-            retried = (int(getattr(self.executor, "last_retries", 0))
-                       + self._put_retries)
+            failures = list(self.executor.last_failures)
+            retried = self.executor.last_retries + self._put_retries
             self.last_report = EngineReport(executed=executed,
                                             from_store=from_store,
                                             from_memory=from_memory,
@@ -1111,8 +1018,7 @@ class ExperimentEngine:
         Returns the spec's fingerprint.
         """
         assert self.store is not None
-        policy: RetryPolicy | None = getattr(self.executor, "retry_policy",
-                                             None)
+        policy = self.executor.retry_policy
         fingerprint = spec.fingerprint()
         failed = 0
         while True:
@@ -1121,7 +1027,7 @@ class ExperimentEngine:
                 return fingerprint
             except Exception as error:
                 failed += 1
-                if policy is None or not policy.retryable(error, failed):
+                if not policy.retryable(error, failed):
                     raise
                 self._put_retries += 1
                 time.sleep(policy.backoff_seconds(f"put:{fingerprint}",

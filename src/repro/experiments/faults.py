@@ -123,8 +123,8 @@ class RetryPolicy:
     ``backoff_max``, spread by ±``jitter`` (a fraction) whose value is a
     deterministic function of spec fingerprint × attempt — identical across
     reruns and processes, so chaos tests stay reproducible.  ``timeout`` is
-    the per-job wall-clock limit enforced by the parallel executor (a serial
-    executor cannot preempt its own process).
+    the per-job wall-clock limit, enforced only with ``jobs>=2`` (at
+    ``jobs=1`` jobs run in the calling process, which cannot preempt itself).
     """
 
     max_attempts: int = 3
@@ -368,8 +368,8 @@ class FaultInjector:
 
 
 # The process-wide active injector.  In pool workers it is installed by the
-# executor's initializer; in the parent (and under serial execution) by the
-# executor before the batch starts.  ``None`` — the production default —
+# executor's initializer; in the parent (which runs the jobs at jobs=1) by
+# the executor before the batch starts.  ``None`` — the production default —
 # makes every hook a no-op.
 _ACTIVE_INJECTOR: FaultInjector | None = None
 

@@ -18,7 +18,7 @@ from repro.baselines.full_training import train_full_matcher
 from repro.evaluation.curves import LearningCurve
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ABLATION_DATASETS, ExperimentSettings, default_settings
-from repro.experiments.engine import ExperimentEngine, SerialExecutor
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.paper_values import (
     FIGURE7_BETA_F1,
     FIGURE8_CORRESPONDENCE,
@@ -163,12 +163,9 @@ def _measures_timings_faithfully(engine: ExperimentEngine) -> bool:
     A plan-only engine never measures anything, so there is nothing to
     re-measure — spawning a real timing engine would defeat the dry run.
     """
-    if getattr(engine, "plan_only", False):
+    if engine.plan_only:
         return True
-    if engine.store is not None:
-        return False
-    executor = engine.executor
-    return isinstance(executor, SerialExecutor) or getattr(executor, "jobs", 0) == 1
+    return engine.store is None and engine.executor.jobs == 1
 
 
 def figure6_runtime(

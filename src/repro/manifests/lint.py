@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro._suggest import unknown_name_message
 from repro.active.weak_supervision import WeakSupervisionMode
-from repro.blocking.registry import available_blockers
 from repro.config import available_scales
 from repro.datasets.registry import available_benchmarks
 from repro.experiments.engine import ACTIVE_LEARNING_METHODS
@@ -40,7 +39,7 @@ from repro.scenarios import available_scenarios
 
 _TOP_LEVEL_KEYS = ("manifest", "settings", "execution", "grid", "run")
 _SETTINGS_KEYS = ("scale", "iterations", "budget_per_iteration", "seed_size",
-                  "base_random_seed", "matcher", "featurizer", "blocker")
+                  "base_random_seed", "matcher", "featurizer")
 _GRID_KEYS = ("datasets", "methods", "scenarios", "seeds", "alphas", "beta",
               "weak_supervision")
 _RUN_KEYS = ("dataset", "method", "scenario", "seed", "alpha", "beta",
@@ -282,14 +281,6 @@ class _Linter:
             self.error(path + ("scale",),
                        unknown_name_message("scale", scale, available_scales()))
             scale = "small"
-        blocker: str | None = None
-        if "blocker" in table:
-            blocker = self.read_str(table, "blocker", path) or None
-            if blocker is not None and blocker not in available_blockers():
-                self.error(path + ("blocker",),
-                           unknown_name_message("blocker", blocker,
-                                                available_blockers()))
-                blocker = None
         return ManifestSettings(
             scale=scale,
             iterations=self.read_int(table, "iterations", path, None),
@@ -303,7 +294,6 @@ class _Linter:
             featurizer_overrides=self.lint_config_overrides(
                 table.get("featurizer"), path + ("featurizer",),
                 FeaturizerConfig),
-            blocker=blocker,
         )
 
     def lint_execution(self) -> ExecutionPolicy | None:

@@ -118,13 +118,9 @@ class ManifestSettings:
     base_random_seed: int = 7
     matcher_overrides: tuple[tuple[str, object], ...] = ()
     featurizer_overrides: tuple[tuple[str, object], ...] = ()
-    #: Candidate-generation strategy by registry name
-    #: (:func:`repro.blocking.registry.available_blockers`); ``None`` means
-    #: the campaign uses the benchmark's built-in candidate pairs.
-    blocker: str | None = None
 
     def to_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
+        return {
             "scale": self.scale,
             "iterations": self.iterations,
             "budget_per_iteration": self.budget_per_iteration,
@@ -134,11 +130,6 @@ class ManifestSettings:
             "featurizer": {key: value
                            for key, value in self.featurizer_overrides},
         }
-        # Only present when set: manifests written before the blocker axis
-        # existed keep their fingerprints (and lockfile pins) unchanged.
-        if self.blocker is not None:
-            payload["blocker"] = self.blocker
-        return payload
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ParallelExecutor,
     RunSpec,
-    SerialExecutor,
     settings_fingerprint,
 )
 from repro.experiments.faults import (
@@ -239,7 +238,7 @@ class TestEngine:
         assert second == first
 
     def test_interrupted_batch_persists_completed_runs(self, tmp_path, fast_settings):
-        class ExplodingExecutor(SerialExecutor):
+        class ExplodingExecutor(ParallelExecutor):
             """Fails after yielding the first result (simulated crash)."""
 
             def execute(self, specs, settings):
@@ -250,7 +249,7 @@ class TestEngine:
         store = ArtifactStore(tmp_path / "store")
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         assert len(specs) == 2
-        engine = ExperimentEngine(fast_settings, executor=ExplodingExecutor(),
+        engine = ExperimentEngine(fast_settings, executor=ExplodingExecutor(jobs=1),
                                   store=store)
         with pytest.raises(RuntimeError):
             engine.run(specs)
@@ -271,23 +270,63 @@ class TestEngine:
         engine.run([spec, spec])
         assert engine.last_report.total == 1
 
-    def test_parallel_failure_salvages_completed_runs(self, tmp_path, fast_settings):
-        """A failing job must not lose sibling runs that already finished."""
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parallel_failure_salvages_completed_runs(self, tmp_path,
+                                                      fast_settings, jobs):
+        """A failing job must not lose sibling runs that already finished.
+
+        With no retry policy every job gets one attempt, and the permanent
+        failure that aborts the sweep is reported and ledgered like any
+        other, at every job count.
+        """
         store = ArtifactStore(tmp_path / "store")
         good = enumerate_run_specs("amazon_google", "random", fast_settings)
         bad = RunSpec.create("amazon_google", "mystery", 7, 0.5, 0.5,
                              "selector", fast_settings)
         engine = ExperimentEngine(fast_settings,
-                                  executor=ParallelExecutor(jobs=2), store=store)
+                                  executor=ParallelExecutor(jobs=jobs),
+                                  store=store)
         with pytest.raises(ConfigurationError):
             engine.run(good + [bad])
         # Both good runs completed (yielded or salvaged) and were persisted.
         assert engine.last_report.executed == len(good)
+        assert engine.last_report.failed == 1
         assert len(store) == len(good)
+        ledger = FailureLedger(ledger_path(tmp_path / "store"))
+        assert ledger.fingerprints() == (bad.fingerprint(),)
+        assert ledger.entries[bad.fingerprint()].attempts == 1
         resumed = ExperimentEngine(fast_settings,
                                    store=ArtifactStore(tmp_path / "store"))
         resumed.run(good)
         assert resumed.last_report.executed == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_sweep_persists_finished_runs(
+            self, tmp_path, fast_settings, monkeypatch, jobs):
+        """Ctrl-C cancels the queue but still persists every finished run."""
+        from repro.experiments import engine as engine_module
+
+        real_wait = engine_module.wait
+        calls = []
+
+        def interrupted_wait(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "wait", interrupted_wait)
+        store = ArtifactStore(tmp_path / "store")
+        specs = (enumerate_run_specs("amazon_google", "random", fast_settings)
+                 + enumerate_run_specs("amazon_google", "dal",
+                                       fast_settings)[:1])
+        assert len(specs) == 3
+        engine = ExperimentEngine(fast_settings,
+                                  executor=ParallelExecutor(jobs=jobs),
+                                  store=store)
+        with pytest.raises(KeyboardInterrupt):
+            engine.run(specs)
+        assert len(store) == engine.last_report.executed >= 2
 
     def test_adopt_results_seeds_memory_and_store(self, tmp_path, fast_settings):
         spec = RunSpec.create("amazon_google", "battleship", 7, 0.5, 0.5,
@@ -310,11 +349,12 @@ class TestEngine:
             ExperimentEngine(fast_settings).adopt_results({spec: _sample_result()})
 
     def test_parallel_matches_serial_bit_for_bit(self, fast_settings):
-        """Acceptance: ParallelExecutor(jobs=2) == SerialExecutor, exactly."""
+        """Acceptance: ParallelExecutor(jobs=2) == jobs=1 (in-process), exactly."""
         specs = (enumerate_run_specs("amazon_google", "random", fast_settings)
                  + enumerate_run_specs("amazon_google", "battleship",
                                        fast_settings)[:1])
-        serial = ExperimentEngine(fast_settings, executor=SerialExecutor()).run(specs)
+        serial = ExperimentEngine(
+            fast_settings, executor=ParallelExecutor(jobs=1)).run(specs)
         parallel = ExperimentEngine(
             fast_settings, executor=ParallelExecutor(jobs=2)).run(specs)
         for spec in specs:
@@ -362,7 +402,8 @@ class TestFaultTolerance:
         clean = ExperimentEngine(fast_settings).run(specs)
 
         injector = FaultInjector.from_spec("raise@0,raise@1").resolve(specs)
-        executor = SerialExecutor(retry_policy=FAST_RETRY, injector=injector)
+        executor = ParallelExecutor(jobs=1, retry_policy=FAST_RETRY,
+                                    injector=injector)
         engine = ExperimentEngine(fast_settings, executor=executor)
         chaotic = engine.run(specs)
 
@@ -459,8 +500,8 @@ class TestFaultTolerance:
         injector = FaultInjector.from_spec(
             "raise@0:0,raise@0:1").resolve(specs)
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
-        executor = SerialExecutor(retry_policy=policy, keep_going=True,
-                                  injector=injector)
+        executor = ParallelExecutor(jobs=1, retry_policy=policy,
+                                    keep_going=True, injector=injector)
         engine = ExperimentEngine(fast_settings, executor=executor)
         results = engine.run(specs)
 
@@ -503,7 +544,19 @@ class TestFaultTolerance:
 
     def test_serial_executor_warns_it_cannot_enforce_timeouts(self):
         with pytest.warns(UserWarning, match="timeout"):
-            SerialExecutor(retry_policy=RetryPolicy(timeout=5.0))
+            ParallelExecutor(jobs=1, retry_policy=RetryPolicy(timeout=5.0))
+
+    def test_in_process_failure_records_real_duration(self, fast_settings):
+        """At jobs=1 the job runs inside submit; its time must still count."""
+        specs = enumerate_run_specs("amazon_google", "random", fast_settings)
+        executor = ParallelExecutor(
+            jobs=1, retry_policy=RetryPolicy(max_attempts=1), keep_going=True,
+            injector=FaultInjector.from_spec("hang=0.2@0,raise@0"))
+        results = ExperimentEngine(fast_settings, executor=executor).run(specs)
+        failure, = executor.last_failures
+        assert failure.error_type == "InjectedTransientError"
+        assert failure.elapsed_seconds[0] >= 0.2
+        assert specs[0] not in results and specs[1] in results
 
 
 def _square(value: int) -> int:

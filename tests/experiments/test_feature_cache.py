@@ -15,8 +15,8 @@ from repro.experiments import engine as engine_module
 from repro.experiments.configs import default_settings
 from repro.experiments.engine import (
     ExperimentEngine,
+    ParallelExecutor,
     RunSpec,
-    SerialExecutor,
     clear_dataset_cache,
     clear_feature_cache,
     execute_spec,
@@ -64,7 +64,7 @@ def test_engine_grid_featurizes_each_dataset_exactly_once(tiny_settings, monkeyp
         for method in ("random", "dal")
         for seed in (7, 20)
     ]
-    engine = ExperimentEngine(tiny_settings, executor=SerialExecutor())
+    engine = ExperimentEngine(tiny_settings, executor=ParallelExecutor(jobs=1))
     results = engine.run(specs)
     assert len(results) == 4
     assert engine.last_report.executed == 4

@@ -14,7 +14,6 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ParallelExecutor,
     RunSpec,
-    SerialExecutor,
     clear_dataset_cache,
     get_dataset,
 )
@@ -124,10 +123,10 @@ class TestScenarioSweeps:
         assert "perfect" in SCENARIO_NAMES
 
     def test_serial_parallel_bit_identical_per_scenario(self, fast_settings):
-        """Acceptance: scenario grids run identically under both executors."""
+        """Acceptance: scenario grids run identically at jobs=1 and jobs=2."""
         serial = robustness_curves(
             fast_settings, scenarios=SCENARIO_NAMES, methods=("random",),
-            engine=ExperimentEngine(fast_settings, executor=SerialExecutor()))
+            engine=ExperimentEngine(fast_settings, executor=ParallelExecutor(jobs=1)))
         parallel = robustness_curves(
             fast_settings, scenarios=SCENARIO_NAMES, methods=("random",),
             engine=ExperimentEngine(fast_settings,

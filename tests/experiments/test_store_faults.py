@@ -17,8 +17,8 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ExperimentSettings
 from repro.experiments.engine import (
     ExperimentEngine,
+    ParallelExecutor,
     RunSpec,
-    SerialExecutor,
 )
 from repro.experiments.faults import (
     FaultInjector,
@@ -260,7 +260,8 @@ class TestTornWriteInjection:
         policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
         engine = ExperimentEngine(
             fast_settings,
-            executor=SerialExecutor(retry_policy=policy, injector=injector),
+            executor=ParallelExecutor(jobs=1, retry_policy=policy,
+                                      injector=injector),
             store=ArtifactStore(store_path))
         engine.run(specs)
         assert engine.last_report.executed == len(specs)

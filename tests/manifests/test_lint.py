@@ -117,25 +117,14 @@ def test_seed_range_requires_start_and_count():
     assert any("'count'" in message for message in messages)
 
 
-def test_blocker_setting_accepted_and_fingerprinted():
+def test_blocker_setting_is_an_unknown_key():
+    """No experiment path blocks, so a blocker setting would do nothing."""
     text = GOOD_MANIFEST.replace('scale = "tiny"',
                                  'scale = "tiny"\nblocker = "minhash"')
     report = lint_manifest(parse_manifest_text(text))
-    assert report.ok, report.render()
-    assert report.document.settings.blocker == "minhash"
-    # The blocker participates in the manifest identity...
-    baseline = lint_manifest(parse_manifest_text(GOOD_MANIFEST)).document
-    assert report.document.fingerprint() != baseline.fingerprint()
-    # ...but its absence keeps pre-blocker fingerprints unchanged.
-    assert "blocker" not in baseline.settings.to_dict()
-
-
-def test_unknown_blocker_is_an_error_with_suggestion():
-    text = GOOD_MANIFEST.replace('scale = "tiny"',
-                                 'scale = "tiny"\nblocker = "minhsh"')
-    report = lint_manifest(parse_manifest_text(text))
     issue = next(i for i in report.errors if i.field == "settings.blocker")
-    assert "did you mean 'minhash'" in issue.message
+    assert "Unknown settings key 'blocker'" in issue.message
+    assert issue.line == 8
 
 
 def test_empty_manifest_needs_a_grid_or_run():
