@@ -2,7 +2,7 @@
 
 These are the components whose cost dominates a battleship iteration:
 featurization, matcher training, K-Means, graph construction + PageRank, and
-nearest-neighbour search (exact vs. LSH).  pytest-benchmark reports their
+exact nearest-neighbour search.  pytest-benchmark reports their
 individual timings, which backs the Figure 6 runtime discussion.
 """
 
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.ann.exact import ExactNearestNeighbors
-from repro.ann.lsh import LSHNearestNeighbors
 from repro.clustering.constrained import ConstrainedKMeans, SizeConstraints
 from repro.experiments.runner import get_dataset
 from repro.graphs.pagerank import pagerank_per_component
@@ -100,12 +99,3 @@ def test_bench_exact_knn(benchmark, representation_cloud):
     indices, _ = benchmark(index.query, representation_cloud, 15, True)
     assert indices.shape == (len(representation_cloud), 15)
 
-
-def test_bench_lsh_knn(benchmark, representation_cloud):
-    index = LSHNearestNeighbors(num_tables=8, num_bits=10,
-                                random_state=0).build(representation_cloud)
-    indices, _ = benchmark.pedantic(index.query,
-                                    args=(representation_cloud, 15),
-                                    kwargs={"exclude_self": True},
-                                    rounds=1, iterations=1)
-    assert indices.shape == (len(representation_cloud), 15)

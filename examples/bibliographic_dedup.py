@@ -30,14 +30,15 @@ from repro.neural.featurizer import FeaturizerConfig, PairFeaturizer
 def main() -> None:
     # --- 1. "Your data": two bibliographic CSV files -------------------------
     source = load_benchmark("dblp_scholar", scale="tiny", random_state=3)
-    workdir = Path(tempfile.mkdtemp(prefix="repro_dblp_"))
-    files = export_dataset(source, workdir)
-    print(f"Wrote benchmark CSVs to {workdir}")
+    with tempfile.TemporaryDirectory(prefix="repro_dblp_") as tmp:
+        workdir = Path(tmp)
+        files = export_dataset(source, workdir)
+        print(f"Wrote benchmark CSVs to {workdir}")
 
-    schema = bibliographic_schema()
-    dblp = read_table_csv(files["tableA"], schema, name="dblp")
-    scholar = read_table_csv(files["tableB"], schema, name="scholar")
-    gold_pairs = read_pairs_csv(files["pairs"])
+        schema = bibliographic_schema()
+        dblp = read_table_csv(files["tableA"], schema, name="dblp")
+        scholar = read_table_csv(files["tableB"], schema, name="scholar")
+        gold_pairs = read_pairs_csv(files["pairs"])
     print(f"Loaded {len(dblp)} DBLP records and {len(scholar)} Scholar records")
 
     # --- 2. Blocking ----------------------------------------------------------

@@ -4,7 +4,6 @@ from repro.active.selectors.base import (
     SelectionContext,
     Selector,
     entropy_weak_selection,
-    take_top_ranked,
 )
 from repro.active.selectors.battleship import BattleshipConfig, BattleshipSelector
 from repro.active.selectors.committee import CommitteeSelector
@@ -20,5 +19,4 @@ __all__ = [
     "SelectionContext",
     "Selector",
     "entropy_weak_selection",
-    "take_top_ranked",
 ]

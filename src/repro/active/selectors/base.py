@@ -146,9 +146,3 @@ def entropy_weak_selection(context: SelectionContext, budget: int) -> dict[int, 
             weak[int(context.universe[position])] = class_value
     return weak
 
-
-def take_top_ranked(scores: dict[int, float], budget: int,
-                    largest_first: bool = True) -> list[int]:
-    """Return up to ``budget`` keys of ``scores`` in score order."""
-    ordered = sorted(scores, key=lambda key: scores[key], reverse=largest_first)
-    return ordered[:max(budget, 0)]

@@ -20,8 +20,8 @@ from repro.analysis.core import LintContext, Rule, dotted_name, register_rule
 #: when the receiver looks like a pool/executor — every sequence type has a
 #: ``map``-shaped method somewhere.
 _SUBMIT_ATTRS = frozenset({
-    "submit", "map_indexed", "apply_async", "imap", "imap_unordered",
-    "starmap", "starmap_async", "map_async",
+    "submit", "apply_async", "imap", "imap_unordered", "starmap",
+    "starmap_async", "map_async",
 })
 
 _POOLISH_RECEIVER = re.compile(r"pool|executor|exec", re.IGNORECASE)

@@ -1,6 +1,5 @@
-"""Nearest-neighbour search substrate (FAISS stand-in)."""
+"""Nearest-neighbour search substrate: exact cosine top-k (FAISS stand-in)."""
 
 from repro.ann.exact import ExactNearestNeighbors
-from repro.ann.lsh import LSHNearestNeighbors
 
-__all__ = ["ExactNearestNeighbors", "LSHNearestNeighbors"]
+__all__ = ["ExactNearestNeighbors"]

@@ -1,38 +1,11 @@
-"""Blocking substrate: token, q-gram, and MinHash-LSH blockers plus evaluation."""
+"""Token blocking and blocking-quality metrics.
 
-from repro.blocking.base import DEFAULT_CHUNK_SIZE, Blocker, record_blocking_text
-from repro.blocking.evaluation import (
-    BlockingReport,
-    evaluate_blocking,
-    evaluate_blocking_stream,
-)
-from repro.blocking.minhash_lsh import MinHashLSHBlocker, MinHashSignature
-from repro.blocking.qgram_blocking import QGramBlocker
-from repro.blocking.registry import (
-    available_blockers,
-    create_blocker,
-    get_blocker_factory,
-    register_blocker,
-)
-from repro.blocking.sharding import shard_ranges
+The paper assumes candidate pairs are given: a run starts from a benchmark's
+candidate set.  Blocking is here for users who bring two raw tables, as
+``examples/bibliographic_dedup.py`` does, and need candidates to score.
+"""
+
+from repro.blocking.evaluation import BlockingReport, evaluate_blocking
 from repro.blocking.token_blocking import TokenBlocker
-from repro.blocking.topk import TopKCandidateBlocker
 
-__all__ = [
-    "Blocker",
-    "BlockingReport",
-    "DEFAULT_CHUNK_SIZE",
-    "MinHashLSHBlocker",
-    "MinHashSignature",
-    "QGramBlocker",
-    "TokenBlocker",
-    "TopKCandidateBlocker",
-    "available_blockers",
-    "create_blocker",
-    "evaluate_blocking",
-    "evaluate_blocking_stream",
-    "get_blocker_factory",
-    "record_blocking_text",
-    "register_blocker",
-    "shard_ranges",
-]
+__all__ = ["BlockingReport", "TokenBlocker", "evaluate_blocking"]

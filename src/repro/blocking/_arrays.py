@@ -1,12 +1,10 @@
-"""Array primitives shared by the batched blockers.
+"""Array primitives of the batched token blocker.
 
-Every batched blocker reduces candidate generation to the same two steps:
-join left occurrences against right occurrences on an integer key (band
-code, token id, gram id), then deduplicate the resulting ``(left, right)``
-index pairs.  Pairs are packed into single ``uint64`` values
-(``left_index << 32 | right_index``) so deduplication is one
-:func:`numpy.unique` over a flat array instead of a Python ``set`` of
-tuples, and merging across bands/shards is a sorted-array union.
+Candidate generation reduces to two steps: join left occurrences against
+right occurrences on an integer token id, then deduplicate the resulting
+``(left, right)`` index pairs.  Pairs are packed into single ``uint64``
+values (``left_index << 32 | right_index``) so deduplication is one sort
+over a flat array instead of a Python ``set`` of tuples.
 """
 
 from __future__ import annotations
@@ -91,10 +89,10 @@ def build_occurrences(
 class SortedPostings:
     """Right-side occurrences ``(key, row)`` sorted by key, joinable in bulk.
 
-    Built once per index (band, token table, gram table); :meth:`join` then
-    answers "which right rows share a key with each left occurrence" with two
-    :func:`numpy.searchsorted` passes and pure index arithmetic — no
-    per-bucket Python loop, no ``dict[key, list]``.
+    Built once per table pair; :meth:`join` then answers "which right rows
+    share a key with each left occurrence" with two :func:`numpy.searchsorted`
+    passes and pure index arithmetic — no per-bucket Python loop, no
+    ``dict[key, list]``.
     """
 
     def __init__(self, keys: np.ndarray, rows: np.ndarray) -> None:
@@ -105,9 +103,7 @@ class SortedPostings:
     def join(self, left_keys: np.ndarray, left_rows: np.ndarray) -> np.ndarray:
         """Packed pairs for every (left occurrence × matching right row).
 
-        The output may contain duplicates when a left row carries the same
-        key several times (it cannot here: occurrences are per distinct
-        feature) or when the caller concatenates joins; dedup with
+        A pair appears once per key its two rows share; dedup with
         :func:`sorted_unique`.
         """
         if left_keys.size == 0 or self.keys.size == 0:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.data.pair import MATCH, PairSet
 from repro.data.record import Table
@@ -54,37 +53,4 @@ def evaluate_blocking(
         num_recalled_matches=len(recalled),
         pair_completeness=pair_completeness,
         reduction_ratio=reduction_ratio,
-    )
-
-
-def evaluate_blocking_stream(
-    chunks: Iterable[Iterable[tuple[str, str]]],
-    gold_pairs: PairSet,
-    left: Table,
-    right: Table,
-) -> BlockingReport:
-    """Score a :meth:`~repro.blocking.base.Blocker.block_iter` stream.
-
-    Produces the same :class:`BlockingReport` as :func:`evaluate_blocking`
-    on the union of the chunks, but holds only the gold matches in memory:
-    the ``block_iter`` contract guarantees no pair repeats across chunks, so
-    the candidate count is the sum of chunk sizes and recall needs only a
-    membership test per candidate against the (small) gold match set.
-    """
-    true_matches = {pair.key for pair in gold_pairs if pair.label == MATCH}
-    recalled: set[tuple[str, str]] = set()
-    num_candidates = 0
-    for chunk in chunks:
-        for key in chunk:
-            num_candidates += 1
-            if key in true_matches:
-                recalled.add(key)
-    total_space = max(len(left) * len(right), 1)
-    pair_completeness = (len(recalled) / len(true_matches)) if true_matches else 1.0
-    return BlockingReport(
-        num_candidates=num_candidates,
-        num_true_matches=len(true_matches),
-        num_recalled_matches=len(recalled),
-        pair_completeness=pair_completeness,
-        reduction_ratio=1.0 - num_candidates / total_space,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -13,25 +13,15 @@ from repro.blocking._arrays import (
     sorted_unique,
     unpack_pairs,
 )
-from repro.blocking.base import DEFAULT_CHUNK_SIZE, Blocker, record_blocking_text
 from repro.data.record import Table
 from repro.text.tokenization import token_set, token_sets
 
-#: Left rows per internal candidate group of the collect-all :meth:`block`
-#: path; bounds the per-group join multiset without changing the result.
+#: Left rows per internal candidate group of :meth:`TokenBlocker.block`;
+#: bounds the per-group join multiset without changing the result.
 _BLOCK_GROUP_ROWS = 2048
 
 
-class _TokenJoinState(NamedTuple):
-    """Stop-filtered occurrence arrays of one table pair, ready to join."""
-
-    left_keys: np.ndarray   # kept left occurrences, sorted by left row
-    left_rows: np.ndarray
-    postings: SortedPostings
-    num_left: int
-
-
-class TokenBlocker(Blocker):
+class TokenBlocker:
     """Standard token blocking with a stop-token frequency cut-off.
 
     Candidate generation is batched: one token → dense-id pass over both
@@ -65,20 +55,17 @@ class TokenBlocker(Blocker):
         self.max_block_size = max_block_size
         self.min_token_length = min_token_length
 
-    def _texts(self, table: Table) -> list[str]:
-        return [record_blocking_text(record, self.attributes) for record in table]
-
-    def shard_features(self, texts: Sequence[str]) -> list[set[str]]:
-        """Length-filtered token sets of ``texts`` (bulk, memoized extraction)."""
+    def _features(self, table: Table) -> list[set[str]]:
+        """Length-filtered token sets of ``table``'s records (bulk, memoized)."""
         minimum = self.min_token_length
+        texts = [record.text(self.attributes) for record in table]
         return [{token for token in features if len(token) >= minimum}
                 for features in token_sets(texts)]
 
-    def _prepare(self, left: Table, right: Table) -> _TokenJoinState:
-        left_features = self.shard_features(self._texts(left))
-        right_features = self.shard_features(self._texts(right))
+    def block(self, left: Table, right: Table) -> set[tuple[str, str]]:
+        """Return candidate ``(left_id, right_id)`` keys."""
         left_keys, left_rows, right_keys, right_rows, num_keys = \
-            build_occurrences(left_features, right_features)
+            build_occurrences(self._features(left), self._features(right))
         # Feature sets contribute each token once per record, so occurrence
         # counts equal the seed's per-table |records containing token|.
         left_counts = np.bincount(left_keys, minlength=num_keys)
@@ -90,66 +77,28 @@ class TokenBlocker(Blocker):
         left_keys = left_keys[keep_left]
         left_rows = left_rows[keep_left]
         order = np.argsort(left_rows, kind="stable")
-        return _TokenJoinState(
-            left_keys=left_keys[order],
-            left_rows=left_rows[order],
-            postings=SortedPostings(right_keys[keep_right],
-                                    right_rows[keep_right]),
-            num_left=len(left),
-        )
+        left_keys = left_keys[order]
+        left_rows = left_rows[order]
+        postings = SortedPostings(right_keys[keep_right], right_rows[keep_right])
 
-    def _group_packed(self, state: _TokenJoinState,
-                      row_start: int, row_stop: int) -> np.ndarray:
-        """Deduplicated packed pairs of left rows ``[row_start, row_stop)``."""
-        lo = np.searchsorted(state.left_rows, row_start, side="left")
-        hi = np.searchsorted(state.left_rows, row_stop, side="left")
-        return sorted_unique(state.postings.join(state.left_keys[lo:hi],
-                                                 state.left_rows[lo:hi]))
-
-    def block(self, left: Table, right: Table) -> set[tuple[str, str]]:
-        state = self._prepare(left, right)
         left_ids = left.record_ids
         right_ids = right.record_ids
         candidates: set[tuple[str, str]] = set()
-        for start in range(0, state.num_left, _BLOCK_GROUP_ROWS):
-            packed = self._group_packed(state, start, start + _BLOCK_GROUP_ROWS)
+        for start in range(0, len(left), _BLOCK_GROUP_ROWS):
+            lo = np.searchsorted(left_rows, start, side="left")
+            hi = np.searchsorted(left_rows, start + _BLOCK_GROUP_ROWS, side="left")
+            packed = sorted_unique(postings.join(left_keys[lo:hi], left_rows[lo:hi]))
             rows_l, rows_r = unpack_pairs(packed)
             candidates.update(zip(map(left_ids.__getitem__, rows_l.tolist()),
                                   map(right_ids.__getitem__, rows_r.tolist())))
         return candidates
-
-    def block_iter(self, left: Table, right: Table,
-                   chunk_size: int = DEFAULT_CHUNK_SIZE,
-                   ) -> Iterator[list[tuple[str, str]]]:
-        """Stream candidate chunks; see :meth:`Blocker.block_iter` contract.
-
-        Left rows are processed in contiguous groups (disjoint, so per-group
-        dedup is global dedup); peak buffered pairs stay near ``chunk_size``
-        and are recorded in ``last_stream_peak``.
-        """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        state = self._prepare(left, right)
-        left_ids = left.record_ids
-        right_ids = right.record_ids
-        group_size = max(1, chunk_size // 8)
-
-        def groups() -> Iterator[Iterable[tuple[str, str]]]:
-            for start in range(0, state.num_left, group_size):
-                packed = self._group_packed(state, start, start + group_size)
-                rows_l, rows_r = unpack_pairs(packed)
-                yield zip(map(left_ids.__getitem__, rows_l.tolist()),
-                          map(right_ids.__getitem__, rows_r.tolist()))
-
-        yield from self._stream_chunks(groups(), chunk_size)
 
     # -- reference path ------------------------------------------------------ #
     def _index(self, table: Table) -> dict[str, set[str]]:
         """Token → record-id inverted index of ``table``."""
         index: dict[str, set[str]] = defaultdict(set)
         for record in table:
-            text = record_blocking_text(record, self.attributes)
-            for token in token_set(text):
+            for token in token_set(record.text(self.attributes)):
                 if len(token) >= self.min_token_length:
                     index[token].add(record.record_id)
         return index

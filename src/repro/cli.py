@@ -29,13 +29,6 @@ from typing import Sequence
 
 from repro.active.loop import ActiveLearningLoop
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME
-from repro.active.selectors import (
-    BattleshipSelector,
-    CommitteeSelector,
-    EntropySelector,
-    RandomSelector,
-    Selector,
-)
 from repro.baselines.full_training import train_full_matcher
 from repro.config import available_scales
 from repro.data.io import export_dataset
@@ -46,19 +39,12 @@ from repro.experiments.engine import (
     ACTIVE_LEARNING_METHODS,
     ExperimentEngine,
     ParallelExecutor,
+    method_factory,
 )
 from repro.experiments.store import ArtifactStore
 from repro.exceptions import ManifestError
-from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
 from repro.scenarios import available_scenarios, get_scenario, resolve_scenarios
-
-_SELECTORS = {
-    "battleship": lambda args: BattleshipSelector(alpha=args.alpha, beta=args.beta),
-    "dal": lambda args: EntropySelector(),
-    "dial": lambda args: CommitteeSelector(),
-    "random": lambda args: RandomSelector(),
-}
 
 #: Figures/tables the ``experiments`` subcommand can (re)build.
 _EXPERIMENT_FIGURES = (5, 6, 7, 8, 9, 10)
@@ -128,10 +114,6 @@ def _matcher_config(args: argparse.Namespace,
     return config
 
 
-def _featurizer_config(settings: ExperimentSettings) -> FeaturizerConfig:
-    return settings.featurizer_config
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Create the argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -146,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="Run one active-learning campaign")
     run.add_argument("--dataset", required=True, choices=available_benchmarks())
-    run.add_argument("--selector", default="battleship", choices=sorted(_SELECTORS))
+    run.add_argument("--selector", default="battleship",
+                     choices=ACTIVE_LEARNING_METHODS)
     run.add_argument("--scale", default="tiny", choices=available_scales())
     run.add_argument("--iterations", type=int, default=3)
     run.add_argument("--budget", type=int, default=20)
@@ -304,12 +287,11 @@ def _command_datasets(args: argparse.Namespace) -> int:
 def _command_run(args: argparse.Namespace) -> int:
     settings = default_settings(args.scale)
     dataset = load_benchmark(args.dataset, scale=args.scale, random_state=args.seed)
-    selector: Selector = _SELECTORS[args.selector](args)
     loop = ActiveLearningLoop(
         dataset=dataset,
-        selector=selector,
+        selector=method_factory(args.selector)(args.alpha, args.beta),
         matcher_config=_matcher_config(args, settings),
-        featurizer_config=_featurizer_config(settings),
+        featurizer_config=settings.featurizer_config,
         iterations=args.iterations,
         budget_per_iteration=args.budget,
         seed_size=args.seed_size if args.seed_size is not None else args.budget,
@@ -328,7 +310,7 @@ def _command_full(args: argparse.Namespace) -> int:
     settings = default_settings(args.scale)
     dataset = load_benchmark(args.dataset, scale=args.scale, random_state=args.seed)
     result = train_full_matcher(dataset, _matcher_config(args, settings),
-                                _featurizer_config(settings))
+                                settings.featurizer_config)
     print(f"Full D on {args.dataset} (scale={args.scale}): "
           f"{result.num_training_labels} training labels, "
           f"F1={result.f1 * 100:.2f}%  precision={result.test_metrics.precision * 100:.2f}%  "

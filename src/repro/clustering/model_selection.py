@@ -72,7 +72,6 @@ def select_num_clusters(points: np.ndarray, min_fraction: float = 0.05,
     sweep_rng, silhouette_rng = spawn_rng(rng, 2)
     sse_curve: list[float] = []
     silhouette_curve: list[float] = []
-    labelings: list[np.ndarray] = []
 
     if len(points) > _SILHOUETTE_SAMPLE_LIMIT:
         sample = silhouette_rng.choice(len(points), _SILHOUETTE_SAMPLE_LIMIT, replace=False)
@@ -81,7 +80,6 @@ def select_num_clusters(points: np.ndarray, min_fraction: float = 0.05,
 
     for k in candidates:
         result = KMeans(num_clusters=k, num_init=1, random_state=sweep_rng).fit(points)
-        labelings.append(result.labels)
         sse_curve.append(average_cluster_sse(points, result))
         sample_labels = result.labels[sample]
         if len(np.unique(sample_labels)) >= 2:

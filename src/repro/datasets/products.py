@@ -53,10 +53,6 @@ def _price(rng: np.random.Generator, low: float, high: float) -> str:
     return f"{rng.uniform(low, high):.2f}"
 
 
-def _year(rng: np.random.Generator, low: int = 2004, high: int = 2015) -> str:
-    return str(int(rng.integers(low, high + 1)))
-
-
 def walmart_amazon_catalog(num_entities: int, rng: np.random.Generator) -> list[EntityProfile]:
     """Retail electronics entities with title/category/brand/modelno/price."""
     entities: list[EntityProfile] = []

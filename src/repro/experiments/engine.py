@@ -34,7 +34,6 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -748,48 +747,6 @@ class ParallelExecutor:
         finally:
             init_injector(None)
             self._terminate_pool(pool)
-
-    def map_indexed(
-        self,
-        fn: Callable,
-        items: Sequence,
-        initializer: Callable | None = None,
-        initargs: tuple = (),
-    ) -> list:
-        """Run ``fn`` over ``items`` on the pool; results in *item* order.
-
-        The generic fan-out entry point for embarrassingly parallel work
-        that is not an active-learning run — the sharded blocking index
-        build (:mod:`repro.blocking.sharding`) is the first consumer.  It
-        reuses the executor's spawn-safe initializer pattern: per-worker
-        state travels once through ``initializer``/``initargs`` instead of
-        once per task, and completion order never leaks into the result
-        order.  ``fn``, ``initializer``, and every item must be picklable
-        (top-level callables).
-
-        Failure semantics match :meth:`execute`: when one shard raises, the
-        queued shards are cancelled and the first error propagates — the
-        context manager alone would silently run every queued shard to
-        completion before re-raising, wasting a full pool's worth of work.
-        """
-        items = list(items)
-        if not items:
-            return []
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(items)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            futures = {pool.submit(fn, item): index
-                       for index, item in enumerate(items)}
-            results: list = [None] * len(items)
-            try:
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-            except BaseException:
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        return results
 
 
 # --------------------------------------------------------------------------- #

@@ -85,23 +85,6 @@ def token_sets(texts: Iterable[str]) -> list[set[str]]:
     return result
 
 
-def qgram_sets(texts: Iterable[str], q: int = 3, pad: bool = True) -> list[set[str]]:
-    """Q-gram sets of many texts, extracting each *distinct* text once.
-
-    The bulk counterpart of :func:`qgram_set`; see :func:`token_sets` for the
-    memoization contract (shared sets, do not mutate).
-    """
-    cache: dict[str, set[str]] = {}
-    result = []
-    for text in texts:
-        features = cache.get(text)
-        if features is None:
-            features = qgram_set(text, q=q, pad=pad)
-            cache[text] = features
-        result.append(features)
-    return result
-
-
 def word_ngrams(text: str, n: int = 2) -> list[str]:
     """Word n-grams (joined with underscores) of ``text``."""
     if n <= 0:

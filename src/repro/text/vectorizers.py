@@ -11,8 +11,7 @@ Two vectorizers are provided:
     behaves identically across active-learning iterations.
 
 :class:`TfidfVectorizer`
-    A classic fit/transform TF-IDF vectorizer used by the ZeroER baseline and
-    the blocking evaluation utilities.
+    A classic fit/transform TF-IDF vectorizer.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.active.selectors.base import SelectionContext, entropy_weak_selection, take_top_ranked
+from repro.active.selectors.base import SelectionContext, entropy_weak_selection
 from repro.active.selectors.committee import CommitteeSelector
 from repro.active.selectors.entropy import EntropySelector
 from repro.active.selectors.random_selector import RandomSelector
@@ -158,13 +158,3 @@ class TestCommitteeSelector:
         other = CommitteeSelector(committee_size=3, random_state=5)
         assert selector.select(context_a) == other.select(context_b)
 
-
-class TestTakeTopRanked:
-    def test_orders_by_score(self):
-        scores = {1: 0.5, 2: 0.9, 3: 0.1}
-        assert take_top_ranked(scores, 2) == [2, 1]
-        assert take_top_ranked(scores, 2, largest_first=False) == [3, 1]
-
-    def test_budget_clamping(self):
-        assert take_top_ranked({1: 1.0}, 5) == [1]
-        assert take_top_ranked({1: 1.0}, 0) == []

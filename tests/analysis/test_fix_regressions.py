@@ -8,11 +8,9 @@ the fixes alter *how* an order is produced, never *what* is computed.
 from __future__ import annotations
 
 import math
-import zlib
 
 import numpy as np
 
-from repro.blocking.minhash_lsh import _MAX_HASH, MinHashSignature
 from repro.text.tokenization import tokenize
 from repro.text.vectorizers import TfidfVectorizer
 
@@ -24,34 +22,6 @@ TEXTS = [
     "canon eos r6 mark ii body canon canon",  # repeated tokens in one doc
     "",
 ]
-
-
-def test_minhash_batch_matches_per_record_signatures():
-    """The batched path (with the cache fix) ≡ the one-record reference."""
-    signer = MinHashSignature(num_permutations=16, random_state=3)
-    feature_sets = [set(t.split()) for t in TEXTS]
-    batched = signer.signature_matrix(feature_sets)
-    reference = np.vstack([signer.signature(f) for f in feature_sets])
-    np.testing.assert_array_equal(batched, reference)
-
-
-def test_minhash_cache_values_are_plain_crc32():
-    """The dict.fromkeys rewrite must not change what gets cached."""
-    signer = MinHashSignature(num_permutations=4, random_state=0)
-    features = ["alpha", "beta", "alpha", "gamma"]
-    signer.signature_matrix([features])
-    from repro.blocking.minhash_lsh import _CRC_CACHE
-
-    for feature in set(features):
-        assert _CRC_CACHE[feature] == (
-            zlib.crc32(feature.encode("utf-8")) & _MAX_HASH)
-
-
-def test_minhash_empty_record_sentinel_row_unchanged():
-    signer = MinHashSignature(num_permutations=8, random_state=1)
-    matrix = signer.signature_matrix([set(), {"a", "b"}])
-    assert (matrix[0] == _MAX_HASH).all()
-    assert not (matrix[1] == _MAX_HASH).all()
 
 
 def test_tfidf_document_frequencies_match_set_semantics():

@@ -1,10 +1,9 @@
-"""Tests for the nearest-neighbour substrate (exact and LSH)."""
+"""Tests for the exact nearest-neighbour substrate."""
 
 import numpy as np
 import pytest
 
 from repro.ann.exact import ExactNearestNeighbors
-from repro.ann.lsh import LSHNearestNeighbors
 from repro.exceptions import NotFittedError
 
 
@@ -69,37 +68,3 @@ class TestExactNearestNeighbors:
         assert np.allclose(sims, sims.T)
         assert np.allclose(np.diag(sims), 1.0)
 
-
-class TestLSHNearestNeighbors:
-    def test_requires_build(self):
-        with pytest.raises(NotFittedError):
-            LSHNearestNeighbors().query(np.ones((1, 4)), k=1)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            LSHNearestNeighbors(num_tables=0)
-        with pytest.raises(ValueError):
-            LSHNearestNeighbors(num_bits=0)
-
-    def test_recall_against_exact(self, clustered_vectors):
-        exact = ExactNearestNeighbors().build(clustered_vectors)
-        approximate = LSHNearestNeighbors(num_tables=12, num_bits=8,
-                                          random_state=0).build(clustered_vectors)
-        exact_indices, _ = exact.query(clustered_vectors, k=5, exclude_self=True)
-        approx_indices, _ = approximate.query(clustered_vectors, k=5, exclude_self=True)
-        recalls = []
-        for row in range(len(clustered_vectors)):
-            truth = set(exact_indices[row])
-            found = set(index for index in approx_indices[row] if index >= 0)
-            recalls.append(len(truth & found) / len(truth))
-        assert np.mean(recalls) > 0.6
-
-    def test_padding_for_sparse_buckets(self):
-        rng = np.random.default_rng(3)
-        vectors = rng.normal(size=(5, 8))
-        index = LSHNearestNeighbors(num_tables=1, num_bits=16, random_state=1).build(vectors)
-        indices, similarities = index.query(vectors, k=4, exclude_self=True)
-        assert indices.shape == (5, 4)
-        # Missing neighbours are marked with -1 / -inf.
-        assert np.all((indices >= -1) & (indices < 5))
-        assert np.all(np.isneginf(similarities[indices == -1]))

@@ -1,17 +1,8 @@
-"""Tests for the blocking substrate."""
+"""Tests for token blocking and its quality report."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 from repro.blocking.evaluation import evaluate_blocking
-from repro.blocking.minhash_lsh import MinHashLSHBlocker, MinHashSignature
-from repro.blocking.qgram_blocking import QGramBlocker
-from repro.blocking.sharding import shard_ranges
 from repro.blocking.token_blocking import TokenBlocker
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
@@ -72,201 +63,6 @@ class TestTokenBlocker:
         with pytest.raises(ValueError):
             TokenBlocker(min_token_length=0)
 
-    def test_candidate_pairs_materialization(self, tables):
-        left, right, gold = tables
-        labels = {pair.key: pair.label for pair in gold}
-        pairs = TokenBlocker().candidate_pairs(left, right, labels=labels)
-        assert len(pairs) > 0
-        labeled = [pair for pair in pairs if pair.label is not None]
-        assert labeled
-
-
-class TestQGramBlocker:
-    def test_tolerates_typos(self):
-        schema = Schema.from_names(["title"])
-        left, right = Table("left", schema), Table("right", schema)
-        left.add(Record("l0", {"title": "panasonic lumix"}))
-        right.add(Record("r0", {"title": "panasonik lumix"}))
-        candidates = QGramBlocker(min_shared_qgrams=3).block(left, right)
-        assert ("l0", "r0") in candidates
-
-    def test_threshold_filters_weak_overlap(self):
-        schema = Schema.from_names(["title"])
-        left, right = Table("left", schema), Table("right", schema)
-        left.add(Record("l0", {"title": "aaaa"}))
-        right.add(Record("r0", {"title": "zzzz"}))
-        assert QGramBlocker().block(left, right) == set()
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            QGramBlocker(q=0)
-        with pytest.raises(ValueError):
-            QGramBlocker(min_shared_qgrams=0)
-
-
-class TestMinHash:
-    def test_signature_estimates_jaccard(self):
-        minhash = MinHashSignature(num_permutations=256, random_state=0)
-        set_a = {f"token{i}" for i in range(100)}
-        set_b = {f"token{i}" for i in range(50, 150)}
-        estimate = MinHashSignature.estimated_jaccard(
-            minhash.signature(set_a), minhash.signature(set_b))
-        true_jaccard = 50 / 150
-        assert estimate == pytest.approx(true_jaccard, abs=0.12)
-
-    def test_empty_set_signature(self):
-        minhash = MinHashSignature(num_permutations=16, random_state=0)
-        signature = minhash.signature(set())
-        assert len(signature) == 16
-
-    def test_mismatched_shapes_raise(self):
-        minhash = MinHashSignature(num_permutations=16, random_state=0)
-        with pytest.raises(ValueError):
-            MinHashSignature.estimated_jaccard(
-                minhash.signature({"a"}),
-                MinHashSignature(num_permutations=8, random_state=0).signature({"a"}))
-
-    def test_permutation_hash_matches_bigint_arithmetic(self):
-        """Regression: coefficients drawn from [0, 2^61) overflowed int64 in
-        the outer product, silently computing something other than
-        (a*x + b) mod p.  The signature must match exact big-int arithmetic."""
-        import zlib
-
-        minhash = MinHashSignature(num_permutations=8, random_state=0)
-        x = zlib.crc32("alpha".encode("utf-8")) & ((1 << 32) - 1)
-        prime = (1 << 61) - 1
-        expected = [((int(a) * x + int(b)) % prime) & ((1 << 32) - 1)
-                    for a, b in zip(minhash._a, minhash._b)]
-        assert minhash.signature(["alpha"]).tolist() == expected
-
-    def test_signature_values_stay_in_32bit_range(self):
-        minhash = MinHashSignature(num_permutations=64, random_state=3)
-        signature = minhash.signature({"alpha", "beta", "gamma"})
-        assert signature.min() >= 0
-        assert signature.max() <= (1 << 32) - 1
-
-    def test_signature_stable_across_hash_randomization(self):
-        """Regression: builtin hash() is salted per process (PYTHONHASHSEED),
-        which made LSH candidate sets differ between runs; the crc32-based
-        feature hash must produce identical signatures regardless of the
-        salt."""
-        repo_root = Path(__file__).resolve().parents[2]
-        code = (
-            "from repro.blocking.minhash_lsh import MinHashSignature; "
-            "sig = MinHashSignature(16, random_state=0)"
-            ".signature(['alpha', 'beta', 'gamma']); "
-            "print(','.join(map(str, sig.tolist())))"
-        )
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ)
-            env["PYTHONHASHSEED"] = hash_seed
-            env["PYTHONPATH"] = (str(repo_root / "src")
-                                 + os.pathsep + env.get("PYTHONPATH", ""))
-            result = subprocess.run([sys.executable, "-c", code], env=env,
-                                    capture_output=True, text=True, check=True)
-            outputs.append(result.stdout.strip())
-        assert outputs[0] == outputs[1]
-
-
-class TestSignatureMatrix:
-    def test_matches_per_record_signatures(self):
-        minhash = MinHashSignature(num_permutations=32, random_state=4)
-        feature_sets = [{"alpha", "beta"}, set(), {"gamma"},
-                        {"alpha", "beta", "gamma", "delta"}, set()]
-        matrix = minhash.signature_matrix(feature_sets)
-        expected = np.vstack([minhash.signature(features)
-                              for features in feature_sets])
-        assert np.array_equal(matrix, expected)
-
-    def test_empty_input(self):
-        minhash = MinHashSignature(num_permutations=8, random_state=0)
-        assert minhash.signature_matrix([]).shape == (0, 8)
-
-    def test_blocked_pass_matches_single_pass(self, monkeypatch):
-        # Force a tiny permutation-block budget so the blocked loop actually
-        # splits; results must not depend on the block size.
-        import repro.blocking.minhash_lsh as module
-        minhash = MinHashSignature(num_permutations=16, random_state=9)
-        feature_sets = [{f"tok{i}{j}" for j in range(5)} for i in range(20)]
-        full = minhash.signature_matrix(feature_sets)
-        monkeypatch.setattr(module, "_BLOCK_CELL_BUDGET", 1)
-        blocked = minhash.signature_matrix(feature_sets)
-        assert np.array_equal(full, blocked)
-
-
-class TestMinHashLSHBlocker:
-    def test_recalls_near_duplicates(self, tables):
-        left, right, gold = tables
-        blocker = MinHashLSHBlocker(num_permutations=64, num_bands=32, random_state=0)
-        candidates = blocker.block(left, right)
-        report = evaluate_blocking(candidates, gold, left, right)
-        assert report.pair_completeness >= 2 / 3
-
-    def test_invalid_band_configuration(self):
-        with pytest.raises(ValueError):
-            MinHashLSHBlocker(num_permutations=10, num_bands=3)
-        with pytest.raises(ValueError):
-            MinHashLSHBlocker(num_shards=0)
-        with pytest.raises(ValueError):
-            MinHashLSHBlocker(num_workers=0)
-
-    def test_batched_matches_reference(self, tables):
-        left, right, _ = tables
-        blocker = MinHashLSHBlocker(num_permutations=32, num_bands=16,
-                                    random_state=0)
-        assert blocker.block(left, right) == blocker.block_reference(left, right)
-
-    def test_blank_records_are_not_candidates(self):
-        """Regression: empty-feature records all carry the sentinel signature
-        and used to collide with every other blank record in every band."""
-        schema = Schema.from_names(["title"])
-        left, right = Table("left", schema), Table("right", schema)
-        left.add(Record("l0", {"title": ""}))
-        left.add(Record("l1", {"title": "nikon coolpix"}))
-        right.add(Record("r0", {"title": ""}))
-        right.add(Record("r1", {"title": "   "}))
-        blocker = MinHashLSHBlocker(num_permutations=16, num_bands=8,
-                                    random_state=0)
-        for candidates in (blocker.block(left, right),
-                           blocker.block_reference(left, right)):
-            assert ("l0", "r0") not in candidates
-            assert ("l0", "r1") not in candidates
-
-    def test_sharded_build_is_identical(self, tables):
-        left, right, _ = tables
-        baseline = MinHashLSHBlocker(num_permutations=32, num_bands=8,
-                                     random_state=1).block(left, right)
-        for num_shards in (2, 3, 7):
-            sharded = MinHashLSHBlocker(num_permutations=32, num_bands=8,
-                                        random_state=1,
-                                        num_shards=num_shards)
-            assert sharded.block(left, right) == baseline
-
-    def test_worker_sharded_build_is_identical(self, tables):
-        left, right, _ = tables
-        serial = MinHashLSHBlocker(num_permutations=32, num_bands=8,
-                                   random_state=1)
-        parallel = MinHashLSHBlocker(num_permutations=32, num_bands=8,
-                                     random_state=1, num_shards=2,
-                                     num_workers=2)
-        assert parallel.block(left, right) == serial.block(left, right)
-
-
-class TestShardRanges:
-    def test_covers_range_without_overlap(self):
-        for total in (0, 1, 5, 17):
-            for num_shards in (1, 2, 3, 17, 40):
-                ranges = shard_ranges(total, num_shards)
-                covered = [i for start, stop in ranges
-                           for i in range(start, stop)]
-                assert covered == list(range(total))
-
-    def test_deterministic_and_validated(self):
-        assert shard_ranges(10, 3) == shard_ranges(10, 3)
-        with pytest.raises(ValueError):
-            shard_ranges(10, 0)
-
 
 class TestBatchedEquivalence:
     def test_token_blocker_matches_reference(self, tables):
@@ -275,18 +71,6 @@ class TestBatchedEquivalence:
             blocker = TokenBlocker(max_block_size=max_block_size)
             assert blocker.block(left, right) == \
                 blocker.block_reference(left, right)
-
-    def test_qgram_blocker_matches_reference(self, tables):
-        left, right, _ = tables
-        for threshold in (1, 3, 8):
-            blocker = QGramBlocker(min_shared_qgrams=threshold)
-            assert blocker.block(left, right) == \
-                blocker.block_reference(left, right)
-
-    def test_qgram_sharded_build_is_identical(self, tables):
-        left, right, _ = tables
-        baseline = QGramBlocker().block(left, right)
-        assert QGramBlocker(num_shards=3).block(left, right) == baseline
 
 
 class TestBlockingReport:

@@ -7,7 +7,6 @@ end in seconds.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -557,55 +556,6 @@ class TestFaultTolerance:
         assert failure.error_type == "InjectedTransientError"
         assert failure.elapsed_seconds[0] >= 0.2
         assert specs[0] not in results and specs[1] in results
-
-
-def _square(value: int) -> int:
-    return value * value
-
-
-_MAP_WORKER_BASE = 0
-
-
-def _init_map_worker(base: int) -> None:
-    global _MAP_WORKER_BASE
-    _MAP_WORKER_BASE = base
-
-
-def _add_base(value: int) -> int:
-    return value + _MAP_WORKER_BASE
-
-
-def _touch_unless_three(item: "tuple[int, str]") -> int:
-    """Record the call in a scratch dir; item 3 fails (cancellation probe)."""
-    index, scratch = item
-    if index == 3:
-        raise ValueError("three is right out")
-    (Path(scratch) / f"{index}.ran").touch()
-    return index
-
-
-class TestMapIndexed:
-    def test_results_in_item_order(self):
-        executor = ParallelExecutor(jobs=2)
-        assert executor.map_indexed(_square, range(10)) == \
-            [value * value for value in range(10)]
-
-    def test_empty_items(self):
-        assert ParallelExecutor(jobs=2).map_indexed(_square, []) == []
-
-    def test_initializer_state_reaches_workers(self):
-        results = ParallelExecutor(jobs=2).map_indexed(
-            _add_base, [1, 2, 3],
-            initializer=_init_map_worker, initargs=(100,))
-        assert results == [101, 102, 103]
-
-    def test_failure_surfaces_first_error_and_cancels_queue(self, tmp_path):
-        """A failed shard cancels the queue instead of draining it fully."""
-        items = [(index, str(tmp_path)) for index in range(64)]
-        with pytest.raises(ValueError, match="three is right out"):
-            ParallelExecutor(jobs=2).map_indexed(_touch_unless_three, items)
-        # Only the shards already in flight ran; the queued tail was cancelled.
-        assert len(list(tmp_path.glob("*.ran"))) < len(items)
 
 
 class TestFigure6TimingGuard:

@@ -1,25 +1,19 @@
-"""Property-based tests for the batched / sharded / streamed blocking paths.
+"""Property-based test for the batched token blocker.
 
-Every fast path must be *provably* a reimplementation, not an approximation:
+``TokenBlocker.block`` must be *provably* a reimplementation of the seed
+per-token path, not an approximation: it equals ``block_reference`` for any
+stop-token cut-off and any internal left-row group size.
 
-* ``MinHashSignature.signature_matrix`` is bit-identical to stacking the
-  per-record ``signature`` reference, empties included;
-* batched banding (``block``) equals the seed dict-of-tuples reference for
-  any shard count, with and without q-grams;
-* streaming (``block_iter``) yields exactly ``block``'s pairs for any chunk
-  size, each at most once, in chunks no larger than requested;
-* the chunk-wise q-gram/token joins equal their per-key references.
-
-Example counts stay low (each example builds tables and runs several
+The example count stays low (each example builds tables and runs two
 blockers) and ``deadline`` is off, following the conventions of
 ``test_properties.py``.
 """
 
-import numpy as np
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from repro.blocking.minhash_lsh import MinHashLSHBlocker, MinHashSignature
-from repro.blocking.qgram_blocking import QGramBlocker
+from repro.blocking import token_blocking
 from repro.blocking.token_blocking import TokenBlocker
 from repro.data.record import Record, Table
 from repro.data.schema import Attribute, AttributeType, Schema
@@ -27,16 +21,12 @@ from repro.data.schema import Attribute, AttributeType, Schema
 _WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
           "hotel", "india", "juliett", "kilo", "lima")
 
-# Titles may be empty: blank records exercise the empty-signature banding
-# skip on both the reference and the batched path.
+# Titles may be empty: blank records must never become candidates on either
+# path.
 _titles = st.lists(
     st.lists(st.sampled_from(_WORDS), min_size=0, max_size=6).map(
         lambda tokens: " ".join(tokens)),
     min_size=1, max_size=14)
-
-_feature_sets = st.lists(
-    st.sets(st.sampled_from(_WORDS), min_size=0, max_size=8),
-    min_size=0, max_size=12)
 
 
 def _table(name: str, titles: list[str]) -> Table:
@@ -48,85 +38,17 @@ def _table(name: str, titles: list[str]) -> Table:
     return table
 
 
-@settings(max_examples=30, deadline=None)
-@given(feature_sets=_feature_sets, seed=st.integers(0, 2**31 - 1))
-def test_signature_matrix_bit_identical_to_reference(feature_sets, seed):
-    minhash = MinHashSignature(num_permutations=16, random_state=seed)
-    matrix = minhash.signature_matrix(feature_sets)
-    assert matrix.shape == (len(feature_sets), 16)
-    for row, features in enumerate(feature_sets):
-        np.testing.assert_array_equal(matrix[row],
-                                      minhash.signature(features))
-
-
-@settings(max_examples=20, deadline=None)
-@given(left_titles=_titles, right_titles=_titles,
-       seed=st.integers(0, 2**31 - 1),
-       num_shards=st.integers(1, 5),
-       use_qgrams=st.booleans())
-def test_sharded_batched_block_equals_reference(
-        left_titles, right_titles, seed, num_shards, use_qgrams):
-    left = _table("l", left_titles)
-    right = _table("r", right_titles)
-    blocker = MinHashLSHBlocker(num_permutations=16, num_bands=4,
-                                use_qgrams=use_qgrams, random_state=seed,
-                                num_shards=num_shards)
-    assert blocker.block(left, right) == blocker.block_reference(left, right)
-
-
-@settings(max_examples=20, deadline=None)
-@given(left_titles=_titles, right_titles=_titles,
-       seed=st.integers(0, 2**31 - 1),
-       chunk_size=st.integers(1, 40),
-       use_qgrams=st.booleans())
-def test_block_iter_streams_exactly_the_block_pairs(
-        left_titles, right_titles, seed, chunk_size, use_qgrams):
-    left = _table("l", left_titles)
-    right = _table("r", right_titles)
-    blocker = MinHashLSHBlocker(num_permutations=16, num_bands=4,
-                                use_qgrams=use_qgrams, random_state=seed)
-    chunks = list(blocker.block_iter(left, right, chunk_size=chunk_size))
-    pairs = [pair for chunk in chunks for pair in chunk]
-    assert len(pairs) == len(set(pairs))
-    assert set(pairs) == blocker.block(left, right)
-    assert all(len(chunk) <= chunk_size for chunk in chunks)
-
-
 @settings(max_examples=20, deadline=None)
 @given(left_titles=_titles, right_titles=_titles,
        max_block_size=st.integers(1, 12),
-       chunk_size=st.integers(1, 30))
-def test_token_blocker_batched_and_streamed_equal_reference(
-        left_titles, right_titles, max_block_size, chunk_size):
+       group_rows=st.integers(1, 4))
+def test_token_blocker_batched_equals_reference(
+        left_titles, right_titles, max_block_size, group_rows):
     left = _table("l", left_titles)
     right = _table("r", right_titles)
     blocker = TokenBlocker(max_block_size=max_block_size)
-    reference = blocker.block_reference(left, right)
-    assert blocker.block(left, right) == reference
-    streamed = [pair
-                for chunk in blocker.block_iter(left, right,
-                                                chunk_size=chunk_size)
-                for pair in chunk]
-    assert len(streamed) == len(set(streamed))
-    assert set(streamed) == reference
-
-
-@settings(max_examples=20, deadline=None)
-@given(left_titles=_titles, right_titles=_titles,
-       min_shared=st.integers(1, 6),
-       max_block_size=st.integers(1, 12),
-       chunk_size=st.integers(1, 30))
-def test_qgram_blocker_batched_and_streamed_equal_reference(
-        left_titles, right_titles, min_shared, max_block_size, chunk_size):
-    left = _table("l", left_titles)
-    right = _table("r", right_titles)
-    blocker = QGramBlocker(min_shared_qgrams=min_shared,
-                           max_block_size=max_block_size)
-    reference = blocker.block_reference(left, right)
-    assert blocker.block(left, right) == reference
-    streamed = [pair
-                for chunk in blocker.block_iter(left, right,
-                                                chunk_size=chunk_size)
-                for pair in chunk]
-    assert len(streamed) == len(set(streamed))
-    assert set(streamed) == reference
+    # Small groups split the join across several left-row groups, which the
+    # default group size only does on tables of thousands of records.
+    with mock.patch.object(token_blocking, "_BLOCK_GROUP_ROWS", group_rows):
+        batched = blocker.block(left, right)
+    assert batched == blocker.block_reference(left, right)

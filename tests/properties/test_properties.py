@@ -1,11 +1,9 @@
 """Property-based tests (hypothesis) for the invariants the harness rests on.
 
-Four families of properties, one per satellite of the robustness issue:
+Three families of properties:
 
 * the vectorized CSR graph builder is equivalent to the node-at-a-time
   reference on arbitrary random pools;
-* MinHash blocking is stable: signatures are set-functions of the features
-  and identically seeded blockers agree on every candidate set;
 * the corruption operators stay inside the vocabulary of their input (plus
   the declared abbreviation/noise vocabularies) and are seed-deterministic;
 * the scenario oracles are deterministic under ``spawn_rng``-derived seeding:
@@ -26,9 +24,6 @@ from repro.active.oracle import (
     AbstainingOracle,
     ClassConditionalNoisyOracle,
 )
-from repro.blocking.minhash_lsh import MinHashLSHBlocker, MinHashSignature
-from repro.data.record import Record, Table
-from repro.data.schema import Attribute, AttributeType, Schema
 from repro.datasets.corruptions import (
     _NOISE_TOKENS,
     CorruptionConfig,
@@ -79,7 +74,7 @@ def test_sparse_builder_matches_reference_on_random_pools(
 
 
 # --------------------------------------------------------------------------- #
-# MinHash blocking stability
+# Corruption operators stay in vocabulary
 # --------------------------------------------------------------------------- #
 
 _WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -89,56 +84,6 @@ _token_sets = st.lists(
     st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(
         lambda tokens: " ".join(tokens)),
     min_size=1, max_size=12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(features=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=10),
-       seed=st.integers(0, 2**31 - 1))
-def test_minhash_signature_is_a_set_function(features, seed):
-    # The determinism guard fails the test if signing consumes any global
-    # RNG state — signatures must be pure functions of (features, seed).
-    with determinism_guard("minhash signing"):
-        minhash = MinHashSignature(num_permutations=32, random_state=seed)
-        baseline = minhash.signature(features)
-        reversed_order = minhash.signature(list(reversed(features)))
-        duplicated = minhash.signature(features + features)
-    np.testing.assert_array_equal(baseline, reversed_order)
-    np.testing.assert_array_equal(baseline, duplicated)
-    assert MinHashSignature.estimated_jaccard(baseline, duplicated) == 1.0
-    assert np.all((0 <= baseline) & (baseline < 2**32))
-
-
-def _table(name: str, titles: list[str]) -> Table:
-    schema = Schema(attributes=(Attribute("title", AttributeType.TEXT),),
-                    name=name)
-    table = Table(name, schema)
-    for index, title in enumerate(titles):
-        table.add(Record(record_id=f"{name}{index}", values={"title": title}))
-    return table
-
-
-@settings(max_examples=20, deadline=None)
-@given(left_titles=_token_sets, right_titles=_token_sets,
-       seed=st.integers(0, 2**31 - 1))
-def test_identically_seeded_blockers_agree_on_candidates(
-        left_titles, right_titles, seed):
-    left = _table("l", left_titles)
-    right = _table("r", right_titles)
-    first = MinHashLSHBlocker(num_permutations=16, num_bands=4,
-                              random_state=seed)
-    second = MinHashLSHBlocker(num_permutations=16, num_bands=4,
-                               random_state=seed)
-    with determinism_guard("lsh blocking"):
-        candidates = first.block(left, right)
-        assert candidates == second.block(left, right)
-    # An identical record on both sides always collides in every band.
-    if left_titles[0] == right_titles[0]:
-        assert ("l0", "r0") in candidates
-
-
-# --------------------------------------------------------------------------- #
-# Corruption operators stay in vocabulary
-# --------------------------------------------------------------------------- #
 
 _ALLOWED_EXTRA = (
     {word for abbr in ABBREVIATIONS.values() for word in abbr.split()}
