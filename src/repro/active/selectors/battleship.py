@@ -92,6 +92,11 @@ class BattleshipConfig:
             raise ValueError("num_neighbors must be >= 1")
         if not 0.0 <= self.extra_edge_ratio <= 1.0:
             raise ValueError("extra_edge_ratio must be in [0, 1]")
+        if not 0.0 < self.min_cluster_fraction <= self.max_cluster_fraction <= 1.0:
+            raise ValueError(
+                "require 0 < min_cluster_fraction <= max_cluster_fraction <= 1")
+        if not 0.0 < self.pagerank_damping < 1.0:
+            raise ValueError("pagerank_damping must be in (0, 1)")
 
 
 @dataclass

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._rng import RandomState, ensure_rng
-from repro.clustering.kmeans import KMeansResult, _squared_distances, kmeans_plus_plus_init
+from repro.clustering.kmeans import (
+    KMeansResult,
+    _squared_distances,
+    _squared_norms,
+    kmeans_plus_plus_init,
+)
 from repro.exceptions import ConfigurationError, ConvergenceError
 
 
@@ -76,53 +81,59 @@ class ConstrainedKMeans:
     def _capacity_assign(self, distances: np.ndarray) -> np.ndarray:
         """Greedy assignment respecting ``max_size`` capacities."""
         n, k = distances.shape
-        max_size = self.constraints.max_size
-        order_scores = np.sort(distances, axis=1)
+        # Every point's clusters, nearest first (the default sort kind, as
+        # for one row at a time).
+        preferences = np.argsort(distances, axis=1)
+        nearest = np.take_along_axis(distances, preferences[:, :2], axis=1)
         # Margin between best and second-best centroid: confident points first.
-        margins = (order_scores[:, 1] - order_scores[:, 0]) if k > 1 else order_scores[:, 0]
+        margins = (nearest[:, 1] - nearest[:, 0]) if k > 1 else nearest[:, 0]
         order = np.argsort(-margins)
-        labels = np.full(n, -1, dtype=np.int64)
-        capacities = np.full(k, max_size, dtype=np.int64)
-        for point in order:
-            preference = np.argsort(distances[point])
+        labels = [-1] * n
+        capacities = [self.constraints.max_size] * k
+        rows = preferences.tolist()
+        for point in order.tolist():
+            preference = rows[point]
             for cluster in preference:
                 if capacities[cluster] > 0:
                     labels[point] = cluster
                     capacities[cluster] -= 1
                     break
-            if labels[point] < 0:
+            else:
                 # All capacities exhausted; put the point in its nearest
                 # cluster anyway (only possible when constraints are
                 # infeasible, which fit() guards against).
-                labels[point] = int(preference[0])
-        return labels
+                labels[point] = preference[0]
+        return np.array(labels, dtype=np.int64)
 
-    def _enforce_min_sizes(self, points: np.ndarray, labels: np.ndarray,
-                           centroids: np.ndarray) -> np.ndarray:
-        """Move nearest spare points into clusters below ``min_size``."""
+    def _enforce_min_sizes(self, points: np.ndarray, point_norms: np.ndarray,
+                           labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        """Move nearest spare points into clusters below ``min_size``.
+
+        Each deficit cluster walks its distance order once: its centroid is
+        fixed during the walk and donors only shrink, so a point passed over
+        (a member already, or its cluster could not spare it) stays passed
+        over.
+        """
         min_size = self.constraints.min_size
         if min_size <= 0:
             return labels
-        labels = labels.copy()
+        assigned = labels.tolist()
+        sizes = np.bincount(labels, minlength=self.num_clusters).tolist()
         for cluster in range(self.num_clusters):
-            deficit = min_size - int(np.sum(labels == cluster))
-            while deficit > 0:
-                distances = _squared_distances(points, centroids[cluster:cluster + 1]).reshape(-1)
-                candidate_order = np.argsort(distances)
-                moved = False
-                for candidate in candidate_order:
-                    source = labels[candidate]
-                    if source == cluster:
-                        continue
-                    if np.sum(labels == source) - 1 >= min_size:
-                        labels[candidate] = cluster
-                        deficit -= 1
-                        moved = True
+            if sizes[cluster] >= min_size:
+                continue
+            distances = _squared_distances(points, point_norms,
+                                           centroids[cluster:cluster + 1]).reshape(-1)
+            for candidate in np.argsort(distances).tolist():
+                source = assigned[candidate]
+                if source != cluster and sizes[source] > min_size:
+                    assigned[candidate] = cluster
+                    sizes[source] -= 1
+                    sizes[cluster] += 1
+                    if sizes[cluster] == min_size:
                         break
-                if not moved:
-                    # No donor cluster can spare a point; constraints are tight.
-                    break
-        return labels
+            # A cluster still short here had no donor able to spare a point.
+        return np.array(assigned, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -145,14 +156,15 @@ class ConstrainedKMeans:
             )
 
         rng = ensure_rng(self.random_state)
+        point_norms = _squared_norms(points)
         centroids = kmeans_plus_plus_init(points, self.num_clusters, rng)
         labels = np.zeros(n, dtype=np.int64)
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
-            distances = _squared_distances(points, centroids)
+            distances = _squared_distances(points, point_norms, centroids)
             new_labels = self._capacity_assign(distances)
-            new_labels = self._enforce_min_sizes(points, new_labels, centroids)
+            new_labels = self._enforce_min_sizes(points, point_norms, new_labels, centroids)
             for cluster in range(self.num_clusters):
                 members = points[new_labels == cluster]
                 if len(members) > 0:
@@ -163,7 +175,7 @@ class ConstrainedKMeans:
                 break
             labels = new_labels
 
-        distances = _squared_distances(points, centroids)
+        distances = _squared_distances(points, point_norms, centroids)
         inertia = float(distances[np.arange(n), labels].sum())
         return KMeansResult(labels=labels, centroids=centroids, inertia=inertia,
                             num_iterations=iteration, converged=converged)

@@ -43,10 +43,20 @@ class KMeansResult:
         return np.bincount(self.labels, minlength=self.num_clusters)
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between every point and every centroid."""
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """``||x||^2`` of every point as a column.  Computed once per fit (and
+    once per k-means++ seeding) and passed to every
+    :func:`_squared_distances` call on the same points."""
+    return np.sum(points * points, axis=1, keepdims=True)
+
+
+def _squared_distances(points: np.ndarray, point_norms: np.ndarray,
+                       centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between every point and every centroid.
+
+    ``point_norms`` is :func:`_squared_norms` of ``points``.
+    """
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
-    point_norms = np.sum(points * points, axis=1, keepdims=True)
     centroid_norms = np.sum(centroids * centroids, axis=1)
     distances = point_norms - 2.0 * points @ centroids.T + centroid_norms
     np.maximum(distances, 0.0, out=distances)
@@ -57,10 +67,11 @@ def kmeans_plus_plus_init(points: np.ndarray, num_clusters: int,
                           rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids proportionally to distance."""
     n = len(points)
+    point_norms = _squared_norms(points)
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(0, n))
     centroids[0] = points[first]
-    closest = _squared_distances(points, centroids[:1]).reshape(-1)
+    closest = _squared_distances(points, point_norms, centroids[:1]).reshape(-1)
     for index in range(1, num_clusters):
         total = closest.sum()
         if total <= 0:
@@ -70,7 +81,8 @@ def kmeans_plus_plus_init(points: np.ndarray, num_clusters: int,
             probabilities = closest / total
             choice = int(rng.choice(n, p=probabilities))
         centroids[index] = points[choice]
-        distances = _squared_distances(points, centroids[index:index + 1]).reshape(-1)
+        distances = _squared_distances(points, point_norms,
+                                       centroids[index:index + 1]).reshape(-1)
         np.minimum(closest, distances, out=closest)
     return centroids
 
@@ -105,13 +117,14 @@ class KMeans:
         self.num_init = num_init
         self.random_state = random_state
 
-    def _single_run(self, points: np.ndarray, rng: np.random.Generator) -> KMeansResult:
+    def _single_run(self, points: np.ndarray, point_norms: np.ndarray,
+                    rng: np.random.Generator) -> KMeansResult:
         centroids = kmeans_plus_plus_init(points, self.num_clusters, rng)
         labels = np.zeros(len(points), dtype=np.int64)
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
-            distances = _squared_distances(points, centroids)
+            distances = _squared_distances(points, point_norms, centroids)
             new_labels = np.argmin(distances, axis=1)
             new_centroids = centroids.copy()
             for cluster in range(self.num_clusters):
@@ -127,7 +140,7 @@ class KMeans:
                 break
             labels = new_labels
 
-        distances = _squared_distances(points, centroids)
+        distances = _squared_distances(points, point_norms, centroids)
         inertia = float(distances[np.arange(len(points)), labels].sum())
         return KMeansResult(labels=labels, centroids=centroids, inertia=inertia,
                             num_iterations=iteration, converged=converged)
@@ -142,9 +155,10 @@ class KMeans:
                 f"Cannot form {self.num_clusters} clusters from {len(points)} points"
             )
         rng = ensure_rng(self.random_state)
+        point_norms = _squared_norms(points)
         best: KMeansResult | None = None
         for _ in range(self.num_init):
-            result = self._single_run(points, rng)
+            result = self._single_run(points, point_norms, rng)
             if best is None or result.inertia < best.inertia:
                 best = result
         assert best is not None

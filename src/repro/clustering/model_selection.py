@@ -3,10 +3,12 @@
 Candidate values of ``k`` are those for which the cluster-size constraints
 (5%–15% of the point count by default) are feasible.  For each candidate a
 plain K-Means run records the average within-cluster sum of squared distances;
-the Kneedle algorithm picks the elbow of that curve, and if it fails, the
-candidate with the highest silhouette score wins.  The final clustering is
-produced by :class:`~repro.clustering.constrained.ConstrainedKMeans` with the
-selected ``k``.
+the Kneedle algorithm picks the elbow of that curve.  Only if it finds none
+are the candidates' clusterings scored by silhouette, and the highest score
+wins; the silhouette curve is recorded on that fallback alone.  The final
+clustering is produced by
+:class:`~repro.clustering.constrained.ConstrainedKMeans` with the selected
+``k``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ _SILHOUETTE_SAMPLE_LIMIT = 1500
 
 @dataclass
 class ClusterSelection:
-    """Outcome of the cluster-count selection procedure."""
+    """Outcome of the cluster-count selection procedure.
+
+    ``method`` names what decided ``num_clusters``: ``"kneedle"``,
+    ``"silhouette"`` (Kneedle found no knee), ``"single_candidate"``,
+    ``"fixed"`` or ``"degenerate"``.  ``silhouette_curve`` has one score per
+    candidate when ``method == "silhouette"`` and is empty otherwise, because
+    silhouettes are only computed on that fallback.
+    """
 
     num_clusters: int
     method: str
@@ -71,29 +80,32 @@ def select_num_clusters(points: np.ndarray, min_fraction: float = 0.05,
 
     sweep_rng, silhouette_rng = spawn_rng(rng, 2)
     sse_curve: list[float] = []
-    silhouette_curve: list[float] = []
-
-    if len(points) > _SILHOUETTE_SAMPLE_LIMIT:
-        sample = silhouette_rng.choice(len(points), _SILHOUETTE_SAMPLE_LIMIT, replace=False)
-    else:
-        sample = np.arange(len(points))
-
+    labelings: list[np.ndarray] = []
     for k in candidates:
         result = KMeans(num_clusters=k, num_init=1, random_state=sweep_rng).fit(points)
         sse_curve.append(average_cluster_sse(points, result))
-        sample_labels = result.labels[sample]
-        if len(np.unique(sample_labels)) >= 2:
-            silhouette_curve.append(silhouette_score(points[sample], sample_labels))
-        else:
-            silhouette_curve.append(-1.0)
+        labelings.append(result.labels)
 
     knee_index = find_knee_index(np.asarray(candidates, dtype=float),
                                  np.asarray(sse_curve), decreasing=True)
     if knee_index is not None:
         return ClusterSelection(num_clusters=candidates[knee_index], method="kneedle",
-                                candidates=candidates, sse_curve=sse_curve,
-                                silhouette_curve=silhouette_curve)
+                                candidates=candidates, sse_curve=sse_curve)
 
+    # Kneedle found no knee: score every candidate.  ``silhouette_rng`` feeds
+    # only this draw, so the sample does not depend on when it is drawn.
+    if len(points) > _SILHOUETTE_SAMPLE_LIMIT:
+        sample = silhouette_rng.choice(len(points), _SILHOUETTE_SAMPLE_LIMIT, replace=False)
+    else:
+        sample = np.arange(len(points))
+    sample_points = points[sample]
+    silhouette_curve: list[float] = []
+    for labels in labelings:
+        sample_labels = labels[sample]
+        if len(np.unique(sample_labels)) >= 2:
+            silhouette_curve.append(silhouette_score(sample_points, sample_labels))
+        else:
+            silhouette_curve.append(-1.0)
     best = int(np.argmax(silhouette_curve))
     return ClusterSelection(num_clusters=candidates[best], method="silhouette",
                             candidates=candidates, sse_curve=sse_curve,

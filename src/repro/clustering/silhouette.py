@@ -23,35 +23,37 @@ def silhouette_samples(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     For point ``i`` with intra-cluster mean distance ``a`` and smallest
     mean distance to another cluster ``b``, the coefficient is
     ``(b - a) / max(a, b)``.  Points in singleton clusters receive 0.
+
+    Every point's distance sum to every cluster comes from one product of
+    the distance matrix (diagonal zeroed) with the one-hot label matrix, so
+    the sums accumulate in BLAS order: the coefficients can differ from a
+    point-by-point computation in the last digits.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(points) != len(labels):
         raise ValueError("points and labels must have the same length")
-    unique = np.unique(labels)
+    unique, clusters, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if len(unique) < 2:
         raise ValueError("Silhouette requires at least two clusters")
 
-    distances = _pairwise_euclidean(points)
     n = len(points)
+    rows = np.arange(n)
+    distances = _pairwise_euclidean(points)
+    np.fill_diagonal(distances, 0.0)
+    onehot = np.zeros((n, len(unique)))
+    onehot[rows, clusters] = 1.0
+    sums = distances @ onehot
+
+    own_sizes = sizes[clusters] - 1
+    a = sums[rows, clusters] / np.maximum(own_sizes, 1)
+    means = sums / sizes
+    means[rows, clusters] = np.inf
+    b = means.min(axis=1)
+    denominator = np.maximum(a, b)
     scores = np.zeros(n)
-    cluster_masks = {cluster: labels == cluster for cluster in unique}
-    for i in range(n):
-        own = cluster_masks[labels[i]].copy()
-        own[i] = False
-        own_size = int(np.sum(own))
-        if own_size == 0:
-            scores[i] = 0.0
-            continue
-        a = float(np.mean(distances[i, own]))
-        b = np.inf
-        for cluster in unique:
-            if cluster == labels[i]:
-                continue
-            other = cluster_masks[cluster]
-            b = min(b, float(np.mean(distances[i, other])))
-        denominator = max(a, b)
-        scores[i] = 0.0 if denominator == 0 else (b - a) / denominator
+    defined = (own_sizes > 0) & (denominator > 0)
+    scores[defined] = (b[defined] - a[defined]) / denominator[defined]
     return scores
 
 

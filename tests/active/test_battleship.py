@@ -48,6 +48,15 @@ class TestBattleshipConfig:
             BattleshipConfig(num_neighbors=0)
         with pytest.raises(ValueError):
             BattleshipConfig(extra_edge_ratio=2.0)
+        with pytest.raises(ValueError):
+            BattleshipConfig(min_cluster_fraction=0.3, max_cluster_fraction=0.1)
+        with pytest.raises(ValueError):
+            BattleshipConfig(min_cluster_fraction=0.0)
+        with pytest.raises(ValueError):
+            BattleshipConfig(max_cluster_fraction=1.5)
+        for damping in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                BattleshipConfig(pagerank_damping=damping)
 
     def test_keyword_construction(self):
         selector = BattleshipSelector(alpha=0.25, beta=0.75)

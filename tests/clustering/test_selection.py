@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from reference.silhouette import silhouette_score as reference_silhouette_score
+from repro.clustering import model_selection
+from repro.clustering.kmeans import KMeans
 from repro.clustering.kneedle import find_knee, find_knee_index
 from repro.clustering.model_selection import (
     candidate_cluster_counts,
@@ -113,11 +116,39 @@ class TestSelectNumClusters:
         assert selection.num_clusters in selection.candidates
         assert selection.method in {"kneedle", "silhouette", "single_candidate"}
 
-    def test_curves_recorded(self, rng):
+    def test_kneedle_path_computes_no_silhouette(self, rng, monkeypatch):
+        def fail(points, labels):
+            raise AssertionError("silhouette scored although Kneedle found a knee")
+
+        monkeypatch.setattr(model_selection, "silhouette_score", fail)
         points = _blobs(rng)
         selection = select_num_clusters(points, random_state=0)
+        assert selection.method == "kneedle"
         assert len(selection.sse_curve) == len(selection.candidates)
-        assert len(selection.silhouette_curve) == len(selection.candidates)
+        assert selection.silhouette_curve == []
+
+    @pytest.mark.parametrize("per_blob", [20, 190])
+    def test_fallback_path_scores_every_candidate(self, rng, monkeypatch, per_blob):
+        monkeypatch.setattr(model_selection, "find_knee_index",
+                            lambda *args, **kwargs: None)
+        points = _blobs(rng, per_blob=per_blob)
+        selection = select_num_clusters(points, random_state=0)
+        assert selection.method == "silhouette"
+
+        # The eager procedure: the same generators, the silhouette subsample
+        # (8 * 190 points exceed the limit) drawn before the sweep, and every
+        # candidate scored by the reference loop.
+        sweep_rng, silhouette_rng = model_selection.spawn_rng(np.random.default_rng(0), 2)
+        sample = np.arange(len(points))
+        if len(points) > model_selection._SILHOUETTE_SAMPLE_LIMIT:
+            sample = silhouette_rng.choice(len(points), model_selection._SILHOUETTE_SAMPLE_LIMIT,
+                                           replace=False)
+        expected = []
+        for k in selection.candidates:
+            labels = KMeans(num_clusters=k, num_init=1, random_state=sweep_rng).fit(points).labels
+            expected.append(reference_silhouette_score(points[sample], labels[sample]))
+        np.testing.assert_allclose(selection.silhouette_curve, expected, rtol=0, atol=1e-12)
+        assert selection.num_clusters == selection.candidates[int(np.argmax(expected))]
 
 
 class TestClusterRepresentations:
