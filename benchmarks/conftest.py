@@ -4,23 +4,30 @@ Every benchmark regenerates one table or figure of the paper.  The scale is
 controlled by ``REPRO_SCALE`` (default ``tiny`` here so the whole harness runs
 in minutes on a laptop; set ``REPRO_SCALE=paper`` for the full-size runs).
 Reports are printed and also written to ``benchmarks/results/``.
+
+The oracles the micro-benchmarks time against live in ``tests/reference/``;
+this file puts ``tests/`` on ``sys.path`` so that ``pytest benchmarks/<file>.py``
+finds them when run on its own.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
+
+from reference import graphs as oracle
 from repro.config import get_scale
 from repro.experiments.configs import ExperimentSettings, default_settings
 from repro.experiments.runner import run_learning_curves
-from repro.graphs.entropy import certainty_scores
-from repro.graphs.pagerank import pagerank_per_component
-from repro.graphs.pair_graph import build_pair_graph_reference
 from repro.graphs.sparse import (
     build_sparse_adjacency,
     certainty_scores_batch,
@@ -91,12 +98,14 @@ def substrate_pool_inputs(num_nodes: int, dim: int = 64, num_clusters: int = 8,
 
 
 def time_reference_substrate(inputs: dict) -> tuple[float, int]:
-    """Seed path: dict builder + per-node certainty walk + per-component PageRank."""
+    """Seed path (the dict oracle): node-at-a-time builder, per-node
+    certainty walk, per-component PageRank."""
     start = time.perf_counter()
-    graph = build_pair_graph_reference(**inputs)
-    certainty_scores(graph)
-    pagerank_per_component(graph)
-    return time.perf_counter() - start, graph.num_edges
+    graph = oracle.build_pair_graph(**inputs)
+    for node_id in graph.nodes:
+        oracle.certainty_score(graph, node_id)
+    oracle.pagerank_per_component(graph)
+    return time.perf_counter() - start, len(graph.edges())
 
 
 def time_vectorized_substrate(inputs: dict) -> tuple[float, int]:

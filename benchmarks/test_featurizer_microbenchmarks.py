@@ -2,7 +2,8 @@
 
 ``PairFeaturizer.transform`` (batched: record dedup + bulk hashing + cached
 value-pair similarities) is timed against ``transform_reference`` (the
-seed-era per-pair loop) on a 2k-pair candidate pool and must produce a
+seed-era per-pair loop, the oracle in ``tests/reference/featurizer.py``) on
+a 2k-pair candidate pool and must produce a
 bit-identical matrix.  The measured speedup is reported, not gated:
 featurization is under 1% of an active-learning run, whose end-to-end speed
 ``perfbench/`` tracks.  The result is published to ``BENCH_featurizer.json``
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference.featurizer import transform_reference
 from repro.data.dataset import EMDataset
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
@@ -100,13 +102,13 @@ def featurizer_scaling_2k(bench_settings) -> dict:
     config = bench_settings.featurizer_config
     dataset = build_benchmark_pool()
     warmup = build_benchmark_pool(num_pairs=150, seed=1)
-    PairFeaturizer(config).transform_reference(warmup)
+    transform_reference(PairFeaturizer(config), warmup)
     PairFeaturizer(config).transform(warmup)
 
     def time_reference() -> tuple[float, np.ndarray]:
         featurizer = PairFeaturizer(config)
         start = time.perf_counter()
-        matrix = featurizer.transform_reference(dataset)
+        matrix = transform_reference(featurizer, dataset)
         return time.perf_counter() - start, matrix
 
     def time_batch() -> tuple[float, np.ndarray]:

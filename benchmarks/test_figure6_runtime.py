@@ -6,7 +6,8 @@ built over a shrinking pool.  The bench records the measured selection time of
 every iteration on two datasets and checks the decreasing trend (first half
 vs. second half of the iterations).  A second bench scales the selection
 substrate itself to a 5k-node pool and checks the vectorized CSR path beats
-the seed dict path on the same graph.
+the seed dict path (the oracle in ``tests/reference/graphs.py``) on the
+same graph.
 """
 
 import numpy as np

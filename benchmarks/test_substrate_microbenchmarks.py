@@ -12,8 +12,7 @@ import pytest
 from repro.ann.exact import ExactNearestNeighbors
 from repro.clustering.constrained import ConstrainedKMeans, SizeConstraints
 from repro.experiments.runner import get_dataset
-from repro.graphs.pagerank import pagerank_per_component
-from repro.graphs.pair_graph import build_pair_graph
+from repro.graphs.sparse import build_sparse_adjacency, pagerank_components
 from repro.neural.featurizer import PairFeaturizer
 from repro.neural.matcher import NeuralMatcher
 
@@ -62,7 +61,7 @@ def test_bench_graph_and_pagerank(benchmark, representation_cloud):
     cluster_labels = rng.integers(0, 8, size=n)
 
     def build_and_rank():
-        graph = build_pair_graph(
+        graph = build_sparse_adjacency(
             representations=representation_cloud,
             node_ids=list(range(n)),
             predictions=rng.integers(0, 2, size=n),
@@ -72,14 +71,15 @@ def test_bench_graph_and_pagerank(benchmark, representation_cloud):
             cluster_labels=cluster_labels,
             num_neighbors=10,
         )
-        return pagerank_per_component(graph)
+        return pagerank_components(graph)
 
     scores = benchmark.pedantic(build_and_rank, rounds=1, iterations=1)
     assert len(scores) == n
 
 
 def test_bench_sparse_substrate_speedup_5k(substrate_scaling_5k):
-    """The CSR substrate's speedup over the seed dict path on a 5k-node pool.
+    """The CSR substrate's speedup over the seed dict path (the oracle in
+    ``tests/reference/graphs.py``) on a 5k-node pool.
 
     The session-scoped fixture times one full selection-substrate pass (graph
     build + certainty + per-component PageRank) on both stacks; this is the

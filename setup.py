@@ -1,11 +1,17 @@
-"""Setuptools shim.
+"""Setuptools configuration of the ``repro`` package.
 
-The project is configured through ``pyproject.toml``; this file exists so that
-environments whose setuptools/pip lack PEP 660 editable-install support (e.g.
-offline machines without the ``wheel`` package) can still run
-``pip install -e . --no-build-isolation --no-use-pep517``.
+The project has no ``pyproject.toml``: this file declares the whole package,
+its ``src`` layout, the supported Python versions and the one runtime
+dependency.  The test suite, the benchmarks and the CLI also run from a
+checkout without installing, with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+)

@@ -51,6 +51,18 @@ _EXPERIMENT_FIGURES = (5, 6, 7, 8, 9, 10)
 _EXPERIMENT_TABLES = (3, 4, 5, 6)
 
 
+def _unit_interval(text: str) -> float:
+    """argparse type of the selector weights: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number in [0, 1], got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     """The shared fault-tolerance flags of the sweep subcommands."""
     parser.add_argument("--retries", type=int, default=None, metavar="N",
@@ -134,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=int, default=3)
     run.add_argument("--budget", type=int, default=20)
     run.add_argument("--seed-size", type=int, default=None)
-    run.add_argument("--alpha", type=float, default=0.5)
-    run.add_argument("--beta", type=float, default=0.5)
+    run.add_argument("--alpha", type=_unit_interval, default=0.5)
+    run.add_argument("--beta", type=_unit_interval, default=0.5)
     run.add_argument("--epochs", type=int, default=None,
                      help="Matcher training epochs (default: the harness setting)")
     run.add_argument("--no-weak-supervision", action="store_true")

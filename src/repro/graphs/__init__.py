@@ -1,30 +1,14 @@
-"""Graph substrate: pair graphs, connected components, PageRank, certainty.
+"""Graph substrate: the CSR pair graph, connected components, PageRank, certainty.
 
-Two representations coexist: the dict-based :class:`PairGraph` (convenient
-for tests and small graphs) and the vectorized CSR
-:class:`~repro.graphs.sparse.SparseAdjacency` that the battleship hot path
-runs on.
+:class:`~repro.graphs.sparse.SparseAdjacency` is the one pair-graph
+representation.  The battleship selector builds it with
+:func:`build_sparse_adjacency` and scores it with the batched kernels
+(:func:`certainty_scores_batch`, :func:`pagerank_components`).
 """
 
-from repro.graphs.components import (
-    UnionFind,
-    connected_component_labels,
-    connected_components,
-)
-from repro.graphs.entropy import (
-    certainty_score,
-    certainty_scores,
-    combined_certainty,
-    conditional_entropy,
-    spatial_confidence,
-)
-from repro.graphs.pagerank import edge_pagerank, pagerank, pagerank_per_component
-from repro.graphs.pair_graph import (
-    PairGraph,
-    PairNode,
-    build_pair_graph,
-    build_pair_graph_reference,
-)
+from repro.graphs.components import connected_component_labels
+from repro.graphs.entropy import combined_certainty, conditional_entropy
+from repro.graphs.pagerank import edge_pagerank
 from repro.graphs.sparse import (
     SparseAdjacency,
     build_sparse_adjacency,
@@ -35,25 +19,14 @@ from repro.graphs.sparse import (
 )
 
 __all__ = [
-    "PairGraph",
-    "PairNode",
     "SparseAdjacency",
-    "UnionFind",
-    "build_pair_graph",
-    "build_pair_graph_reference",
     "build_sparse_adjacency",
-    "certainty_score",
-    "certainty_scores",
     "certainty_scores_batch",
     "combined_certainty",
     "compute_cluster_edges",
     "conditional_entropy",
     "connected_component_labels",
-    "connected_components",
     "edge_pagerank",
-    "pagerank",
     "pagerank_components",
-    "pagerank_per_component",
-    "spatial_confidence",
     "spatial_confidence_batch",
 ]

@@ -1,77 +1,10 @@
-"""Union-find and connected components."""
+"""Connected components of a graph given as parallel edge arrays."""
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, elements: Iterable[Hashable] = ()) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-        self._size: dict[Hashable, int] = {}
-        for element in elements:
-            self.add(element)
-
-    def add(self, element: Hashable) -> None:
-        """Register ``element`` as a singleton set (no-op if already present)."""
-        if element not in self._parent:
-            self._parent[element] = element
-            self._size[element] = 1
-
-    def find(self, element: Hashable) -> Hashable:
-        """Representative of the set containing ``element`` (with path compression)."""
-        if element not in self._parent:
-            raise KeyError(f"Unknown element: {element!r}")
-        root = element
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[element] != root:
-            self._parent[element], element = root, self._parent[element]
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> Hashable:
-        """Merge the sets containing ``a`` and ``b``; returns the new root."""
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return root_a
-        if self._size[root_a] < self._size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._size[root_a] += self._size[root_b]
-        return root_a
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        """Whether ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def groups(self) -> list[set[Hashable]]:
-        """All disjoint sets, largest first."""
-        by_root: dict[Hashable, set[Hashable]] = {}
-        for element in self._parent:
-            by_root.setdefault(self.find(element), set()).add(element)
-        return sorted(by_root.values(), key=len, reverse=True)
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-
-def connected_components(nodes: Sequence[Hashable],
-                         edges: Iterable[tuple[Hashable, Hashable]]) -> list[set[Hashable]]:
-    """Connected components of the undirected graph ``(nodes, edges)``.
-
-    Isolated nodes form singleton components.  Components are returned largest
-    first, which matches the budget-distribution walk in Section 3.4.
-    """
-    uf = UnionFind(nodes)
-    for u, v in edges:
-        uf.add(u)
-        uf.add(v)
-        uf.union(u, v)
-    return uf.groups()
 
 
 def connected_component_labels(num_nodes: int,
@@ -79,10 +12,10 @@ def connected_component_labels(num_nodes: int,
                                edges_v: np.ndarray | Sequence[int]) -> np.ndarray:
     """Component label per node for a graph given as parallel edge arrays.
 
-    The array-based counterpart of :func:`connected_components`, used by the
-    CSR substrate where nodes are positions ``0..num_nodes-1``.  Labels are
-    root positions (arbitrary but deterministic integers); nodes share a label
-    iff they are connected.
+    A union-find with path halving over node positions ``0..num_nodes-1``,
+    used by :class:`~repro.graphs.sparse.SparseAdjacency`.  Labels are root
+    positions (arbitrary but deterministic integers); nodes share a label
+    iff they are connected, so isolated nodes keep their own position.
     """
     parent = list(range(num_nodes))
 

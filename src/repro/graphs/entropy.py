@@ -1,11 +1,10 @@
-"""Certainty measures: conditional entropy, spatial confidence, and the
-combined certainty score (Eqs. 1, 3 and 4 of the paper)."""
+"""Certainty measures: conditional entropy (Eq. 1) and the combined
+certainty score (Eq. 4).  The batched spatial confidence of Eq. 3 lives with
+the CSR graph in :mod:`repro.graphs.sparse`."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.graphs.pair_graph import PairGraph
 
 _EPSILON = 1e-12
 
@@ -23,42 +22,16 @@ def conditional_entropy(probability: float | np.ndarray) -> float | np.ndarray:
     return entropy
 
 
-def spatial_confidence(graph: PairGraph, node_id: int) -> float:
-    """Spatial confidence of a node (Eq. 3).
-
-    The weighted share of the node's neighbourhood confidence mass that agrees
-    with the node's own prediction.  Neighbour contributions are weighted by
-    edge similarity and by the neighbour's confidence in *its* prediction
-    (1.0 for labeled nodes).  Nodes without neighbours fall back to their own
-    model confidence, which reduces Eq. 4 to plain conditional entropy.
-    """
-    node = graph.node(node_id)
-    neighbours = graph.neighbors(node_id)
-    if not neighbours:
-        return node.confidence
-
-    numerator = 0.0
-    denominator = 0.0
-    for neighbour_id, weight in neighbours.items():
-        neighbour = graph.node(neighbour_id)
-        contribution = weight * neighbour.confidence
-        denominator += contribution
-        if neighbour.prediction == node.prediction:
-            numerator += contribution
-    if denominator <= 0:
-        return node.confidence
-    return numerator / denominator
-
-
 def combined_certainty(confidences: float | np.ndarray,
                        spatial_confidences: float | np.ndarray,
                        beta: float = 0.5) -> np.ndarray:
     """Eq. 4 vectorized: combine local and spatial confidence into certainty.
 
     ``confidences`` and ``spatial_confidences`` are aligned scalars or arrays;
-    the result is ``beta * H(confidence) + (1 - beta) * H(spatial)``.  This is
-    the shared kernel behind :func:`certainty_score` (one node of a dict
-    graph) and the batched CSR pass in :mod:`repro.graphs.sparse`.
+    the result is ``beta * H(confidence) + (1 - beta) * H(spatial)``.
+    ``beta = 1`` uses only the model confidence (DAL-style), ``beta = 0`` only
+    the spatial signal.  Higher scores mean *more uncertain* nodes.  This is
+    the kernel of :func:`repro.graphs.sparse.certainty_scores_batch`.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
@@ -67,23 +40,3 @@ def combined_certainty(confidences: float | np.ndarray,
         np.asarray(spatial_confidences, dtype=np.float64))
     return beta * local_entropy + (1.0 - beta) * spatial_entropy
 
-
-def certainty_score(graph: PairGraph, node_id: int, beta: float = 0.5) -> float:
-    """Combined certainty score of a node (Eq. 4).
-
-    ``beta`` weighs the model's own conditional entropy against the spatial
-    entropy: ``beta = 1`` uses only the model confidence (DAL-style), ``beta =
-    0`` uses only the spatial signal.  Higher scores mean *more uncertain*
-    nodes (entropy), which the selector prefers.
-    """
-    node = graph.node(node_id)
-    return float(combined_certainty(node.confidence,
-                                    spatial_confidence(graph, node_id), beta))
-
-
-def certainty_scores(graph: PairGraph, node_ids: list[int] | None = None,
-                     beta: float = 0.5) -> dict[int, float]:
-    """Certainty scores (Eq. 4) for many nodes at once."""
-    if node_ids is None:
-        node_ids = graph.node_ids()
-    return {node_id: certainty_score(graph, node_id, beta) for node_id in node_ids}

@@ -2,15 +2,12 @@
 
 The battleship approach computes PageRank over each connected component of the
 prediction-based graphs ``G+`` / ``G-``, treating every undirected edge as two
-inversely directed edges with the same (cosine similarity) weight, and
-restricting attention to pool (unlabeled) nodes.
+inversely directed edges with the same (cosine similarity) weight.
 
-The computation is a *sparse* power iteration over parallel edge arrays
-(:func:`edge_pagerank`): per step, each node's score is pushed along its
-out-edges with a scatter-add, so no dense n x n transition matrix is ever
-materialized.  :func:`pagerank` adapts the dict-based :class:`PairGraph` API
-to that kernel; the CSR substrate (:mod:`repro.graphs.sparse`) calls the
-kernel directly.
+:func:`edge_pagerank` is a *sparse* power iteration over parallel edge arrays:
+per step, each node's score is pushed along its out-edges with a scatter-add,
+so no dense n x n transition matrix is ever materialized.
+:func:`repro.graphs.sparse.pagerank_components` runs it once per component.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConvergenceError
-from repro.graphs.pair_graph import PairGraph
 
 
 def edge_pagerank(
@@ -91,80 +87,3 @@ def edge_pagerank(
         scores = scores / total
     return scores
 
-
-def pagerank(
-    graph: PairGraph,
-    nodes: list[int] | None = None,
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-8,
-) -> dict[int, float]:
-    """Weighted PageRank scores for ``nodes`` of ``graph``.
-
-    Parameters
-    ----------
-    graph:
-        The pair graph (or a subgraph / connected component of it).
-    nodes:
-        Restrict the computation to these nodes (default: all graph nodes).
-        Edges to nodes outside the set are ignored.
-    damping:
-        The ``rho`` parameter of Eq. 5 (probability of following an edge rather
-        than teleporting).
-    max_iterations / tolerance:
-        Power-iteration stopping criteria.
-
-    Returns
-    -------
-    Mapping node id → PageRank score (scores sum to 1 over ``nodes``).
-    """
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
-    node_list = list(nodes) if nodes is not None else graph.node_ids()
-    n = len(node_list)
-    if n == 0:
-        return {}
-    if n == 1:
-        return {node_list[0]: 1.0}
-    index = {node_id: position for position, node_id in enumerate(node_list)}
-
-    sources: list[int] = []
-    targets: list[int] = []
-    weights: list[float] = []
-    for node_id in node_list:
-        row = index[node_id]
-        for neighbour, weight in graph.neighbors(node_id).items():
-            if neighbour in index:
-                sources.append(row)
-                targets.append(index[neighbour])
-                weights.append(weight)
-    scores = edge_pagerank(
-        np.asarray(sources, dtype=np.int64),
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(weights, dtype=np.float64),
-        num_nodes=n, damping=damping,
-        max_iterations=max_iterations, tolerance=tolerance,
-    )
-    return {node_id: float(scores[index[node_id]]) for node_id in node_list}
-
-
-def pagerank_per_component(
-    graph: PairGraph,
-    pool_only: bool = True,
-    damping: float = 0.85,
-) -> dict[int, float]:
-    """PageRank computed independently inside every connected component.
-
-    ``pool_only`` restricts both the node set and the score normalization to
-    unlabeled nodes, matching Section 3.5.2 ("centrality is computed only over
-    the available pool elements").
-    """
-    scores: dict[int, float] = {}
-    for component in graph.connected_components():
-        members = [node_id for node_id in component
-                   if not pool_only or not graph.node(node_id).labeled]
-        if not members:
-            continue
-        component_scores = pagerank(graph, nodes=members, damping=damping)
-        scores.update(component_scores)
-    return scores

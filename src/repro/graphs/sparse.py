@@ -1,21 +1,19 @@
-"""Vectorized CSR substrate for the battleship selection pipeline.
+"""The CSR pair graph and the batched kernels of the battleship selector.
 
 :class:`SparseAdjacency` stores a pair graph (Section 3.3) in compressed
-sparse-row form — parallel arrays ``indptr`` / ``indices`` / ``weights`` —
-together with the per-node attributes that the dict-based
-:class:`~repro.graphs.pair_graph.PairGraph` keeps in :class:`PairNode`
-objects.  It is the representation the hot path runs on; ``to_pair_graph``
-materializes the dict view for tests and small graphs.
+sparse-row form (parallel arrays ``indptr`` / ``indices`` / ``weights``)
+together with per-node attributes indexed by position.  It is the only pair
+graph representation: the selector builds ``G``, ``G+`` and ``G-`` with
+:func:`build_sparse_adjacency` and scores them with the batched kernels.
 
-:func:`build_sparse_adjacency` reproduces the edge-creation procedure of
+:func:`build_sparse_adjacency` implements the edge-creation procedure of
 Section 3.3.2 without a Python pair loop: within each cluster, the q nearest
 allowed neighbours per node are found with ``np.argpartition`` and the extra
 top-similarity edges with one stable argsort over the remaining upper-triangle
-pairs.  The batched kernels (:func:`spatial_confidence_batch`,
-:func:`certainty_scores_batch`, :func:`pagerank_components`) replace the
-node-at-a-time walks of :mod:`repro.graphs.entropy` and
-:mod:`repro.graphs.pagerank` with single scatter/gather passes over the edge
-arrays.
+pairs.  :func:`spatial_confidence_batch` and :func:`certainty_scores_batch`
+(Eqs. 3-4) and :func:`pagerank_components` (Eq. 5) are single scatter/gather
+passes over the edge arrays.  The node-at-a-time versions they are checked
+against live in the test suite's reference package.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import numpy as np
 from repro.graphs.components import connected_component_labels
 from repro.graphs.entropy import combined_certainty
 from repro.graphs.pagerank import edge_pagerank
-from repro.graphs.pair_graph import PairGraph, PairNode, coerce_builder_inputs
 from repro.text.vectorizers import cosine_similarity_matrix
 
 
@@ -107,14 +104,28 @@ def compute_cluster_edges(
 
 @dataclass(frozen=True)
 class SparseAdjacency:
-    """CSR pair graph over positions ``0..num_nodes-1``.
+    """Undirected weighted pair graph in CSR form over positions ``0..num_nodes-1``.
 
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbour positions of node
-    ``i`` and ``weights[...]`` the matching edge weights (each undirected edge
-    appears in both endpoint rows).  ``edges_u`` / ``edges_v`` /
-    ``edge_weights`` list every undirected edge once with ``u < v``.
-    Node attributes mirror :class:`~repro.graphs.pair_graph.PairNode`,
-    indexed by position; ``node_ids[i]`` is the dataset-level id.
+    ``i`` and ``weights[...]`` the matching edge weights, the cosine
+    similarities of the pair representations (each undirected edge appears in
+    both endpoint rows).  ``edges_u`` / ``edges_v`` / ``edge_weights`` list
+    every undirected edge once with ``u < v``.
+
+    Node attributes are arrays indexed by position:
+
+    ``node_ids``
+        Dataset-level index of the candidate pair.
+    ``predictions``
+        Predicted (or, for labeled nodes, actual) class: 1 match / 0 non-match.
+    ``confidences``
+        Confidence of the matcher in the prediction, ``max(p, 1 - p)`` for
+        pool pairs and exactly 1.0 for labeled pairs (Section 3.5.1).
+    ``match_probabilities``
+        The matcher's probability that the pair is a match (1.0 / 0.0 for
+        labeled matches / non-matches).
+    ``labeled_mask``
+        Whether the pair is already in the labeled training set.
     """
 
     node_ids: np.ndarray
@@ -128,6 +139,49 @@ class SparseAdjacency:
     edges_u: np.ndarray
     edges_v: np.ndarray
     edge_weights: np.ndarray
+
+    @classmethod
+    def from_edges(
+        cls,
+        *,
+        node_ids: Sequence[int],
+        predictions: Sequence[int],
+        confidences: Sequence[float],
+        match_probabilities: Sequence[float],
+        labeled_mask: Sequence[bool],
+        edges_u: Sequence[int],
+        edges_v: Sequence[int],
+        edge_weights: Sequence[float],
+    ) -> "SparseAdjacency":
+        """Assemble the CSR rows from node attributes and an undirected edge list.
+
+        ``edges_u`` / ``edges_v`` are node positions with ``u < v``, one entry
+        per undirected edge.  Rows list their neighbours in edge-list order.
+        """
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        edges_u = np.asarray(edges_u, dtype=np.int64)
+        edges_v = np.asarray(edges_v, dtype=np.int64)
+        edge_weights = np.asarray(edge_weights, dtype=np.float64)
+        n = len(node_ids)
+        sources = np.concatenate([edges_u, edges_v])
+        targets = np.concatenate([edges_v, edges_u])
+        doubled = np.concatenate([edge_weights, edge_weights])
+        order = np.argsort(sources, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        return cls(
+            node_ids=node_ids,
+            indptr=indptr,
+            indices=targets[order],
+            weights=doubled[order],
+            predictions=np.asarray(predictions, dtype=np.int64),
+            confidences=np.asarray(confidences, dtype=np.float64),
+            match_probabilities=np.asarray(match_probabilities, dtype=np.float64),
+            labeled_mask=np.asarray(labeled_mask, dtype=bool),
+            edges_u=edges_u,
+            edges_v=edges_v,
+            edge_weights=edge_weights,
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -146,12 +200,6 @@ class SparseAdjacency:
         start, end = self.indptr[position], self.indptr[position + 1]
         return self.indices[start:end], self.weights[start:end]
 
-    def directed_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every undirected edge as two directed edges ``(sources, targets, weights)``."""
-        sources = np.concatenate([self.edges_u, self.edges_v])
-        targets = np.concatenate([self.edges_v, self.edges_u])
-        return sources, targets, np.concatenate([self.edge_weights, self.edge_weights])
-
     @cached_property
     def _component_labels(self) -> np.ndarray:
         return connected_component_labels(self.num_nodes, self.edges_u, self.edges_v)
@@ -164,8 +212,9 @@ class SparseAdjacency:
     def components(self) -> list[set[int]]:
         """Connected components as node-id sets, largest first.
 
-        Size ties keep first-appearance order (the order of each component's
-        first node), matching :meth:`PairGraph.connected_components`.
+        Isolated nodes are singletons.  Components of equal size keep the
+        order of their first node's position.  The budget distribution of
+        Section 3.4 walks components in this order.
         """
         members: dict[int, list[int]] = {}
         for position, label in enumerate(self.component_labels().tolist()):
@@ -174,37 +223,50 @@ class SparseAdjacency:
         return [{int(self.node_ids[position]) for position in group}
                 for group in ordered]
 
-    def to_pair_graph(self) -> PairGraph:
-        """Materialize the dict-based view (tests, small graphs, debugging)."""
-        graph = PairGraph()
-        for position in range(self.num_nodes):
-            graph.add_node(PairNode(
-                node_id=int(self.node_ids[position]),
-                prediction=int(self.predictions[position]),
-                confidence=float(self.confidences[position]),
-                match_probability=float(self.match_probabilities[position]),
-                labeled=bool(self.labeled_mask[position]),
-            ))
-        for u, v, weight in zip(self.edges_u.tolist(), self.edges_v.tolist(),
-                                self.edge_weights.tolist()):
-            graph.add_edge(int(self.node_ids[u]), int(self.node_ids[v]), float(weight))
-        return graph
 
+def coerce_builder_inputs(
+    node_ids: Sequence[int],
+    predictions: Sequence[int],
+    confidences: Sequence[float],
+    match_probabilities: Sequence[float],
+    labeled_mask: Sequence[bool],
+    cluster_labels: Sequence[int] | None,
+    num_neighbors: int,
+    extra_edge_ratio: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coercion and validation of :func:`build_sparse_adjacency`'s inputs.
 
-def _empty_adjacency() -> SparseAdjacency:
-    return SparseAdjacency(
-        node_ids=np.empty(0, dtype=np.int64),
-        indptr=np.zeros(1, dtype=np.int64),
-        indices=np.empty(0, dtype=np.int64),
-        weights=np.empty(0, dtype=np.float64),
-        predictions=np.empty(0, dtype=np.int64),
-        confidences=np.empty(0, dtype=np.float64),
-        match_probabilities=np.empty(0, dtype=np.float64),
-        labeled_mask=np.empty(0, dtype=bool),
-        edges_u=np.empty(0, dtype=np.int64),
-        edges_v=np.empty(0, dtype=np.int64),
-        edge_weights=np.empty(0, dtype=np.float64),
-    )
+    Returns ``(node_ids, predictions, confidences, match_probabilities,
+    labeled_mask, cluster_labels)`` as typed arrays.  Empty input returns
+    empty arrays without validating the parameters (the builder returns an
+    empty graph in that case).
+    """
+    node_ids = np.asarray(list(node_ids), dtype=np.int64)
+    n = len(node_ids)
+    if n == 0:
+        return (node_ids, np.empty(0, dtype=np.int64), np.empty(0),
+                np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
+    predictions = np.asarray(predictions, dtype=np.int64)
+    confidences = np.asarray(confidences, dtype=np.float64)
+    match_probabilities = np.asarray(match_probabilities, dtype=np.float64)
+    labeled_mask = np.asarray(labeled_mask, dtype=bool)
+    for name, array in (("predictions", predictions), ("confidences", confidences),
+                        ("match_probabilities", match_probabilities),
+                        ("labeled_mask", labeled_mask)):
+        if len(array) != n:
+            raise ValueError(f"{name} must have length {n}, got {len(array)}")
+    if cluster_labels is None:
+        cluster_labels = np.zeros(n, dtype=np.int64)
+    else:
+        cluster_labels = np.asarray(cluster_labels, dtype=np.int64)
+        if len(cluster_labels) != n:
+            raise ValueError(f"cluster_labels must have length {n}")
+    if num_neighbors < 1:
+        raise ValueError("num_neighbors must be >= 1")
+    if not 0.0 <= extra_edge_ratio <= 1.0:
+        raise ValueError("extra_edge_ratio must be in [0, 1]")
+    return (node_ids, predictions, confidences, match_probabilities,
+            labeled_mask, cluster_labels)
 
 
 def build_sparse_adjacency(
@@ -219,23 +281,42 @@ def build_sparse_adjacency(
     extra_edge_ratio: float = 0.03,
     similarity_matrix: np.ndarray | None = None,
 ) -> SparseAdjacency:
-    """Build the CSR pair graph following Section 3.3.2 (vectorized).
+    """Build the CSR pair graph following Section 3.3.2.
 
-    Parameters match :func:`repro.graphs.pair_graph.build_pair_graph`; the
-    produced edge set is identical to the seed's node-at-a-time builder (up to
-    tie order among equal similarities).
+    Parameters
+    ----------
+    representations:
+        Pair representations, one row per node (aligned with ``node_ids``).
+    node_ids:
+        Dataset-level indices of the pairs.
+    predictions / confidences / match_probabilities / labeled_mask:
+        Node attributes (see :class:`SparseAdjacency`).
+    cluster_labels:
+        Cluster assignment per node; edges are only created inside a cluster.
+        ``None`` treats all nodes as one cluster.
+    num_neighbors:
+        ``q`` of the paper: every node is connected to its ``q`` nearest
+        neighbours within its cluster.
+    extra_edge_ratio:
+        Fraction of the *remaining* intra-cluster node pairs (after the
+        nearest-neighbour stage) added as extra edges, in descending
+        similarity order.
+    similarity_matrix:
+        Optional pre-computed cosine similarity matrix aligned with
+        ``node_ids`` (used by tests that specify similarities explicitly).
+
+    Two already-labeled nodes are never connected directly (Example 4).  The
+    edge set equals that of the seed's node-at-a-time builder, up to tie
+    order among equal similarities.
     """
     (node_ids, predictions, confidences, match_probabilities,
      labeled_mask, cluster_labels) = coerce_builder_inputs(
         node_ids, predictions, confidences, match_probabilities,
         labeled_mask, cluster_labels, num_neighbors, extra_edge_ratio)
-    n = len(node_ids)
-    if n == 0:
-        return _empty_adjacency()
 
-    parts_u: list[np.ndarray] = []
-    parts_v: list[np.ndarray] = []
-    parts_w: list[np.ndarray] = []
+    parts_u = [np.empty(0, dtype=np.int64)]
+    parts_v = [np.empty(0, dtype=np.int64)]
+    parts_w = [np.empty(0, dtype=np.float64)]
     for cluster in np.unique(cluster_labels):
         positions = np.flatnonzero(cluster_labels == cluster)
         if len(positions) < 2:
@@ -251,43 +332,28 @@ def build_sparse_adjacency(
         parts_v.append(positions[local_v])
         parts_w.append(local_w)
 
-    if parts_u:
-        edges_u = np.concatenate(parts_u)
-        edges_v = np.concatenate(parts_v)
-        edge_weights = np.concatenate(parts_w)
-    else:
-        edges_u = np.empty(0, dtype=np.int64)
-        edges_v = np.empty(0, dtype=np.int64)
-        edge_weights = np.empty(0, dtype=np.float64)
-
-    sources = np.concatenate([edges_u, edges_v])
-    targets = np.concatenate([edges_v, edges_u])
-    doubled = np.concatenate([edge_weights, edge_weights])
-    order = np.argsort(sources, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
-    return SparseAdjacency(
+    return SparseAdjacency.from_edges(
         node_ids=node_ids,
-        indptr=indptr,
-        indices=targets[order],
-        weights=doubled[order],
         predictions=predictions,
         confidences=confidences,
         match_probabilities=match_probabilities,
         labeled_mask=labeled_mask,
-        edges_u=edges_u,
-        edges_v=edges_v,
-        edge_weights=edge_weights,
+        edges_u=np.concatenate(parts_u),
+        edges_v=np.concatenate(parts_v),
+        edge_weights=np.concatenate(parts_w),
     )
 
 
 def spatial_confidence_batch(adjacency: SparseAdjacency) -> np.ndarray:
     """Spatial confidence (Eq. 3) for every node in one pass.
 
+    The spatial confidence of a node is the weighted share of its
+    neighbourhood's confidence mass that agrees with its own prediction;
+    each neighbour contributes ``edge weight * neighbour confidence``.
     Returns an array aligned with ``adjacency.node_ids``.  Nodes without
-    neighbours — or whose neighbourhood confidence mass is non-positive —
-    fall back to their own model confidence, exactly like the per-node
-    :func:`repro.graphs.entropy.spatial_confidence`.
+    neighbours, or whose neighbourhood confidence mass is non-positive, fall
+    back to their own model confidence, which reduces Eq. 4 to plain
+    conditional entropy.
     """
     n = adjacency.num_nodes
     if n == 0:
@@ -307,9 +373,9 @@ def spatial_confidence_batch(adjacency: SparseAdjacency) -> np.ndarray:
 def certainty_scores_batch(adjacency: SparseAdjacency, beta: float = 0.5) -> np.ndarray:
     """Certainty scores (Eq. 4) for every node in one batched pass.
 
-    Equivalent to calling :func:`repro.graphs.entropy.certainty_score` per
-    node on the dict view, returned as an array aligned with
-    ``adjacency.node_ids``.
+    ``beta * H(confidence) + (1 - beta) * H(spatial confidence)``, returned as
+    an array aligned with ``adjacency.node_ids``.  Higher scores mean more
+    uncertain nodes, which the selector prefers.
     """
     return np.asarray(combined_certainty(
         adjacency.confidences, spatial_confidence_batch(adjacency), beta),
@@ -326,11 +392,10 @@ def pagerank_components(
     """Per-component PageRank (Eq. 5) over the CSR adjacency.
 
     Every component is scored independently by sparse power iteration
-    (scatter-add over its edge arrays — no dense matrix) and normalized within
-    itself, matching the seed's per-component :func:`pagerank` calls.
-    ``components`` defaults to :meth:`SparseAdjacency.components`; node-id
-    subsets of components (e.g. pool-only members) are supported — edges to
-    excluded nodes are ignored.
+    (scatter-add over its edge arrays, no dense matrix) and normalized within
+    itself.  ``components`` must be the graph's own connected components, as
+    returned by :meth:`SparseAdjacency.components` (the default); callers
+    that already hold them pass them in to avoid recomputing them.
     """
     if adjacency.num_nodes == 0:
         return {}
@@ -354,23 +419,16 @@ def pagerank_components(
             (position_of[int(node_id)] for node_id in component),
             dtype=np.int64, count=len(component)))
         size = positions.size
-        if size == 0:
-            continue
         if size == 1:
             scores[int(adjacency.node_ids[positions[0]])] = 1.0
             continue
         label = labels[positions[0]]
         low = np.searchsorted(sorted_labels, label, side="left")
         high = np.searchsorted(sorted_labels, label, side="right")
-        component_u, component_v = sorted_u[low:high], sorted_v[low:high]
+        # Positions inside the component, renumbered 0..size-1.
+        local_u = np.searchsorted(positions, sorted_u[low:high])
+        local_v = np.searchsorted(positions, sorted_v[low:high])
         component_w = sorted_w[low:high]
-        # Drop edges touching nodes outside the member subset.
-        local_u = np.searchsorted(positions, component_u)
-        local_v = np.searchsorted(positions, component_v)
-        inside = ((local_u < size) & (local_v < size)
-                  & (positions[np.minimum(local_u, size - 1)] == component_u)
-                  & (positions[np.minimum(local_v, size - 1)] == component_v))
-        local_u, local_v, component_w = local_u[inside], local_v[inside], component_w[inside]
         member_scores = edge_pagerank(
             np.concatenate([local_u, local_v]),
             np.concatenate([local_v, local_u]),

@@ -15,23 +15,17 @@ The featurizer is stateless (feature hashing requires no fitting), so feature
 matrices are identical across active-learning iterations and can be computed
 once per dataset.
 
-Two implementations produce the same matrix:
-
-:meth:`PairFeaturizer.transform`
-    The batched pipeline.  Records are deduplicated (every record typically
-    participates in many candidate pairs), each unique record text is
-    vectorized exactly once through the bulk
-    :meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, the raw
-    and interaction blocks are assembled by fancy-indexing the per-record
-    matrix, and per-attribute similarity features are computed once per
-    unique ``(left_value, right_value)`` pair with token/q-gram sets cached
-    per unique value.
-
-:meth:`PairFeaturizer.transform_reference`
-    The seed-era per-pair loop, kept as the correctness oracle.  The batch
-    path is bit-identical to it (asserted by tests and the featurizer
-    micro-benchmark), so artifact stores and recorded curves produced by
-    either path are interchangeable.
+:meth:`PairFeaturizer.transform` is batched.  Records are deduplicated
+(every record typically participates in many candidate pairs), each unique
+record text is vectorized exactly once through the bulk
+:meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, the raw and
+interaction blocks are assembled by fancy-indexing the per-record matrix, and
+per-attribute similarity features are computed once per unique
+``(left_value, right_value)`` pair with token/q-gram sets cached per unique
+value.  The output is bit-identical to the seed's per-pair loop, which
+re-hashed both records and recomputed every measure from the raw strings for
+each pair.  That loop is kept as the oracle of the test suite's reference
+package, and artifact stores and curves recorded with it stay valid.
 """
 
 from __future__ import annotations
@@ -50,14 +44,9 @@ from repro.data.schema import AttributeType, Schema
 from repro.text.similarity import (
     bitparallel_levenshtein,
     character_positions,
-    cosine_token_similarity,
-    jaccard_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
-    levenshtein_similarity,
     numeric_similarity,
-    overlap_coefficient,
-    qgram_jaccard_similarity,
 )
 from repro.text.tokenization import normalize, tokenize
 from repro.text.vectorizers import HashingVectorizer, HashingVectorizerConfig
@@ -97,27 +86,6 @@ class FeaturizerConfig:
             raise ValueError("hash_dim must be positive")
         if not (self.include_raw or self.include_interactions or self.include_similarities):
             raise ValueError("At least one feature family must be enabled")
-
-
-def _attribute_similarities(left_value: str, right_value: str,
-                            kind: AttributeType, qgram_size: int) -> list[float]:
-    """Similarity features for one attribute of a pair (reference path)."""
-    features = [
-        jaccard_similarity(left_value, right_value),
-        qgram_jaccard_similarity(left_value, right_value, q=qgram_size),
-        overlap_coefficient(left_value, right_value),
-        cosine_token_similarity(left_value, right_value),
-    ]
-    if kind is AttributeType.NUMERIC:
-        features.append(numeric_similarity(left_value, right_value))
-    elif max(len(left_value), len(right_value)) <= _EDIT_DISTANCE_MAX_LENGTH:
-        features.append(levenshtein_similarity(left_value, right_value))
-    else:
-        features.append(jaro_winkler_similarity(left_value[:_EDIT_DISTANCE_MAX_LENGTH],
-                                                right_value[:_EDIT_DISTANCE_MAX_LENGTH]))
-    missing = float(not left_value.strip() or not right_value.strip())
-    features.append(missing)
-    return features
 
 
 class _ValueEntry:
@@ -205,11 +173,15 @@ def _cached_similarities(left: _ValueEntry, right: _ValueEntry,
                          kind: AttributeType, qgram_size: int) -> list[float]:
     """Similarity features from cached value entries.
 
-    Mirrors :func:`_attribute_similarities` exactly — every formula operates
-    on the same sets/counts the string-based measures would rebuild (the
-    token intersection is computed once and shared by Jaccard, overlap, and
-    cosine; ``len(a | b)`` becomes the equal integer ``len(a) + len(b) -
-    len(a & b)``), so the resulting floats are bit-identical.
+    Per attribute: token Jaccard, q-gram Jaccard, overlap coefficient, token
+    cosine, then a numeric measure (numeric attributes), Levenshtein (values
+    up to ``_EDIT_DISTANCE_MAX_LENGTH`` characters) or Jaro-Winkler on the
+    truncated values, and finally a missing-value flag.  Every formula
+    operates on the same sets/counts the string-based measures of
+    :mod:`repro.text.similarity` would rebuild (the token intersection is
+    computed once and shared by Jaccard, overlap, and cosine; ``len(a | b)``
+    becomes the equal integer ``len(a) + len(b) - len(a & b)``), so the
+    resulting floats are bit-identical to calling those measures.
     """
     left_value, right_value = left.value, right.value
     tokens_l, tokens_r = left.tokens, right.tokens
@@ -285,60 +257,13 @@ class PairFeaturizer:
         return " ".join(record.value(name) for name in attributes)
 
     # ------------------------------------------------------------------ #
-    # Reference (per-pair) path
-    # ------------------------------------------------------------------ #
-    def _pair_features(self, dataset: EMDataset, pair: CandidatePair,
-                       attributes: Sequence[str], schema: Schema) -> np.ndarray:
-        left, right = dataset.records_for(pair)
-        parts: list[np.ndarray] = []
-
-        if self.config.include_raw or self.config.include_interactions:
-            left_vector = self._hasher.transform_one(self._record_text(left, attributes))
-            right_vector = self._hasher.transform_one(self._record_text(right, attributes))
-            if self.config.include_raw:
-                parts.extend((left_vector, right_vector))
-            if self.config.include_interactions:
-                parts.append(left_vector * right_vector)
-                parts.append(np.abs(left_vector - right_vector))
-
-        if self.config.include_similarities:
-            similarities: list[float] = []
-            for name in attributes:
-                kind = schema.attribute(name).kind
-                similarities.extend(_attribute_similarities(
-                    left.value(name), right.value(name), kind, self.config.qgram_size))
-            parts.append(np.asarray(similarities, dtype=np.float64))
-
-        return np.concatenate(parts)
-
-    def transform_reference(self, dataset: EMDataset,
-                            indices: Sequence[int] | None = None) -> np.ndarray:
-        """Per-pair feature matrix (the seed-era loop, kept as the oracle).
-
-        Every pair re-hashes both record texts and recomputes every
-        similarity measure from the raw strings.  :meth:`transform` must stay
-        bit-identical to this method.
-        """
-        if indices is None:
-            indices = range(len(dataset.pairs))
-        attributes = self._serialized_attributes(dataset)
-        schema = dataset.left.schema
-        rows = [
-            self._pair_features(dataset, dataset.pairs[int(i)], attributes, schema)
-            for i in indices
-        ]
-        if not rows:
-            return np.zeros((0, self.feature_dim(dataset)), dtype=np.float64)
-        return np.vstack(rows)
-
-    # ------------------------------------------------------------------ #
     # Batched path
     # ------------------------------------------------------------------ #
     def transform(self, dataset: EMDataset,
                   indices: Sequence[int] | None = None) -> np.ndarray:
         """Feature matrix for the pairs at ``indices`` (all pairs by default).
 
-        Batched pipeline, bit-identical to :meth:`transform_reference`:
+        Batched pipeline, bit-identical to the seed's per-pair loop:
 
         1. the records referenced by the requested pairs are deduplicated
            (first by record identity, then by serialized text, so duplicated

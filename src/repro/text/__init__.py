@@ -1,16 +1,12 @@
 """Text substrate: tokenization, similarity measures, and vectorizers."""
 
 from repro.text.similarity import (
-    SIMILARITY_FUNCTIONS,
     cosine_token_similarity,
-    dice_coefficient,
-    exact_match,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
     levenshtein_similarity,
-    monge_elkan_similarity,
     numeric_similarity,
     overlap_coefficient,
     qgram_jaccard_similarity,
@@ -22,31 +18,23 @@ from repro.text.tokenization import (
     token_counts,
     token_set,
     tokenize,
-    vocabulary,
-    word_ngrams,
 )
 from repro.text.vectorizers import (
     HashingVectorizer,
     HashingVectorizerConfig,
-    TfidfVectorizer,
     cosine_similarity_matrix,
 )
 
 __all__ = [
     "HashingVectorizer",
     "HashingVectorizerConfig",
-    "SIMILARITY_FUNCTIONS",
-    "TfidfVectorizer",
     "cosine_similarity_matrix",
     "cosine_token_similarity",
-    "dice_coefficient",
-    "exact_match",
     "jaccard_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
     "levenshtein_distance",
     "levenshtein_similarity",
-    "monge_elkan_similarity",
     "normalize",
     "numeric_similarity",
     "overlap_coefficient",
@@ -56,6 +44,4 @@ __all__ = [
     "token_counts",
     "token_set",
     "tokenize",
-    "vocabulary",
-    "word_ngrams",
 ]

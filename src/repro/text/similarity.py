@@ -1,19 +1,19 @@
 """String and attribute similarity measures.
 
-Traditional entity-matching systems (and the ZeroER baseline reimplemented in
-:mod:`repro.baselines.zeroer`) describe a candidate pair with a vector of
-similarity scores between corresponding attribute values.  This module
-implements the widely used measures from scratch: Levenshtein, Jaro,
-Jaro-Winkler, Jaccard (token and q-gram), overlap and Dice coefficients,
-Monge-Elkan, cosine similarity over token counts, plus numeric and exact-match
-helpers.  All measures return values in ``[0, 1]`` with 1 meaning identical.
+Traditional entity-matching systems describe a candidate pair with a vector
+of similarity scores between corresponding attribute values; the pair
+featurizer (:mod:`repro.neural.featurizer`) appends such a vector to its
+hashed text features.  This module implements the measures it uses from
+scratch: Levenshtein, Jaro, Jaro-Winkler, Jaccard (token and q-gram), the
+overlap coefficient, cosine similarity over token counts, and a numeric
+measure.  All measures return values in ``[0, 1]`` with 1 meaning identical.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.text.tokenization import normalize, qgram_set, token_counts, token_set, tokenize
+from repro.text.tokenization import normalize, qgram_set, token_counts, token_set
 
 
 def character_positions(pattern: str) -> dict[str, int]:
@@ -211,16 +211,6 @@ def overlap_coefficient(a: str, b: str) -> float:
     return len(set_a & set_b) / min(len(set_a), len(set_b))
 
 
-def dice_coefficient(a: str, b: str) -> float:
-    """Sørensen-Dice coefficient over word tokens."""
-    set_a, set_b = token_set(a), token_set(b)
-    if not set_a and not set_b:
-        return 1.0
-    if not set_a or not set_b:
-        return 0.0
-    return 2.0 * len(set_a & set_b) / (len(set_a) + len(set_b))
-
-
 def cosine_token_similarity(a: str, b: str) -> float:
     """Cosine similarity between token count vectors."""
     counts_a, counts_b = token_counts(a), token_counts(b)
@@ -235,24 +225,6 @@ def cosine_token_similarity(a: str, b: str) -> float:
     if norm_a == 0 or norm_b == 0:
         return 0.0
     return dot / (norm_a * norm_b)
-
-
-def monge_elkan_similarity(a: str, b: str) -> float:
-    """Monge-Elkan similarity: average best Jaro-Winkler match per token of ``a``."""
-    tokens_a, tokens_b = tokenize(a), tokenize(b)
-    if not tokens_a and not tokens_b:
-        return 1.0
-    if not tokens_a or not tokens_b:
-        return 0.0
-    total = 0.0
-    for token_a in tokens_a:
-        total += max(jaro_winkler_similarity(token_a, token_b) for token_b in tokens_b)
-    return total / len(tokens_a)
-
-
-def exact_match(a: str, b: str) -> float:
-    """1.0 when the normalized strings are identical, else 0.0."""
-    return 1.0 if normalize(a) == normalize(b) else 0.0
 
 
 def numeric_similarity(a: str, b: str) -> float:
@@ -277,17 +249,3 @@ def numeric_similarity(a: str, b: str) -> float:
         return 1.0
     return max(0.0, 1.0 - abs(x - y) / denominator)
 
-
-#: Name → callable registry used by feature extractors and ZeroER.
-SIMILARITY_FUNCTIONS = {
-    "levenshtein": levenshtein_similarity,
-    "jaro_winkler": jaro_winkler_similarity,
-    "jaccard": jaccard_similarity,
-    "qgram_jaccard": qgram_jaccard_similarity,
-    "overlap": overlap_coefficient,
-    "dice": dice_coefficient,
-    "cosine": cosine_token_similarity,
-    "monge_elkan": monge_elkan_similarity,
-    "exact": exact_match,
-    "numeric": numeric_similarity,
-}

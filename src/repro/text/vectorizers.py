@@ -1,30 +1,23 @@
-"""Text vectorizers implemented with NumPy.
+"""Text vectorization implemented with NumPy.
 
-Two vectorizers are provided:
-
-:class:`HashingVectorizer`
-    Stateless feature hashing of tokens (and optionally character q-grams)
-    into a fixed-width vector.  It is the front end of the neural matcher
-    substrate (:mod:`repro.neural`): the DITTO model of the paper consumes the
-    serialized pair text through a subword tokenizer; we consume the same text
-    through feature hashing, which needs no vocabulary fitting and therefore
-    behaves identically across active-learning iterations.
-
-:class:`TfidfVectorizer`
-    A classic fit/transform TF-IDF vectorizer.
+:class:`HashingVectorizer` hashes the tokens (and optionally character
+q-grams) of a text into a fixed-width vector.  It is the front end of the
+neural matcher substrate (:mod:`repro.neural`): the DITTO model of the paper
+consumes the serialized pair text through a subword tokenizer; we consume the
+same text through feature hashing, which needs no vocabulary fitting and
+therefore behaves identically across active-learning iterations.
+:func:`cosine_similarity_matrix` gives the edge weights of the pair graphs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import NotFittedError
 from repro.text.tokenization import qgrams, tokenize
 
 
@@ -49,14 +42,15 @@ class HashingVectorizerConfig:
 class HashingVectorizer:
     """Hash tokens (and q-grams) of a text into a fixed-width vector.
 
-    :meth:`transform` is the batched entry point: it hashes every *distinct*
-    feature string exactly once through a shared feature → ``(column, sign)``
-    table (kept on the instance, so repeated calls keep amortizing), scatters
-    all occurrences in one :func:`numpy.bincount` pass, and normalizes
-    row-wise.  Its output is bit-identical to stacking :meth:`transform_one`
-    over the same texts: the scattered values are ±1, whose float64 sums are
-    exact in any order, and each row is normalized with the very same
-    ``np.linalg.norm(row)`` / in-place division the one-text path uses.
+    :meth:`transform` hashes every *distinct* feature string exactly once
+    through a shared feature → ``(column, sign)`` table (kept on the
+    instance, so repeated calls keep amortizing), scatters all occurrences in
+    one :func:`numpy.bincount` pass, and normalizes row-wise.  Its output is
+    bit-identical to hashing every occurrence of every text one vector at a
+    time (the seed path, kept as a test oracle): the scattered values are
+    ±1, whose float64 sums are exact in any order, and each row is
+    normalized with the very same ``np.linalg.norm(row)`` / in-place
+    division.
     """
 
     def __init__(self, config: HashingVectorizerConfig | None = None) -> None:
@@ -87,30 +81,8 @@ class HashingVectorizer:
         else:
             self._feature_table[feature] = index + 1
 
-    def transform_one(self, text: str) -> np.ndarray:
-        """Vectorize a single text (the seed-era per-occurrence-hash path)."""
-        vector = np.zeros(self.config.num_features, dtype=np.float64)
-        for feature in self._features(text):
-            hashed = _stable_hash(feature, self.config.seed)
-            index = hashed % self.config.num_features
-            if self.config.signed:
-                sign = 1.0 if (hashed >> 32) & 1 else -1.0
-            else:
-                sign = 1.0
-            vector[index] += sign
-        if self.config.normalize:
-            norm = np.linalg.norm(vector)
-            if norm > 0:
-                vector /= norm
-        return vector
-
     def transform(self, texts: Sequence[str]) -> np.ndarray:
-        """Vectorize a sequence of texts into a ``(n, num_features)`` matrix.
-
-        Bit-identical to ``np.vstack([self.transform_one(t) for t in texts])``
-        but hashes each distinct feature string once instead of once per
-        occurrence.
-        """
+        """Vectorize a sequence of texts into a ``(n, num_features)`` matrix."""
         num_features = self.config.num_features
         n = len(texts)
         if n == 0:
@@ -139,91 +111,13 @@ class HashingVectorizer:
         else:
             matrix = np.zeros((n, num_features), dtype=np.float64)
         if self.config.normalize:
-            # Per-row np.linalg.norm: the exact computation transform_one
-            # runs, so normalized rows match it bit for bit.
+            # Per-row np.linalg.norm, the exact computation of the
+            # one-text-at-a-time path, so normalized rows match it bit for bit.
             for row in range(n):
                 norm = np.linalg.norm(matrix[row])
                 if norm > 0:
                     matrix[row] /= norm
         return matrix
-
-
-class TfidfVectorizer:
-    """A minimal TF-IDF vectorizer (fit on a corpus, then transform)."""
-
-    def __init__(self, min_df: int = 1, max_features: int | None = None) -> None:
-        if min_df < 1:
-            raise ValueError("min_df must be >= 1")
-        self.min_df = min_df
-        self.max_features = max_features
-        self._vocabulary: dict[str, int] | None = None
-        self._idf: np.ndarray | None = None
-
-    @property
-    def vocabulary(self) -> dict[str, int]:
-        """Token → column index mapping (after :meth:`fit`)."""
-        if self._vocabulary is None:
-            raise NotFittedError("TfidfVectorizer.fit must be called before use")
-        return self._vocabulary
-
-    def fit(self, texts: Sequence[str]) -> "TfidfVectorizer":
-        """Learn the vocabulary and inverse document frequencies from ``texts``."""
-        document_frequency: dict[str, int] = {}
-        for text in texts:
-            # dict.fromkeys dedups per document in first-occurrence order, so
-            # document_frequency's insertion order derives from the corpus
-            # rather than from set iteration order (the counts themselves are
-            # order-independent; the explicit sorts below own the ordering).
-            for token in dict.fromkeys(tokenize(text)):
-                document_frequency[token] = document_frequency.get(token, 0) + 1
-        items = [(token, df) for token, df in document_frequency.items() if df >= self.min_df]
-        # Keep the most frequent tokens when max_features caps the vocabulary.
-        items.sort(key=lambda item: (-item[1], item[0]))
-        if self.max_features is not None:
-            items = items[: self.max_features]
-        items.sort(key=lambda item: item[0])
-        self._vocabulary = {token: index for index, (token, _) in enumerate(items)}
-        n_documents = max(len(texts), 1)
-        idf = np.zeros(len(self._vocabulary), dtype=np.float64)
-        for token, index in self._vocabulary.items():
-            idf[index] = math.log((1 + n_documents) / (1 + document_frequency[token])) + 1.0
-        self._idf = idf
-        return self
-
-    def transform(self, texts: Sequence[str]) -> np.ndarray:
-        """Transform ``texts`` into an L2-normalized TF-IDF matrix.
-
-        Token counts are accumulated per row first and only the nonzero
-        columns are written, so the cost scales with the tokens actually
-        present instead of ``n_texts × vocabulary``; the IDF scaling and the
-        normalization happen in place, eliminating the full-matrix multiply
-        pass and the second dense ``matrix / norms`` allocation of the seed
-        implementation.  Values are identical: a count accumulated as
-        repeated ``+= 1.0`` equals the integer count cast to float, and the
-        row norms are computed by the same ``np.linalg.norm`` call.
-        """
-        if self._vocabulary is None or self._idf is None:
-            raise NotFittedError("TfidfVectorizer.fit must be called before transform")
-        vocabulary = self._vocabulary
-        matrix = np.zeros((len(texts), len(vocabulary)), dtype=np.float64)
-        for row, text in enumerate(texts):
-            counts: dict[int, int] = {}
-            for token in tokenize(text):
-                column = vocabulary.get(token)
-                if column is not None:
-                    counts[column] = counts.get(column, 0) + 1
-            if counts:
-                columns = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-                values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-                matrix[row, columns] = values * self._idf[columns]
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        matrix /= norms
-        return matrix
-
-    def fit_transform(self, texts: Sequence[str]) -> np.ndarray:
-        """Equivalent to ``fit(texts).transform(texts)``."""
-        return self.fit(texts).transform(texts)
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

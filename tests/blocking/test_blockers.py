@@ -57,20 +57,21 @@ class TestTokenBlocker:
         large = TokenBlocker(max_block_size=100).block(left, right)
         assert len(small) <= len(large)
 
+    def test_candidates_per_block_size(self, tables):
+        left, right, _ = tables
+        right.add(Record("r3", {"title": "camera bag"}, entity_id="r3"))
+        own = {("l0", "r0"), ("l1", "r1"), ("l2", "r2")}
+        camera = {("l0", "r3"), ("l1", "r3")}
+        # "camera" is in two left records, so it is a stop token below 2.
+        assert TokenBlocker(max_block_size=1).block(left, right) == own
+        assert TokenBlocker(max_block_size=2).block(left, right) == own | camera
+        assert TokenBlocker(max_block_size=100).block(left, right) == own | camera
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             TokenBlocker(max_block_size=0)
         with pytest.raises(ValueError):
             TokenBlocker(min_token_length=0)
-
-
-class TestBatchedEquivalence:
-    def test_token_blocker_matches_reference(self, tables):
-        left, right, _ = tables
-        for max_block_size in (1, 2, 100):
-            blocker = TokenBlocker(max_block_size=max_block_size)
-            assert blocker.block(left, right) == \
-                blocker.block_reference(left, right)
 
 
 class TestBlockingReport:

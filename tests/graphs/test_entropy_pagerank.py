@@ -1,27 +1,42 @@
-"""Tests for conditional entropy, spatial confidence, and PageRank."""
+"""Tests for conditional entropy, spatial confidence, and PageRank.
+
+Spatial confidence, certainty and PageRank run through the batched kernels
+the selector calls, on small hand-made graphs.
+"""
 
 import numpy as np
 import pytest
 
-from repro.graphs.entropy import (
-    certainty_score,
-    certainty_scores,
-    conditional_entropy,
-    spatial_confidence,
+from repro.graphs.entropy import conditional_entropy
+from repro.graphs.sparse import (
+    SparseAdjacency,
+    certainty_scores_batch,
+    pagerank_components,
+    spatial_confidence_batch,
 )
-from repro.graphs.pagerank import pagerank, pagerank_per_component
-from repro.graphs.pair_graph import PairGraph, PairNode
 
 
-def _chain_graph(weights=(1.0, 1.0, 1.0)) -> PairGraph:
+def _graph(edges, predictions=None, confidences=None) -> SparseAdjacency:
+    """Nodes ``0..n-1`` (``n`` from the attribute lists, else from ``edges``)
+    joined by ``(u, v, weight)`` edges with ``u < v``."""
+    if predictions is None:
+        n = 1 + max(max(u, v) for u, v, _ in edges)
+        predictions = [1] * n
+    n = len(predictions)
+    if confidences is None:
+        confidences = [0.9] * n
+    return SparseAdjacency.from_edges(
+        node_ids=list(range(n)), predictions=predictions, confidences=confidences,
+        match_probabilities=[c if p == 1 else 1.0 - c
+                             for p, c in zip(predictions, confidences)],
+        labeled_mask=[False] * n,
+        edges_u=[u for u, _, _ in edges], edges_v=[v for _, v, _ in edges],
+        edge_weights=[w for _, _, w in edges])
+
+
+def _chain_graph(weights=(1.0, 1.0, 1.0)) -> SparseAdjacency:
     """A path graph 0 - 1 - 2 - 3 with the given edge weights."""
-    graph = PairGraph()
-    for node_id in range(4):
-        graph.add_node(PairNode(node_id=node_id, prediction=1, confidence=0.9,
-                                match_probability=0.9))
-    for i, weight in enumerate(weights):
-        graph.add_edge(i, i + 1, weight)
-    return graph
+    return _graph([(i, i + 1, weight) for i, weight in enumerate(weights)])
 
 
 class TestConditionalEntropy:
@@ -46,102 +61,62 @@ class TestConditionalEntropy:
 
 class TestSpatialConfidence:
     def test_isolated_node_falls_back_to_own_confidence(self):
-        graph = PairGraph()
-        graph.add_node(PairNode(0, prediction=1, confidence=0.8, match_probability=0.8))
-        assert spatial_confidence(graph, 0) == pytest.approx(0.8)
+        graph = _graph([], predictions=[1], confidences=[0.8])
+        assert spatial_confidence_batch(graph)[0] == pytest.approx(0.8)
 
     def test_agreeing_neighbourhood_gives_high_confidence(self):
         graph = _chain_graph()
-        assert spatial_confidence(graph, 1) == pytest.approx(1.0)
+        assert spatial_confidence_batch(graph)[1] == pytest.approx(1.0)
 
     def test_disagreeing_neighbourhood_lowers_confidence(self):
-        graph = PairGraph()
-        graph.add_node(PairNode(0, prediction=1, confidence=0.9, match_probability=0.9))
-        graph.add_node(PairNode(1, prediction=0, confidence=0.9, match_probability=0.1))
-        graph.add_node(PairNode(2, prediction=0, confidence=0.9, match_probability=0.1))
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(0, 2, 1.0)
-        assert spatial_confidence(graph, 0) == pytest.approx(0.0)
+        graph = _graph([(0, 1, 1.0), (0, 2, 1.0)], predictions=[1, 0, 0])
+        assert spatial_confidence_batch(graph)[0] == pytest.approx(0.0)
 
     def test_certainty_scores_batch(self):
-        graph = _chain_graph()
-        scores = certainty_scores(graph, beta=0.5)
-        assert set(scores) == {0, 1, 2, 3}
-        assert all(value >= 0 for value in scores.values())
+        scores = certainty_scores_batch(_chain_graph(), beta=0.5)
+        assert scores.shape == (4,)
+        assert np.all(scores >= 0)
 
     def test_invalid_beta(self):
-        graph = _chain_graph()
         with pytest.raises(ValueError):
-            certainty_score(graph, 0, beta=1.5)
+            certainty_scores_batch(_chain_graph(), beta=1.5)
 
 
 class TestPageRank:
     def test_scores_sum_to_one(self):
-        graph = _chain_graph()
-        scores = pagerank(graph)
+        scores = pagerank_components(_chain_graph())
         assert sum(scores.values()) == pytest.approx(1.0)
 
     def test_central_nodes_rank_higher(self):
-        graph = _chain_graph()
-        scores = pagerank(graph)
+        scores = pagerank_components(_chain_graph())
         assert scores[1] > scores[0]
         assert scores[2] > scores[3]
 
     def test_star_center_dominates(self):
-        graph = PairGraph()
-        for node_id in range(5):
-            graph.add_node(PairNode(node_id, 1, 0.9, 0.9))
-        for leaf in range(1, 5):
-            graph.add_edge(0, leaf, 1.0)
-        scores = pagerank(graph)
+        graph = _graph([(0, leaf, 1.0) for leaf in range(1, 5)])
+        scores = pagerank_components(graph)
         assert scores[0] == max(scores.values())
 
     def test_edge_weights_steer_the_walk(self):
-        graph = PairGraph()
-        for node_id in range(3):
-            graph.add_node(PairNode(node_id, 1, 0.9, 0.9))
-        graph.add_edge(0, 1, 10.0)
-        graph.add_edge(0, 2, 0.1)
-        scores = pagerank(graph)
+        graph = _graph([(0, 1, 10.0), (0, 2, 0.1)])
+        scores = pagerank_components(graph)
         assert scores[1] > scores[2]
 
     def test_single_node(self):
-        graph = PairGraph()
-        graph.add_node(PairNode(0, 1, 0.9, 0.9))
-        assert pagerank(graph) == {0: 1.0}
+        assert pagerank_components(_graph([], predictions=[1])) == {0: 1.0}
 
     def test_empty_graph(self):
-        assert pagerank(PairGraph()) == {}
+        assert pagerank_components(_graph([], predictions=[])) == {}
 
     def test_invalid_damping(self):
         with pytest.raises(ValueError):
-            pagerank(_chain_graph(), damping=1.5)
-
-    def test_restricted_node_set(self):
-        graph = _chain_graph()
-        scores = pagerank(graph, nodes=[0, 1])
-        assert set(scores) == {0, 1}
-        assert sum(scores.values()) == pytest.approx(1.0)
-
-    def test_per_component_excludes_labeled(self):
-        graph = PairGraph()
-        graph.add_node(PairNode(0, 1, 1.0, 1.0, labeled=True))
-        graph.add_node(PairNode(1, 1, 0.9, 0.9))
-        graph.add_node(PairNode(2, 1, 0.9, 0.9))
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(1, 2, 1.0)
-        scores = pagerank_per_component(graph, pool_only=True)
-        assert 0 not in scores
-        assert set(scores) == {1, 2}
+            pagerank_components(_chain_graph(), damping=1.5)
 
     def test_per_component_normalizes_within_components(self):
-        graph = _chain_graph()
-        # Add an isolated second component.
-        graph.add_node(PairNode(10, 0, 0.9, 0.1))
-        graph.add_node(PairNode(11, 0, 0.9, 0.1))
-        graph.add_edge(10, 11, 1.0)
-        scores = pagerank_per_component(graph, pool_only=False)
+        # The chain 0 - 1 - 2 - 3 plus a second component 4 - 5.
+        graph = _graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
+        scores = pagerank_components(graph)
         first = sum(scores[node] for node in range(4))
-        second = scores[10] + scores[11]
+        second = scores[4] + scores[5]
         assert first == pytest.approx(1.0)
         assert second == pytest.approx(1.0)

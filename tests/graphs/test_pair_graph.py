@@ -1,23 +1,28 @@
-"""Tests for the pair graph data structure and the edge-creation procedure."""
+"""Tests for the CSR pair graph structure and the edge-creation procedure."""
 
 import numpy as np
 import pytest
 
-from repro.graphs.pair_graph import (
-    PairGraph,
-    PairNode,
-    build_pair_graph,
-    build_pair_graph_reference,
-)
+from reference import graphs as oracle
+from repro.graphs.sparse import SparseAdjacency, build_sparse_adjacency
 
 
-def _simple_graph() -> PairGraph:
-    graph = PairGraph()
-    for node_id, prediction in [(0, 1), (1, 1), (2, 0)]:
-        graph.add_node(PairNode(node_id=node_id, prediction=prediction,
-                                confidence=0.9, match_probability=float(prediction)))
-    graph.add_edge(0, 1, 0.8)
-    return graph
+def _simple_graph() -> SparseAdjacency:
+    """Nodes 0, 1 (predicted match) and 2 (non-match); one edge 0 - 1."""
+    return SparseAdjacency.from_edges(
+        node_ids=[0, 1, 2], predictions=[1, 1, 0], confidences=[0.9] * 3,
+        match_probabilities=[1.0, 1.0, 0.0], labeled_mask=[False] * 3,
+        edges_u=[0], edges_v=[1], edge_weights=[0.8])
+
+
+def _has_edge(adjacency: SparseAdjacency, u: int, v: int) -> bool:
+    """Whether the nodes at positions ``u`` and ``v`` are adjacent."""
+    return v in adjacency.neighbors(u)[0].tolist()
+
+
+def _edges(adjacency: SparseAdjacency) -> list[tuple[int, int, float]]:
+    return sorted(zip(adjacency.edges_u.tolist(), adjacency.edges_v.tolist(),
+                      adjacency.edge_weights.tolist()))
 
 
 class TestPairGraphStructure:
@@ -28,42 +33,25 @@ class TestPairGraphStructure:
 
     def test_edge_is_undirected(self):
         graph = _simple_graph()
-        assert graph.has_edge(0, 1)
-        assert graph.has_edge(1, 0)
-        assert graph.edge_weight(1, 0) == pytest.approx(0.8)
+        assert _has_edge(graph, 0, 1)
+        assert _has_edge(graph, 1, 0)
+        neighbours, weights = graph.neighbors(1)
+        assert neighbours.tolist() == [0]
+        assert weights[0] == pytest.approx(0.8)
 
     def test_neighbors(self):
         graph = _simple_graph()
-        assert graph.neighbors(0) == {1: 0.8}
-        assert graph.neighbors(2) == {}
-        assert graph.degree(0) == 1
-
-    def test_self_loop_rejected(self):
-        graph = _simple_graph()
-        with pytest.raises(ValueError):
-            graph.add_edge(0, 0, 1.0)
-
-    def test_edge_requires_existing_nodes(self):
-        graph = _simple_graph()
-        with pytest.raises(KeyError):
-            graph.add_edge(0, 99, 0.5)
+        neighbours, weights = graph.neighbors(0)
+        assert dict(zip(neighbours.tolist(), weights.tolist())) == {1: 0.8}
+        assert graph.neighbors(2)[0].size == 0
+        assert graph.degrees.tolist() == [1, 1, 0]
 
     def test_connected_components(self):
-        graph = _simple_graph()
-        components = graph.connected_components()
-        assert {frozenset(c) for c in components} == {frozenset({0, 1}), frozenset({2})}
-
-    def test_subgraph(self):
-        graph = _simple_graph()
-        sub = graph.subgraph([0, 1])
-        assert sub.num_nodes == 2
-        assert sub.has_edge(0, 1)
-        sub_single = graph.subgraph([0])
-        assert sub_single.num_edges == 0
+        components = _simple_graph().components()
+        assert components == [{0, 1}, {2}]
 
     def test_edges_listing(self):
-        graph = _simple_graph()
-        assert graph.edges() == [(0, 1, 0.8)]
+        assert _edges(_simple_graph()) == [(0, 1, 0.8)]
 
 
 class TestBuildPairGraph:
@@ -76,7 +64,7 @@ class TestBuildPairGraph:
 
     def test_basic_construction(self, representations):
         n = len(representations)
-        graph = build_pair_graph(
+        graph = build_sparse_adjacency(
             representations=representations,
             node_ids=list(range(100, 100 + n)),
             predictions=[1] * 5 + [0] * 5,
@@ -87,12 +75,12 @@ class TestBuildPairGraph:
         )
         assert graph.num_nodes == n
         assert graph.num_edges >= n  # every node has at least q=2 edges (shared)
-        assert graph.has_node(100)
+        assert graph.node_ids.tolist() == list(range(100, 100 + n))
 
     def test_cluster_labels_limit_edges(self, representations):
         n = len(representations)
         clusters = [0] * 5 + [1] * 5
-        graph = build_pair_graph(
+        graph = build_sparse_adjacency(
             representations=representations,
             node_ids=list(range(n)),
             predictions=[1] * n,
@@ -102,11 +90,11 @@ class TestBuildPairGraph:
             cluster_labels=clusters,
             num_neighbors=4,
         )
-        for u, v, _ in graph.edges():
+        for u, v, _ in _edges(graph):
             assert clusters[u] == clusters[v]
 
     def test_empty_input(self):
-        graph = build_pair_graph(
+        graph = build_sparse_adjacency(
             representations=np.zeros((0, 4)), node_ids=[], predictions=[],
             confidences=[], match_probabilities=[], labeled_mask=[],
         )
@@ -114,7 +102,7 @@ class TestBuildPairGraph:
 
     def test_length_validation(self, representations):
         with pytest.raises(ValueError):
-            build_pair_graph(
+            build_sparse_adjacency(
                 representations=representations,
                 node_ids=list(range(len(representations))),
                 predictions=[1],
@@ -131,14 +119,14 @@ class TestBuildPairGraph:
             match_probabilities=[0.9] * n, labeled_mask=[False] * n,
         )
         with pytest.raises(ValueError):
-            build_pair_graph(num_neighbors=0, **kwargs)
+            build_sparse_adjacency(num_neighbors=0, **kwargs)
         with pytest.raises(ValueError):
-            build_pair_graph(extra_edge_ratio=1.5, **kwargs)
+            build_sparse_adjacency(extra_edge_ratio=1.5, **kwargs)
 
     def test_labeled_pairs_never_directly_connected(self, representations):
         n = len(representations)
         labeled = [True, True] + [False] * (n - 2)
-        graph = build_pair_graph(
+        graph = build_sparse_adjacency(
             representations=representations,
             node_ids=list(range(n)),
             predictions=[1] * n,
@@ -148,7 +136,7 @@ class TestBuildPairGraph:
             num_neighbors=4,
             extra_edge_ratio=0.5,
         )
-        assert not graph.has_edge(0, 1)
+        assert not _has_edge(graph, 0, 1)
 
     def test_extra_edges_increase_connectivity(self, representations):
         n = len(representations)
@@ -158,8 +146,8 @@ class TestBuildPairGraph:
             match_probabilities=[0.9] * n, labeled_mask=[False] * n,
             num_neighbors=1,
         )
-        sparse = build_pair_graph(extra_edge_ratio=0.0, **base_kwargs)
-        dense = build_pair_graph(extra_edge_ratio=0.5, **base_kwargs)
+        sparse = build_sparse_adjacency(extra_edge_ratio=0.0, **base_kwargs)
+        dense = build_sparse_adjacency(extra_edge_ratio=0.5, **base_kwargs)
         assert dense.num_edges > sparse.num_edges
 
     def test_zero_extra_edge_budget_adds_no_edges(self, representations):
@@ -172,13 +160,13 @@ class TestBuildPairGraph:
             match_probabilities=[0.9] * n, labeled_mask=[False] * n,
             num_neighbors=2,
         )
-        none = build_pair_graph(extra_edge_ratio=0.0, **base_kwargs)
-        tiny = build_pair_graph(extra_edge_ratio=1e-6, **base_kwargs)
-        assert sorted(tiny.edges()) == sorted(none.edges())
+        none = build_sparse_adjacency(extra_edge_ratio=0.0, **base_kwargs)
+        tiny = build_sparse_adjacency(extra_edge_ratio=1e-6, **base_kwargs)
+        assert _edges(tiny) == _edges(none)
 
     def test_q_larger_than_cluster_connects_everything_allowed(self, representations):
         n = len(representations)
-        graph = build_pair_graph(
+        graph = build_sparse_adjacency(
             representations=representations, node_ids=list(range(n)),
             predictions=[1] * n, confidences=[0.9] * n,
             match_probabilities=[0.9] * n,
@@ -186,7 +174,7 @@ class TestBuildPairGraph:
             num_neighbors=n + 5, extra_edge_ratio=0.0,
         )
         assert graph.num_edges == n * (n - 1) // 2 - 1
-        assert not graph.has_edge(0, 1)
+        assert not _has_edge(graph, 0, 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_vectorized_builder_matches_reference(self, seed):
@@ -203,7 +191,7 @@ class TestBuildPairGraph:
             num_neighbors=3,
             extra_edge_ratio=0.05,
         )
-        vectorized = build_pair_graph(**kwargs)
-        reference = build_pair_graph_reference(**kwargs)
-        assert (sorted((u, v, round(w, 12)) for u, v, w in vectorized.edges())
+        vectorized = build_sparse_adjacency(**kwargs)
+        reference = oracle.build_pair_graph(**kwargs)
+        assert ([(u, v, round(w, 12)) for u, v, w in _edges(vectorized)]
                 == sorted((u, v, round(w, 12)) for u, v, w in reference.edges()))

@@ -1,17 +1,16 @@
-"""Tests for the vectorized CSR substrate (SparseAdjacency and its kernels).
+"""Tests for the CSR pair graph (SparseAdjacency) and its batched kernels.
 
-The substrate must be interchangeable with the dict-based stack: same edges
-as the node-at-a-time reference builder, same certainty scores as the
-per-node entropy walk, same per-component PageRank, and the same component
-ordering the budget distribution depends on.
+The kernels the selector runs are checked against the dict-based oracle in
+``reference.graphs``: same edges as the node-at-a-time builder, same
+certainty scores as the per-node neighbourhood walk, same per-component
+PageRank, and the same component order the budget distribution depends on.
 """
 
 import numpy as np
 import pytest
 
-from repro.graphs.entropy import certainty_score, spatial_confidence
-from repro.graphs.pagerank import edge_pagerank, pagerank
-from repro.graphs.pair_graph import build_pair_graph, build_pair_graph_reference
+from reference import graphs as oracle
+from repro.graphs.pagerank import edge_pagerank
 from repro.graphs.sparse import (
     SparseAdjacency,
     build_sparse_adjacency,
@@ -38,7 +37,16 @@ def _random_inputs(seed: int, n: int = 50, num_clusters: int = 3,
     )
 
 
-def _edge_set(graph) -> list[tuple[int, int, float]]:
+def _edge_set(adjacency: SparseAdjacency) -> list[tuple[int, int, float]]:
+    """Edges as sorted ``(u_id, v_id, weight)`` triples with ``u_id < v_id``."""
+    ids = adjacency.node_ids
+    return sorted((int(min(ids[u], ids[v])), int(max(ids[u], ids[v])), round(w, 12))
+                  for u, v, w in zip(adjacency.edges_u.tolist(),
+                                     adjacency.edges_v.tolist(),
+                                     adjacency.edge_weights.tolist()))
+
+
+def _oracle_edge_set(graph: oracle.DictGraph) -> list[tuple[int, int, float]]:
     return sorted((u, v, round(w, 12)) for u, v, w in graph.edges())
 
 
@@ -46,25 +54,28 @@ class TestBuilderEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_vectorized_matches_reference_on_random_inputs(self, seed):
         kwargs = _random_inputs(seed)
-        vectorized = build_pair_graph(**kwargs)
-        reference = build_pair_graph_reference(**kwargs)
-        assert _edge_set(vectorized) == _edge_set(reference)
-        assert vectorized.num_nodes == reference.num_nodes
-        for node_id in reference.node_ids():
-            assert vectorized.node(node_id) == reference.node(node_id)
+        adjacency = build_sparse_adjacency(**kwargs)
+        reference = oracle.build_pair_graph(**kwargs)
+        assert _edge_set(adjacency) == _oracle_edge_set(reference)
+        assert adjacency.num_nodes == len(reference.nodes)
+        for position, node_id in enumerate(adjacency.node_ids.tolist()):
+            node = reference.nodes[node_id]
+            assert adjacency.predictions[position] == node.prediction
+            assert adjacency.confidences[position] == node.confidence
+            assert adjacency.match_probabilities[position] == node.match_probability
+            assert adjacency.labeled_mask[position] == node.labeled
 
     def test_sparse_adjacency_matches_dict_view(self):
         kwargs = _random_inputs(7)
         adjacency = build_sparse_adjacency(**kwargs)
-        graph = adjacency.to_pair_graph()
-        assert adjacency.num_nodes == graph.num_nodes
-        assert adjacency.num_edges == graph.num_edges
+        graph = oracle.build_pair_graph(**kwargs)
+        assert adjacency.num_edges == len(graph.edges())
         for position in range(adjacency.num_nodes):
             node_id = int(adjacency.node_ids[position])
             neighbor_positions, weights = adjacency.neighbors(position)
             csr_view = {int(adjacency.node_ids[p]): round(float(w), 12)
                         for p, w in zip(neighbor_positions, weights)}
-            dict_view = {k: round(v, 12) for k, v in graph.neighbors(node_id).items()}
+            dict_view = {k: round(v, 12) for k, v in graph.adjacency[node_id].items()}
             assert csr_view == dict_view
 
     def test_zero_extra_edge_ratio_creates_only_nearest_neighbor_edges(self):
@@ -81,7 +92,7 @@ class TestBuilderEquivalence:
     def test_q_at_least_cluster_size_connects_all_allowed_pairs(self):
         n = 6
         rng = np.random.default_rng(0)
-        graph = build_pair_graph(
+        adjacency = build_sparse_adjacency(
             representations=rng.normal(size=(n, 8)),
             node_ids=list(range(n)),
             predictions=[1] * n,
@@ -92,8 +103,8 @@ class TestBuilderEquivalence:
             extra_edge_ratio=0.0,
         )
         # Complete graph minus the forbidden labeled-labeled edge.
-        assert graph.num_edges == n * (n - 1) // 2 - 1
-        assert not graph.has_edge(0, 1)
+        assert adjacency.num_edges == n * (n - 1) // 2 - 1
+        assert 1 not in adjacency.neighbors(0)[0]
 
     def test_labeled_pairs_excluded_from_both_stages(self):
         similarities = np.array([
@@ -119,6 +130,7 @@ class TestBuilderEquivalence:
         assert single.components() == [{5}]
 
     def test_validation_matches_dict_builder(self):
+        # Mismatched lengths and out-of-range parameters are rejected.
         kwargs = _random_inputs(0)
         kwargs["predictions"] = kwargs["predictions"][:-1]
         with pytest.raises(ValueError):
@@ -138,61 +150,55 @@ class TestBuilderEquivalence:
         assert adjacency.indptr[-1] == len(adjacency.indices)
         assert np.all(np.diff(adjacency.indptr) >= 0)
         assert int(adjacency.degrees.sum()) == 2 * adjacency.num_edges
-        # Every undirected edge appears in both endpoint rows.
-        sources, targets, _ = adjacency.directed_edges()
-        assert len(sources) == 2 * adjacency.num_edges
         assert np.all(adjacency.edges_u < adjacency.edges_v)
+        # Every undirected edge appears in both endpoint rows.
+        rows = np.repeat(np.arange(adjacency.num_nodes), adjacency.degrees)
+        directed = set(zip(rows.tolist(), adjacency.indices.tolist()))
+        undirected = set(zip(adjacency.edges_u.tolist(), adjacency.edges_v.tolist()))
+        assert directed == undirected | {(v, u) for u, v in undirected}
 
 
 class TestBatchedKernels:
     @pytest.fixture()
-    def adjacency(self):
-        return build_sparse_adjacency(**_random_inputs(21))
+    def inputs(self):
+        return _random_inputs(21)
 
-    def test_spatial_confidence_batch_matches_scalar(self, adjacency):
-        graph = adjacency.to_pair_graph()
+    @pytest.fixture()
+    def adjacency(self, inputs):
+        return build_sparse_adjacency(**inputs)
+
+    @pytest.fixture()
+    def graph(self, inputs):
+        return oracle.build_pair_graph(**inputs)
+
+    def test_spatial_confidence_batch_matches_scalar(self, adjacency, graph):
         batch = spatial_confidence_batch(adjacency)
         for position in range(adjacency.num_nodes):
             node_id = int(adjacency.node_ids[position])
             assert batch[position] == pytest.approx(
-                spatial_confidence(graph, node_id), abs=1e-12)
+                oracle.spatial_confidence(graph, node_id), abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
-    def test_certainty_batch_matches_scalar(self, adjacency, beta):
-        graph = adjacency.to_pair_graph()
+    def test_certainty_batch_matches_scalar(self, adjacency, graph, beta):
         batch = certainty_scores_batch(adjacency, beta=beta)
         for position in range(adjacency.num_nodes):
             node_id = int(adjacency.node_ids[position])
             assert batch[position] == pytest.approx(
-                certainty_score(graph, node_id, beta=beta), abs=1e-12)
+                oracle.certainty_score(graph, node_id, beta=beta), abs=1e-12)
 
     def test_certainty_batch_invalid_beta(self, adjacency):
         with pytest.raises(ValueError):
             certainty_scores_batch(adjacency, beta=1.5)
 
-    def test_components_match_dict_graph_order(self, adjacency):
-        assert adjacency.components() == adjacency.to_pair_graph().connected_components()
+    def test_components_match_dict_graph_order(self, adjacency, graph):
+        assert adjacency.components() == oracle.connected_components(graph)
 
-    def test_pagerank_components_matches_dict_pagerank(self, adjacency):
-        graph = adjacency.to_pair_graph()
+    def test_pagerank_components_matches_dict_pagerank(self, adjacency, graph):
         scores = pagerank_components(adjacency)
-        assert set(scores) == {int(i) for i in adjacency.node_ids}
-        for component in graph.connected_components():
-            reference = pagerank(graph, nodes=sorted(component))
-            for node_id, value in reference.items():
-                assert scores[node_id] == pytest.approx(value, abs=1e-9)
-
-    def test_pagerank_components_supports_member_subsets(self, adjacency):
-        graph = adjacency.to_pair_graph()
-        component = max(graph.connected_components(), key=len)
-        members = sorted(component)[:-1]  # drop one member
-        if len(members) < 2:
-            pytest.skip("largest component too small for a subset")
-        scores = pagerank_components(adjacency, components=[set(members)])
-        reference = pagerank(graph, nodes=members)
-        assert set(scores) == set(members)
-        for node_id in members:
-            assert scores[node_id] == pytest.approx(reference[node_id], abs=1e-9)
+        reference = oracle.pagerank_per_component(graph)
+        assert set(scores) == {int(i) for i in adjacency.node_ids} == set(reference)
+        for node_id, value in reference.items():
+            assert scores[node_id] == pytest.approx(value, abs=1e-9)
 
 
 class TestEdgePageRank:

@@ -3,11 +3,11 @@
 The batched :meth:`PairFeaturizer.transform` deduplicates records, hashes
 each unique feature string once, and caches similarity features per unique
 value pair — none of which may change a single bit of the output relative to
-:meth:`PairFeaturizer.transform_reference`.  The hypothesis suite drives the
-comparison across the edge cases that exercise every cache level: empty
-values, missing attributes, numeric attributes (including non-numeric
-strings hitting the levenshtein fallback), duplicated records, and values
-longer than the edit-distance cutoff.
+the per-pair loop ``reference.featurizer.transform_reference``.  The
+hypothesis suite drives the comparison across the edge cases that exercise
+every cache level: empty values, missing attributes, numeric attributes
+(including non-numeric strings hitting the levenshtein fallback), duplicated
+records, and values longer than the edit-distance cutoff.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.featurizer import transform_reference
 from repro.data.dataset import EMDataset
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
@@ -80,7 +81,7 @@ def _datasets(draw):
 @given(dataset=_datasets())
 def test_property_batch_equals_reference(dataset):
     featurizer = PairFeaturizer(FeaturizerConfig(hash_dim=32))
-    reference = featurizer.transform_reference(dataset)
+    reference = transform_reference(featurizer, dataset)
     batch = featurizer.transform(dataset)
     assert reference.dtype == batch.dtype
     assert np.array_equal(reference, batch)
@@ -92,7 +93,7 @@ def test_property_batch_equals_reference_on_subsets(dataset, data):
     indices = data.draw(st.lists(
         st.integers(0, len(dataset.pairs) - 1), min_size=0, max_size=10))
     featurizer = PairFeaturizer(FeaturizerConfig(hash_dim=16))
-    assert np.array_equal(featurizer.transform_reference(dataset, indices),
+    assert np.array_equal(transform_reference(featurizer, dataset, indices),
                           featurizer.transform(dataset, indices))
 
 
@@ -114,7 +115,7 @@ def test_every_feature_family_combination_is_identical(config):
          {"brand": "  ", "price": ""}],
         [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
     featurizer = PairFeaturizer(config)
-    reference = featurizer.transform_reference(dataset)
+    reference = transform_reference(featurizer, dataset)
     batch = featurizer.transform(dataset)
     assert np.array_equal(reference, batch)
     assert batch.shape == (6, featurizer.feature_dim(dataset))
@@ -125,7 +126,7 @@ def test_duplicated_records_collapse_to_one_hashing_row(tiny_dataset):
     featurizer = PairFeaturizer(FeaturizerConfig(hash_dim=48))
     indices = [3, 1, 1, 3, 0]
     assert np.array_equal(featurizer.transform(tiny_dataset, indices),
-                          featurizer.transform_reference(tiny_dataset, indices))
+                          transform_reference(featurizer, tiny_dataset, indices))
 
 
 def test_empty_index_list_keeps_feature_dim(tiny_dataset):
@@ -137,5 +138,5 @@ def test_empty_index_list_keeps_feature_dim(tiny_dataset):
 def test_serialization_attribute_subset_respected(tiny_dataset):
     """The batch path honours dataset.serialization.attributes like the reference."""
     featurizer = PairFeaturizer(FeaturizerConfig(hash_dim=32))
-    assert np.array_equal(featurizer.transform_reference(tiny_dataset),
+    assert np.array_equal(transform_reference(featurizer, tiny_dataset),
                           featurizer.transform(tiny_dataset))

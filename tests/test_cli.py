@@ -26,6 +26,31 @@ class TestParser:
             build_parser().parse_args(["run", "--dataset", "amazon_google",
                                        "--selector", "oracle"])
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("value", ["2.0", "-0.1", "nan", "high"])
+    def test_out_of_range_selector_weight_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["run", "--dataset", "amazon_google",
+                                       flag, value])
+        assert raised.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_selector_weight_checked_for_every_selector(self, flag, capsys):
+        # dal ignores both weights, so an out-of-range value must fail
+        # before any selector is built.
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "--dataset", "amazon_google", "--selector", "dal",
+                  flag, "2.0"])
+        assert raised.value.code == 2
+        assert f"argument {flag}: must be in [0, 1], got 2.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1", "0.25"])
+    def test_selector_weight_bounds_accepted(self, value):
+        args = build_parser().parse_args(["run", "--dataset", "amazon_google",
+                                          "--alpha", value, "--beta", value])
+        assert args.alpha == args.beta == float(value)
+
     def test_experiments_defaults(self):
         args = build_parser().parse_args(["experiments"])
         assert args.jobs == 1

@@ -11,8 +11,6 @@ from repro.text.tokenization import (
     token_counts,
     token_set,
     tokenize,
-    vocabulary,
-    word_ngrams,
 )
 
 
@@ -67,29 +65,3 @@ class TestQgrams:
     def test_property_gram_lengths(self, text, q):
         for gram in qgrams(text, q=q, pad=False):
             assert 1 <= len(gram) <= q
-
-
-class TestWordNgrams:
-    def test_bigrams(self):
-        assert word_ngrams("new york city", 2) == ["new_york", "york_city"]
-
-    def test_short_text(self):
-        assert word_ngrams("hello", 2) == ["hello"]
-
-    def test_empty(self):
-        assert word_ngrams("", 2) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            word_ngrams("a b", 0)
-
-
-class TestVocabulary:
-    def test_min_count_filters(self):
-        vocab = vocabulary(["a b", "a c", "a"], min_count=2)
-        assert "a" in vocab
-        assert "b" not in vocab
-
-    def test_indices_are_dense(self):
-        vocab = vocabulary(["z y x"])
-        assert sorted(vocab.values()) == list(range(len(vocab)))

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import NotFittedError
+from reference.featurizer import transform_one
 from repro.text.vectorizers import (
     HashingVectorizer,
     HashingVectorizerConfig,
-    TfidfVectorizer,
     cosine_similarity_matrix,
 )
 
@@ -25,25 +24,24 @@ class TestHashingVectorizer:
         assert vectorizer.transform([]).shape == (0, vectorizer.num_features)
 
     def test_deterministic(self):
-        vectorizer = HashingVectorizer()
-        a = vectorizer.transform_one("canon eos rebel")
-        b = vectorizer.transform_one("canon eos rebel")
+        a = HashingVectorizer().transform(["canon eos rebel"])
+        b = HashingVectorizer().transform(["canon eos rebel"])
         assert np.array_equal(a, b)
 
     def test_normalization(self):
         vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=64))
-        vector = vectorizer.transform_one("some text with several tokens")
+        vector = vectorizer.transform(["some text with several tokens"])[0]
         assert np.linalg.norm(vector) == pytest.approx(1.0)
 
     def test_empty_text_is_zero_vector(self):
         vectorizer = HashingVectorizer()
-        assert np.allclose(vectorizer.transform_one(""), 0.0)
+        assert np.allclose(vectorizer.transform([""]), 0.0)
 
     def test_similar_texts_have_higher_cosine(self):
         vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=256))
-        a = vectorizer.transform_one("canon eos rebel t7i dslr camera")
-        b = vectorizer.transform_one("canon eos rebel t7i camera kit")
-        c = vectorizer.transform_one("nike air max running shoe")
+        a, b, c = vectorizer.transform(["canon eos rebel t7i dslr camera",
+                                        "canon eos rebel t7i camera kit",
+                                        "nike air max running shoe"])
         sim_ab = float(a @ b)
         sim_ac = float(a @ c)
         assert sim_ab > sim_ac
@@ -56,24 +54,24 @@ class TestHashingVectorizer:
         a = HashingVectorizer(HashingVectorizerConfig(num_features=64, seed=1))
         b = HashingVectorizer(HashingVectorizerConfig(num_features=64, seed=2))
         text = "canon eos"
-        assert not np.array_equal(a.transform_one(text), b.transform_one(text))
+        assert not np.array_equal(a.transform([text]), b.transform([text]))
 
     @settings(max_examples=25, deadline=None)
     @given(text=st.text(alphabet="abcdef ", max_size=40))
     def test_property_norm_at_most_one(self, text):
         vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=64))
-        assert np.linalg.norm(vectorizer.transform_one(text)) <= 1.0 + 1e-9
+        assert np.linalg.norm(vectorizer.transform([text])[0]) <= 1.0 + 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(texts=st.lists(st.text(alphabet="abcdef #,1", max_size=30), max_size=8),
            signed=st.booleans(), normalize=st.booleans(), use_qgrams=st.booleans())
     def test_property_bulk_transform_bit_identical_to_transform_one(
             self, texts, signed, normalize, use_qgrams):
-        """The bulk path must match stacked transform_one bit for bit."""
+        """The bulk path must match the one-text oracle stacked, bit for bit."""
         config = HashingVectorizerConfig(num_features=32, signed=signed,
                                          normalize=normalize, use_qgrams=use_qgrams)
         vectorizer = HashingVectorizer(config)
-        expected = (np.vstack([vectorizer.transform_one(text) for text in texts])
+        expected = (np.vstack([transform_one(config, text) for text in texts])
                     if texts else np.zeros((0, 32)))
         bulk = vectorizer.transform(texts)
         assert bulk.dtype == np.float64
@@ -93,71 +91,6 @@ class TestHashingVectorizer:
         matrix = vectorizer.transform(["", "   ", ""])
         assert matrix.shape == (3, 16)
         assert np.allclose(matrix, 0.0)
-
-
-class TestTfidfVectorizer:
-    def test_requires_fit(self):
-        with pytest.raises(NotFittedError):
-            TfidfVectorizer().transform(["a"])
-        with pytest.raises(NotFittedError):
-            _ = TfidfVectorizer().vocabulary
-
-    def test_fit_transform_shape(self):
-        corpus = ["sony tv", "lg tv", "sony camera"]
-        matrix = TfidfVectorizer().fit_transform(corpus)
-        assert matrix.shape[0] == 3
-        assert matrix.shape[1] == 4  # sony, tv, lg, camera
-
-    def test_rows_are_normalized(self):
-        matrix = TfidfVectorizer().fit_transform(["a b c", "a a b"])
-        norms = np.linalg.norm(matrix, axis=1)
-        assert np.allclose(norms, 1.0)
-
-    def test_min_df_filters_rare_tokens(self):
-        vectorizer = TfidfVectorizer(min_df=2)
-        vectorizer.fit(["rare token here", "token again", "token thrice"])
-        assert "token" in vectorizer.vocabulary
-        assert "rare" not in vectorizer.vocabulary
-
-    def test_max_features_caps_vocabulary(self):
-        vectorizer = TfidfVectorizer(max_features=2)
-        vectorizer.fit(["a b c d", "a b c", "a b", "a"])
-        assert len(vectorizer.vocabulary) == 2
-        assert set(vectorizer.vocabulary) == {"a", "b"}
-
-    def test_idf_downweights_common_tokens(self):
-        vectorizer = TfidfVectorizer()
-        matrix = vectorizer.fit_transform(["common rare", "common other", "common third"])
-        common_column = vectorizer.vocabulary["common"]
-        rare_column = vectorizer.vocabulary["rare"]
-        assert matrix[0, rare_column] > matrix[0, common_column]
-
-    def test_unknown_tokens_ignored_at_transform(self):
-        vectorizer = TfidfVectorizer().fit(["a b"])
-        matrix = vectorizer.transform(["c d"])
-        assert np.allclose(matrix, 0.0)
-
-    def test_invalid_min_df(self):
-        with pytest.raises(ValueError):
-            TfidfVectorizer(min_df=0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(corpus=st.lists(st.text(alphabet="abc d", max_size=25), min_size=1, max_size=6),
-           texts=st.lists(st.text(alphabet="abc de", max_size=25), max_size=6))
-    def test_property_sparse_fill_matches_dense_accumulation(self, corpus, texts):
-        """The per-row count fill must equal the seed dense += accumulation."""
-        vectorizer = TfidfVectorizer().fit(corpus)
-        from repro.text.tokenization import tokenize
-        dense = np.zeros((len(texts), len(vectorizer.vocabulary)), dtype=np.float64)
-        for row, text in enumerate(texts):
-            for token in tokenize(text):
-                column = vectorizer.vocabulary.get(token)
-                if column is not None:
-                    dense[row, column] += 1.0
-        dense *= vectorizer._idf
-        norms = np.linalg.norm(dense, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        assert np.array_equal(vectorizer.transform(texts), dense / norms)
 
 
 class TestCosineSimilarityMatrix:
