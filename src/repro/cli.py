@@ -63,6 +63,21 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """argparse type of a count flag: an integer of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     """The shared fault-tolerance flags of the sweep subcommands."""
     parser.add_argument("--retries", type=int, default=None, metavar="N",
@@ -143,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--selector", default="battleship",
                      choices=ACTIVE_LEARNING_METHODS)
     run.add_argument("--scale", default="tiny", choices=available_scales())
-    run.add_argument("--iterations", type=int, default=3)
-    run.add_argument("--budget", type=int, default=20)
-    run.add_argument("--seed-size", type=int, default=None)
+    run.add_argument("--iterations", type=_int_at_least(0), default=3)
+    run.add_argument("--budget", type=_int_at_least(1), default=20)
+    run.add_argument("--seed-size", type=_int_at_least(1), default=None)
     run.add_argument("--alpha", type=_unit_interval, default=0.5)
     run.add_argument("--beta", type=_unit_interval, default=0.5)
-    run.add_argument("--epochs", type=int, default=None,
+    run.add_argument("--epochs", type=_int_at_least(1), default=None,
                      help="Matcher training epochs (default: the harness setting)")
     run.add_argument("--no-weak-supervision", action="store_true")
     run.add_argument("--seed", type=int, default=7)
@@ -156,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     full = subparsers.add_parser("full", help="Train the Full D reference model")
     full.add_argument("--dataset", required=True, choices=available_benchmarks())
     full.add_argument("--scale", default="tiny", choices=available_scales())
-    full.add_argument("--epochs", type=int, default=None,
+    full.add_argument("--epochs", type=_int_at_least(1), default=None,
                       help="Matcher training epochs (default: the harness setting)")
     full.add_argument("--seed", type=int, default=7)
 

@@ -1,22 +1,22 @@
-"""Neural matcher substrate: the NumPy stand-in for the paper's DITTO model."""
+"""Neural matcher substrate: the NumPy stand-in for the paper's DITTO model.
 
-from repro.neural.activations import relu, sigmoid, softmax, tanh
-from repro.neural.calibration import (
-    TemperatureScaler,
-    expected_calibration_error,
-    logit,
-    sharpen_probabilities,
-)
+The matcher trains one path: :class:`PairFeaturizer` features feed a
+:class:`FeedForwardNetwork` (Linear → LayerNorm → ReLU → Dropout blocks),
+trained with weighted binary cross entropy and :class:`AdamW`, the only
+optimizer.  Each layer's ``backward`` assigns its gradients, so nothing is
+zeroed between steps.
+"""
+
+from repro.neural.activations import relu, sigmoid
+from repro.neural.calibration import logit, sharpen_probabilities
 from repro.neural.featurizer import FeaturizerConfig, PairFeaturizer
-from repro.neural.layers import Activation, Dropout, Layer, LayerNorm, Linear
-from repro.neural.losses import binary_cross_entropy, binary_cross_entropy_with_logits
+from repro.neural.layers import Dropout, Layer, LayerNorm, Linear, ReLU
+from repro.neural.losses import binary_cross_entropy_with_logits
 from repro.neural.matcher import MatcherConfig, NeuralMatcher, TrainingHistory
-from repro.neural.network import FeedForwardNetwork, NetworkConfig
-from repro.neural.optimizers import SGD, Adam, AdamW, Optimizer
+from repro.neural.network import FeedForwardNetwork
+from repro.neural.optimizers import AdamW
 
 __all__ = [
-    "Activation",
-    "Adam",
     "AdamW",
     "Dropout",
     "FeaturizerConfig",
@@ -25,20 +25,13 @@ __all__ = [
     "LayerNorm",
     "Linear",
     "MatcherConfig",
-    "NetworkConfig",
     "NeuralMatcher",
-    "Optimizer",
     "PairFeaturizer",
-    "SGD",
-    "TemperatureScaler",
+    "ReLU",
     "TrainingHistory",
-    "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
-    "expected_calibration_error",
     "logit",
     "relu",
     "sharpen_probabilities",
     "sigmoid",
-    "softmax",
-    "tanh",
 ]

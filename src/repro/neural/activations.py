@@ -1,4 +1,4 @@
-"""Activation functions and their derivatives (pure NumPy)."""
+"""The activation functions the matcher uses (pure NumPy)."""
 
 from __future__ import annotations
 
@@ -23,34 +23,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     exp_x = np.exp(x[~positive])
     out[~positive] = exp_x / (1.0 + exp_x)
     return out
-
-
-def sigmoid_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of the sigmoid with respect to its input."""
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent."""
-    return np.tanh(x)
-
-
-def tanh_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of tanh with respect to its input."""
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
-
-
-ACTIVATIONS = {
-    "relu": (relu, relu_grad),
-    "sigmoid": (sigmoid, sigmoid_grad),
-    "tanh": (tanh, tanh_grad),
-}

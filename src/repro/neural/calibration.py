@@ -1,16 +1,13 @@
-"""Confidence calibration utilities.
+"""Confidence sharpening for the matcher's probabilities.
 
 Section 3.5.1 of the paper argues that transformer matchers produce
 *dichotomous* confidence values (close to 0 or 1) that are poorly calibrated,
 which is why the battleship approach replaces plain conditional entropy with a
-spatial certainty measure.  This module provides the tools used to quantify
-and manipulate that phenomenon in the reproduction:
-
-* :func:`expected_calibration_error` measures mis-calibration,
-* :class:`TemperatureScaler` is the standard post-hoc fix (fit on validation),
-* :func:`sharpen_probabilities` exaggerates over-confidence, which the matcher
-  uses to emulate the dichotomous behaviour of a fully fine-tuned PLM even
-  when the underlying MLP is comparatively well calibrated.
+spatial certainty measure.  :func:`sharpen_probabilities` exaggerates
+over-confidence; :class:`repro.neural.matcher.NeuralMatcher` applies it (with
+``MatcherConfig.confidence_temperature``) to emulate the dichotomous
+behaviour of a fully fine-tuned PLM even when the underlying MLP is
+comparatively well calibrated.
 """
 
 from __future__ import annotations
@@ -37,55 +34,3 @@ def sharpen_probabilities(probabilities: np.ndarray, temperature: float = 0.5) -
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     return sigmoid(logit(probabilities) / temperature)
-
-
-def expected_calibration_error(probabilities: np.ndarray, labels: np.ndarray,
-                               num_bins: int = 10) -> float:
-    """Expected calibration error over equal-width confidence bins."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if probabilities.shape != labels.shape:
-        raise ValueError("probabilities and labels must have the same shape")
-    if len(probabilities) == 0:
-        return 0.0
-    confidences = np.where(probabilities >= 0.5, probabilities, 1.0 - probabilities)
-    predictions = (probabilities >= 0.5).astype(np.float64)
-    accuracies = (predictions == labels).astype(np.float64)
-    bins = np.linspace(0.0, 1.0, num_bins + 1)
-    error = 0.0
-    for low, high in zip(bins[:-1], bins[1:]):
-        mask = (confidences > low) & (confidences <= high)
-        if not np.any(mask):
-            continue
-        error += np.abs(accuracies[mask].mean() - confidences[mask].mean()) * mask.mean()
-    return float(error)
-
-
-class TemperatureScaler:
-    """Post-hoc temperature scaling fitted by grid search on validation NLL."""
-
-    def __init__(self, temperatures: np.ndarray | None = None) -> None:
-        self.temperatures = (temperatures if temperatures is not None
-                             else np.geomspace(0.05, 20.0, 200))
-        self.temperature_: float | None = None
-
-    def fit(self, probabilities: np.ndarray, labels: np.ndarray) -> "TemperatureScaler":
-        """Pick the temperature minimizing negative log likelihood."""
-        logits = logit(probabilities)
-        labels = np.asarray(labels, dtype=np.float64)
-        best_temperature, best_nll = 1.0, np.inf
-        for temperature in self.temperatures:
-            scaled = sigmoid(logits / temperature)
-            scaled = np.clip(scaled, _EPSILON, 1.0 - _EPSILON)
-            nll = float(-np.mean(labels * np.log(scaled)
-                                 + (1.0 - labels) * np.log(1.0 - scaled)))
-            if nll < best_nll:
-                best_nll, best_temperature = nll, float(temperature)
-        self.temperature_ = best_temperature
-        return self
-
-    def transform(self, probabilities: np.ndarray) -> np.ndarray:
-        """Rescale probabilities with the fitted temperature."""
-        if self.temperature_ is None:
-            raise RuntimeError("TemperatureScaler.fit must be called before transform")
-        return sigmoid(logit(probabilities) / self.temperature_)

@@ -73,6 +73,8 @@ class FeaturizerConfig:
         vectors.
     include_similarities:
         Include per-attribute similarity scores.
+    qgram_size:
+        Length of the character q-grams that are hashed and compared (>= 1).
     """
 
     hash_dim: int = 192
@@ -84,6 +86,8 @@ class FeaturizerConfig:
     def __post_init__(self) -> None:
         if self.hash_dim <= 0:
             raise ValueError("hash_dim must be positive")
+        if self.qgram_size < 1:
+            raise ValueError(f"qgram_size must be at least 1, got {self.qgram_size}")
         if not (self.include_raw or self.include_interactions or self.include_similarities):
             raise ValueError("At least one feature family must be enabled")
 

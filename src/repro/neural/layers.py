@@ -2,8 +2,10 @@
 
 Each layer exposes ``forward(x, training)`` and ``backward(grad_output)``;
 parameters and their gradients live in ``layer.parameters`` /
-``layer.gradients`` dictionaries keyed by parameter name so the optimizers in
-:mod:`repro.neural.optimizers` can update any layer uniformly.
+``layer.gradients`` dictionaries keyed by parameter name so
+:class:`repro.neural.optimizers.AdamW` can update any layer uniformly.
+``backward`` assigns every gradient and never accumulates, so nothing is
+zeroed between steps; ``gradients`` is empty until the first ``backward``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import abc
 import numpy as np
 
 from repro._rng import RandomState, ensure_rng
-from repro.neural.activations import ACTIVATIONS
+from repro.neural.activations import relu, relu_grad
 
 
 class Layer(abc.ABC):
@@ -31,16 +33,6 @@ class Layer(abc.ABC):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Back-propagate ``grad_output`` and return the gradient w.r.t. the input."""
 
-    @property
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars in the layer."""
-        return int(sum(p.size for p in self.parameters.values()))
-
-    def zero_gradients(self) -> None:
-        """Reset accumulated gradients to zero."""
-        for name, parameter in self.parameters.items():
-            self.gradients[name] = np.zeros_like(parameter)
-
 
 class Linear(Layer):
     """Fully connected layer ``y = x W + b`` with He-style initialization."""
@@ -56,7 +48,6 @@ class Linear(Layer):
         self.out_features = out_features
         self.parameters["weight"] = rng.normal(0.0, scale, size=(in_features, out_features))
         self.parameters["bias"] = np.zeros(out_features)
-        self.zero_gradients()
         self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -71,25 +62,21 @@ class Linear(Layer):
         return grad_output @ self.parameters["weight"].T
 
 
-class Activation(Layer):
-    """Element-wise activation layer (relu / sigmoid / tanh)."""
+class ReLU(Layer):
+    """Element-wise rectified linear unit, the hidden blocks' activation."""
 
-    def __init__(self, name: str = "relu") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if name not in ACTIVATIONS:
-            raise ValueError(f"Unknown activation {name!r}; expected one of {sorted(ACTIVATIONS)}")
-        self.name = name
-        self._function, self._gradient = ACTIVATIONS[name]
         self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._input = x if training else None
-        return self._function(x)
+        return relu(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before a training forward pass")
-        return grad_output * self._gradient(self._input)
+        return grad_output * relu_grad(self._input)
 
 
 class Dropout(Layer):
@@ -128,28 +115,23 @@ class LayerNorm(Layer):
         self.epsilon = epsilon
         self.parameters["gamma"] = np.ones(num_features)
         self.parameters["beta"] = np.zeros(num_features)
-        self.zero_gradients()
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         variance = x.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(variance + self.epsilon)
         normalized = (x - mean) * inv_std
-        if training:
-            self._cache = (normalized, inv_std, x)
-        else:
-            self._cache = None
+        self._cache = (normalized, inv_std) if training else None
         return normalized * self.parameters["gamma"] + self.parameters["beta"]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training forward pass")
-        normalized, inv_std, _ = self._cache
+        normalized, inv_std = self._cache
         gamma = self.parameters["gamma"]
         self.gradients["gamma"] = (grad_output * normalized).sum(axis=0)
         self.gradients["beta"] = grad_output.sum(axis=0)
-        n = normalized.shape[-1]
         grad_normalized = grad_output * gamma
         # Standard layer-norm backward pass.
         grad_input = (

@@ -34,12 +34,3 @@ def binary_cross_entropy_with_logits(
     loss = float(np.mean(weights * losses))
     grad = weights * (probabilities - targets) / len(logits)
     return loss, grad
-
-
-def binary_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross entropy on probabilities (no gradient)."""
-    probabilities = np.clip(np.asarray(probabilities, dtype=np.float64), _EPSILON, 1 - _EPSILON)
-    targets = np.asarray(targets, dtype=np.float64)
-    return float(np.mean(
-        -(targets * np.log(probabilities) + (1.0 - targets) * np.log(1.0 - probabilities))
-    ))

@@ -20,7 +20,7 @@ from repro.exceptions import NotFittedError
 from repro.neural.activations import sigmoid
 from repro.neural.calibration import sharpen_probabilities
 from repro.neural.losses import binary_cross_entropy_with_logits
-from repro.neural.network import FeedForwardNetwork, NetworkConfig
+from repro.neural.network import FeedForwardNetwork
 from repro.neural.optimizers import AdamW
 
 
@@ -30,7 +30,11 @@ class MatcherConfig:
 
     The defaults mirror the spirit of Section 4.2: AdamW, a fixed epoch
     budget, model selection by validation F1, and a batch size small enough
-    for low-resource training sets.
+    for low-resource training sets.  ``hidden_dims``, ``dropout`` and
+    ``use_layer_norm`` shape the :class:`FeedForwardNetwork`; the last hidden
+    size is the pair-representation width (768 for the paper's ``[CLS]``
+    vector, 128 here to stay CPU-friendly).  Every range is checked here, so
+    a bad value fails when the config is built, not inside a run.
     """
 
     hidden_dims: tuple[int, ...] = (256, 128)
@@ -45,6 +49,16 @@ class MatcherConfig:
     random_state: int = 0
 
     def __post_init__(self) -> None:
+        if not self.hidden_dims:
+            raise ValueError("hidden_dims must contain at least one layer size")
+        if any(dim <= 0 for dim in self.hidden_dims):
+            raise ValueError(f"hidden_dims sizes must be positive, got {self.hidden_dims}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.batch_size <= 0:
@@ -89,7 +103,6 @@ class NeuralMatcher:
         self.config = config or MatcherConfig()
         self.input_dim = input_dim
         self._network: FeedForwardNetwork | None = None
-        self._best_parameters: list[dict[str, np.ndarray]] | None = None
         self.history: TrainingHistory | None = None
 
     # ------------------------------------------------------------------ #
@@ -104,15 +117,6 @@ class NeuralMatcher:
     def representation_dim(self) -> int:
         """Dimensionality of the pair representation."""
         return self.config.hidden_dims[-1]
-
-    def _build_network(self, rng: np.random.Generator) -> FeedForwardNetwork:
-        network_config = NetworkConfig(
-            input_dim=self.input_dim,
-            hidden_dims=self.config.hidden_dims,
-            dropout=self.config.dropout,
-            use_layer_norm=self.config.use_layer_norm,
-        )
-        return FeedForwardNetwork(network_config, random_state=rng)
 
     def _positive_weight(self, y: np.ndarray) -> float:
         if self.config.positive_weight is not None:
@@ -161,7 +165,10 @@ class NeuralMatcher:
 
         rng = ensure_rng(self.config.random_state)
         network_rng, shuffle_rng = spawn_rng(rng, 2)
-        network = self._build_network(network_rng)
+        network = FeedForwardNetwork(
+            self.input_dim, hidden_dims=self.config.hidden_dims,
+            dropout=self.config.dropout, use_layer_norm=self.config.use_layer_norm,
+            random_state=network_rng)
         optimizer = AdamW(network.layers, learning_rate=self.config.learning_rate,
                           weight_decay=self.config.weight_decay)
         positive_weight = self._positive_weight(labels)
@@ -183,7 +190,6 @@ class NeuralMatcher:
                 x_batch, y_batch = features[batch], labels[batch]
                 logits, _ = network.forward(x_batch, training=True)
                 loss, grad = binary_cross_entropy_with_logits(logits, y_batch, positive_weight)
-                network.zero_gradients()
                 network.backward(grad)
                 optimizer.step()
                 epoch_losses.append(loss)
@@ -205,7 +211,6 @@ class NeuralMatcher:
 
         self._restore_parameters(network, best_snapshot)
         self._network = network
-        self._best_parameters = best_snapshot
         self.history = history
         return history
 

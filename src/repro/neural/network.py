@@ -3,73 +3,48 @@
 The network mirrors the role of DITTO's transformer encoder + classification
 head: a stack of hidden blocks (Linear → LayerNorm → ReLU → Dropout) produces
 the *pair representation* (the analogue of the ``[CLS]`` embedding), and a
-final Linear layer maps it to a single match logit.
+final Linear layer maps it to a single match logit.  Its architecture comes
+from :class:`repro.neural.matcher.MatcherConfig`, which validates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro._rng import RandomState, ensure_rng, spawn_rng
-from repro.neural.layers import Activation, Dropout, Layer, LayerNorm, Linear
+from repro.neural.layers import Dropout, Layer, LayerNorm, Linear, ReLU
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Architecture of the matcher network.
+class FeedForwardNetwork:
+    """Hidden blocks + scalar output head with manual backpropagation.
 
-    Attributes
+    Parameters
     ----------
     input_dim:
         Width of the featurized pair vector.
     hidden_dims:
         Sizes of the hidden blocks; the last entry is the dimensionality of the
-        pair representation (the paper's ``[CLS]`` vector has 768 dimensions;
-        the default here is 128 to stay CPU-friendly).
+        pair representation (the paper's ``[CLS]`` vector has 768 dimensions).
     dropout:
         Dropout rate applied after each hidden activation.
     use_layer_norm:
         Whether hidden blocks include layer normalization.
     """
 
-    input_dim: int
-    hidden_dims: tuple[int, ...] = (256, 128)
-    dropout: float = 0.1
-    use_layer_norm: bool = True
-
-    def __post_init__(self) -> None:
-        if self.input_dim <= 0:
-            raise ValueError("input_dim must be positive")
-        if not self.hidden_dims:
-            raise ValueError("hidden_dims must contain at least one layer size")
-        if any(dim <= 0 for dim in self.hidden_dims):
-            raise ValueError("hidden layer sizes must be positive")
-
-    @property
-    def representation_dim(self) -> int:
-        """Dimensionality of the pair representation (last hidden width)."""
-        return self.hidden_dims[-1]
-
-
-class FeedForwardNetwork:
-    """Hidden blocks + scalar output head with manual backpropagation."""
-
-    def __init__(self, config: NetworkConfig, random_state: RandomState = None) -> None:
-        self.config = config
+    def __init__(self, input_dim: int, hidden_dims: tuple[int, ...], dropout: float,
+                 use_layer_norm: bool, random_state: RandomState = None) -> None:
         rng = ensure_rng(random_state)
-        layer_rngs = iter(spawn_rng(rng, 2 * len(config.hidden_dims) + 1))
+        layer_rngs = iter(spawn_rng(rng, 2 * len(hidden_dims) + 1))
 
         self.hidden_layers: list[Layer] = []
-        in_dim = config.input_dim
-        for hidden_dim in config.hidden_dims:
+        in_dim = input_dim
+        for hidden_dim in hidden_dims:
             self.hidden_layers.append(Linear(in_dim, hidden_dim, next(layer_rngs)))
-            if config.use_layer_norm:
+            if use_layer_norm:
                 self.hidden_layers.append(LayerNorm(hidden_dim))
-            self.hidden_layers.append(Activation("relu"))
-            if config.dropout > 0:
-                self.hidden_layers.append(Dropout(config.dropout, next(layer_rngs)))
+            self.hidden_layers.append(ReLU())
+            if dropout > 0:
+                self.hidden_layers.append(Dropout(dropout, next(layer_rngs)))
             in_dim = hidden_dim
         self.output_layer = Linear(in_dim, 1, next(layer_rngs))
 
@@ -77,11 +52,6 @@ class FeedForwardNetwork:
     def layers(self) -> list[Layer]:
         """All layers, hidden blocks first, output head last."""
         return [*self.hidden_layers, self.output_layer]
-
-    @property
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return sum(layer.num_parameters for layer in self.layers)
 
     def representation(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Pair representations: activations after the last hidden block."""
@@ -97,13 +67,12 @@ class FeedForwardNetwork:
         return logits, representation
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        """Backpropagate the gradient of the loss w.r.t. the output logits."""
+        """Backpropagate the gradient of the loss w.r.t. the output logits.
+
+        Every layer assigns its ``gradients`` afresh, so no zeroing pass is
+        needed between optimizer steps.
+        """
         grad = np.asarray(grad_logits, dtype=np.float64).reshape(-1, 1)
         grad = self.output_layer.backward(grad)
         for layer in reversed(self.hidden_layers):
             grad = layer.backward(grad)
-
-    def zero_gradients(self) -> None:
-        """Reset gradients in every layer."""
-        for layer in self.layers:
-            layer.zero_gradients()

@@ -1,14 +1,15 @@
-"""Gradient-descent optimizers (SGD, Adam, AdamW).
+"""The matcher's optimizer: AdamW.
 
 The paper trains DITTO with AdamW at a learning rate of ``3e-5``
-(Section 4.2); :class:`AdamW` here follows Loshchilov & Hutter's decoupled
-weight decay formulation.  Optimizers operate on the ``parameters`` /
-``gradients`` dictionaries exposed by :class:`repro.neural.layers.Layer`.
+(Section 4.2), and :class:`AdamW` is the only optimizer
+:meth:`repro.neural.matcher.NeuralMatcher.fit` builds.  It follows
+Loshchilov & Hutter's decoupled weight decay formulation and updates the
+``parameters`` of :class:`repro.neural.layers.Layer` in place from the
+``gradients`` that each ``backward`` pass assigns.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Iterable
 
 import numpy as np
@@ -16,61 +17,24 @@ import numpy as np
 from repro.neural.layers import Layer
 
 
-class Optimizer(abc.ABC):
-    """Base class for optimizers operating on a list of layers."""
-
-    def __init__(self, layers: Iterable[Layer], learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        self.layers = [layer for layer in layers if layer.parameters]
-        self.learning_rate = learning_rate
-
-    @abc.abstractmethod
-    def step(self) -> None:
-        """Apply one update using the gradients currently stored in the layers."""
-
-    def zero_gradients(self) -> None:
-        """Reset the gradients of every managed layer."""
-        for layer in self.layers:
-            layer.zero_gradients()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, layers: Iterable[Layer], learning_rate: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        super().__init__(layers, learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: list[dict[str, np.ndarray]] = [
-            {name: np.zeros_like(parameter) for name, parameter in layer.parameters.items()}
-            for layer in self.layers
-        ]
-
-    def step(self) -> None:
-        for layer, velocity in zip(self.layers, self._velocity):
-            for name, parameter in layer.parameters.items():
-                gradient = layer.gradients[name]
-                if self.momentum > 0:
-                    velocity[name] = self.momentum * velocity[name] - self.learning_rate * gradient
-                    parameter += velocity[name]
-                else:
-                    parameter -= self.learning_rate * gradient
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba)."""
+class AdamW:
+    """Adam (Kingma & Ba) with decoupled weight decay (the paper's optimizer for DITTO)."""
 
     def __init__(self, layers: Iterable[Layer], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> None:
-        super().__init__(layers, learning_rate)
+                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
+                 weight_decay: float = 0.01) -> None:
+        if learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        self.layers = [layer for layer in layers if layer.parameters]
+        self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
+        self.weight_decay = weight_decay
         self._step_count = 0
         self._first_moment = self._init_state()
         self._second_moment = self._init_state()
@@ -81,43 +45,20 @@ class Adam(Optimizer):
             for layer in self.layers
         ]
 
-    def _update_parameter(self, layer_index: int, name: str,
-                          parameter: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-        """Compute the Adam update direction for one parameter tensor."""
-        m = self._first_moment[layer_index][name]
-        v = self._second_moment[layer_index][name]
-        m[:] = self.beta1 * m + (1.0 - self.beta1) * gradient
-        v[:] = self.beta2 * v + (1.0 - self.beta2) * gradient * gradient
-        m_hat = m / (1.0 - self.beta1 ** self._step_count)
-        v_hat = v / (1.0 - self.beta2 ** self._step_count)
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
     def step(self) -> None:
+        """Apply one update using the gradients currently stored in the layers."""
         self._step_count += 1
-        for layer_index, layer in enumerate(self.layers):
+        for layer, first_moment, second_moment in zip(
+                self.layers, self._first_moment, self._second_moment):
             for name, parameter in layer.parameters.items():
-                update = self._update_parameter(layer_index, name, parameter,
-                                                layer.gradients[name])
-                parameter -= update
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (the paper's optimizer for DITTO)."""
-
-    def __init__(self, layers: Iterable[Layer], learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
-                 weight_decay: float = 0.01) -> None:
-        super().__init__(layers, learning_rate, beta1, beta2, epsilon)
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.weight_decay = weight_decay
-
-    def step(self) -> None:
-        self._step_count += 1
-        for layer_index, layer in enumerate(self.layers):
-            for name, parameter in layer.parameters.items():
-                update = self._update_parameter(layer_index, name, parameter,
-                                                layer.gradients[name])
+                gradient = layer.gradients[name]
+                m = first_moment[name]
+                v = second_moment[name]
+                m[:] = self.beta1 * m + (1.0 - self.beta1) * gradient
+                v[:] = self.beta2 * v + (1.0 - self.beta2) * gradient * gradient
+                m_hat = m / (1.0 - self.beta1 ** self._step_count)
+                v_hat = v / (1.0 - self.beta2 ** self._step_count)
+                update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
                 # Decoupled weight decay: applied directly to the weights,
                 # never to bias or normalization parameters.
                 if self.weight_decay > 0 and name == "weight":

@@ -108,6 +108,28 @@ def test_config_invariants_are_checked():
     assert any("epochs" in issue.message for issue in report.errors)
 
 
+@pytest.mark.parametrize("table, setting", [
+    ("matcher", "learning_rate = 0.0"),
+    ("matcher", "weight_decay = -0.5"),
+    ("matcher", "dropout = 1.0"),
+    ("matcher", "hidden_dims = []"),
+    ("matcher", "hidden_dims = [0]"),
+    ("featurizer", "qgram_size = 0"),
+])
+def test_values_a_run_would_crash_on_are_errors(table, setting):
+    """The config's own checks reject them before any job is built."""
+    if table == "matcher":
+        text = GOOD_MANIFEST.replace("hidden_dims = [24]", setting)
+    else:
+        text = GOOD_MANIFEST.replace(
+            "[[grid]]", f"[settings.{table}]\n{setting}\n\n[[grid]]", 1)
+    report = lint_manifest(parse_manifest_text(text))
+    assert not report.ok
+    [issue] = report.errors
+    assert issue.field == f"settings.{table}"
+    assert setting.split(" = ")[0] in issue.message
+
+
 def test_seed_range_requires_start_and_count():
     text = GOOD_MANIFEST + "\n[[grid]]\ndatasets = [\"abt_buy\"]\n" \
                            "methods = [\"random\"]\nseeds = { stride = 5 }\n"

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.neural.calibration import (
-    TemperatureScaler,
-    expected_calibration_error,
-    logit,
-    sharpen_probabilities,
-)
+from repro.neural.calibration import logit, sharpen_probabilities
 
 
 class TestLogitAndSharpen:
@@ -42,47 +37,3 @@ class TestLogitAndSharpen:
         extreme_fraction = np.mean((sharpened < 0.05) | (sharpened > 0.95))
         assert extreme_fraction > 0.5
 
-
-class TestExpectedCalibrationError:
-    def test_perfectly_calibrated_predictions(self):
-        labels = np.array([1.0, 0.0, 1.0, 0.0])
-        probabilities = np.array([0.99, 0.01, 0.98, 0.02])
-        assert expected_calibration_error(probabilities, labels) < 0.05
-
-    def test_overconfident_predictions_have_high_ece(self):
-        rng = np.random.default_rng(1)
-        labels = (rng.random(400) < 0.5).astype(float)
-        probabilities = np.where(labels > 0.5, 0.99, 0.99)  # always confident "match"
-        assert expected_calibration_error(probabilities, labels) > 0.3
-
-    def test_empty_input(self):
-        assert expected_calibration_error(np.array([]), np.array([])) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            expected_calibration_error(np.zeros(3), np.zeros(2))
-
-
-class TestTemperatureScaler:
-    def test_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            TemperatureScaler().transform(np.array([0.5]))
-
-    def test_recovers_sharpening_temperature(self):
-        rng = np.random.default_rng(2)
-        true_probabilities = rng.uniform(0.05, 0.95, size=2000)
-        labels = (rng.random(2000) < true_probabilities).astype(float)
-        overconfident = sharpen_probabilities(true_probabilities, temperature=0.5)
-        scaler = TemperatureScaler().fit(overconfident, labels)
-        # Recalibrating should require a temperature > 1 (softening).
-        assert scaler.temperature_ is not None
-        assert scaler.temperature_ > 1.0
-        recalibrated = scaler.transform(overconfident)
-        assert (expected_calibration_error(recalibrated, labels)
-                <= expected_calibration_error(overconfident, labels) + 1e-9)
-
-    def test_transform_bounds(self):
-        scaler = TemperatureScaler().fit(np.array([0.2, 0.8]), np.array([0.0, 1.0]))
-        transformed = scaler.transform(np.array([0.1, 0.9]))
-        assert np.all(transformed >= 0.0)
-        assert np.all(transformed <= 1.0)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.neural.activations import relu, sigmoid, softmax, tanh
-from repro.neural.layers import Activation, Dropout, LayerNorm, Linear
+from repro.neural.activations import relu, sigmoid
+from repro.neural.layers import Dropout, LayerNorm, Linear, ReLU
 
 
 def numerical_gradient(function, x, epsilon=1e-6):
@@ -34,13 +34,6 @@ class TestActivationFunctions:
         assert values[1] == pytest.approx(0.5)
         assert values[2] == pytest.approx(1.0, abs=1e-12)
 
-    def test_tanh(self):
-        assert tanh(np.array([0.0]))[0] == 0.0
-
-    def test_softmax_sums_to_one(self):
-        probabilities = softmax(np.array([[1.0, 2.0, 3.0]]))
-        assert probabilities.sum() == pytest.approx(1.0)
-
 
 class TestLinear:
     def test_forward_shape(self):
@@ -68,7 +61,6 @@ class TestLinear:
             return float(np.sum(layer.forward(x, training=True) * target_grad))
 
         layer.forward(x, training=True)
-        layer.zero_gradients()
         grad_input = layer.backward(target_grad)
 
         numerical_weight = numerical_gradient(loss, layer.parameters["weight"])
@@ -79,26 +71,18 @@ class TestLinear:
         numerical_input = numerical_gradient(loss, x)
         assert np.allclose(grad_input, numerical_input, atol=1e-5)
 
-    def test_num_parameters(self):
-        layer = Linear(4, 3)
-        assert layer.num_parameters == 4 * 3 + 3
-
 
 class TestActivationLayer:
     def test_relu_forward_backward(self):
-        layer = Activation("relu")
+        layer = ReLU()
         x = np.array([[-1.0, 2.0]])
         out = layer.forward(x, training=True)
         assert np.array_equal(out, np.array([[0.0, 2.0]]))
         grad = layer.backward(np.ones_like(x))
         assert np.array_equal(grad, np.array([[0.0, 1.0]]))
 
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            Activation("swish")
-
     def test_backward_requires_training(self):
-        layer = Activation("relu")
+        layer = ReLU()
         layer.forward(np.ones((1, 2)), training=False)
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((1, 2)))
@@ -156,7 +140,6 @@ class TestLayerNorm:
             return float(np.sum(layer.forward(x, training=True) * target))
 
         layer.forward(x, training=True)
-        layer.zero_gradients()
         grad_input = layer.backward(target)
         numerical_input = numerical_gradient(loss, x)
         assert np.allclose(grad_input, numerical_input, atol=1e-5)
@@ -166,3 +149,26 @@ class TestLayerNorm:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             LayerNorm(0)
+
+
+@pytest.mark.parametrize("make_layer", [lambda: Linear(4, 3, random_state=0),
+                                        lambda: LayerNorm(4)],
+                         ids=["Linear", "LayerNorm"])
+def test_backward_assigns_gradients(make_layer):
+    """A second ``backward`` overwrites the gradients instead of adding to
+    them, which is why training needs no zeroing pass between steps."""
+    rng = np.random.default_rng(2)
+    layer = make_layer()
+    x = rng.normal(size=(6, 4))
+    out = layer.forward(x, training=True)
+    first = rng.normal(size=out.shape)
+    second = rng.normal(size=out.shape)
+    layer.backward(first)
+    layer.backward(second)
+    after_both = {name: grad.copy() for name, grad in layer.gradients.items()}
+    fresh = make_layer()
+    fresh.forward(x, training=True)
+    fresh.backward(second)
+    assert sorted(after_both) == sorted(fresh.parameters)
+    for name, grad in fresh.gradients.items():
+        assert np.array_equal(after_both[name], grad)

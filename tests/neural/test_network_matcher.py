@@ -7,41 +7,44 @@ from repro.data.pair import MATCH
 from repro.exceptions import NotFittedError
 from repro.neural.featurizer import FeaturizerConfig, PairFeaturizer
 from repro.neural.matcher import MatcherConfig, NeuralMatcher
-from repro.neural.network import FeedForwardNetwork, NetworkConfig
+from repro.neural.network import FeedForwardNetwork
 
 
 class TestNetworkConfig:
+    """The network's architecture, set by ``input_dim`` and ``MatcherConfig``."""
+
     def test_representation_dim_is_last_hidden(self):
-        config = NetworkConfig(input_dim=10, hidden_dims=(32, 16))
-        assert config.representation_dim == 16
+        matcher = NeuralMatcher(input_dim=10, config=MatcherConfig(hidden_dims=(32, 16)))
+        assert matcher.representation_dim == 16
+        network = FeedForwardNetwork(10, hidden_dims=(32, 16), dropout=0.1,
+                                     use_layer_norm=True, random_state=0)
+        assert network.representation(np.ones((3, 10))).shape == (3, 16)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            NetworkConfig(input_dim=0)
+            NeuralMatcher(input_dim=0)
         with pytest.raises(ValueError):
-            NetworkConfig(input_dim=4, hidden_dims=())
+            MatcherConfig(hidden_dims=())
         with pytest.raises(ValueError):
-            NetworkConfig(input_dim=4, hidden_dims=(8, 0))
+            MatcherConfig(hidden_dims=(8, 0))
+        with pytest.raises(ValueError):
+            MatcherConfig(dropout=1.0)
+        with pytest.raises(ValueError):
+            MatcherConfig(dropout=-0.1)
 
 
 class TestFeedForwardNetwork:
     def test_forward_shapes(self):
-        network = FeedForwardNetwork(NetworkConfig(input_dim=12, hidden_dims=(16, 8)),
-                                     random_state=0)
+        network = FeedForwardNetwork(12, hidden_dims=(16, 8), dropout=0.1,
+                                     use_layer_norm=True, random_state=0)
         logits, representations = network.forward(np.ones((5, 12)))
         assert logits.shape == (5,)
         assert representations.shape == (5, 8)
 
-    def test_num_parameters_positive(self):
-        network = FeedForwardNetwork(NetworkConfig(input_dim=12, hidden_dims=(16,)),
-                                     random_state=0)
-        assert network.num_parameters > 12 * 16
-
     def test_backward_runs_after_training_forward(self):
-        network = FeedForwardNetwork(NetworkConfig(input_dim=6, hidden_dims=(8,)),
-                                     random_state=0)
+        network = FeedForwardNetwork(6, hidden_dims=(8,), dropout=0.1,
+                                     use_layer_norm=True, random_state=0)
         logits, _ = network.forward(np.ones((4, 6)), training=True)
-        network.zero_gradients()
         network.backward(np.ones_like(logits))
         assert any(np.any(layer.gradients.get("weight", 0) != 0)
                    for layer in network.layers if layer.parameters)
@@ -80,6 +83,8 @@ class TestPairFeaturizer:
         with pytest.raises(ValueError):
             FeaturizerConfig(hash_dim=0)
         with pytest.raises(ValueError):
+            FeaturizerConfig(qgram_size=0)
+        with pytest.raises(ValueError):
             FeaturizerConfig(include_raw=False, include_interactions=False,
                              include_similarities=False)
 
@@ -100,6 +105,10 @@ class TestMatcherConfig:
             MatcherConfig(positive_weight=0.0)
         with pytest.raises(ValueError):
             MatcherConfig(confidence_temperature=0.0)
+        with pytest.raises(ValueError):
+            MatcherConfig(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            MatcherConfig(weight_decay=-0.5)
 
 
 class TestNeuralMatcher:

@@ -1,7 +1,9 @@
 """Executable specifications that the optimized code in ``src/`` is checked against.
 
-Each module keeps a straightforward, loop-based version of a rewritten
-routine.  The oracle tests in this package require the rewrite to match it
-exactly, or within a tolerance stated in the test where the summation order
-changed.  Nothing under ``src/`` imports from here.
+Each module keeps a straightforward version of a routine that ``src/``
+rewrote or folded: loop-based versions of the clustering, graph and
+featurization code, and the original two-method Adam/AdamW step.  The oracle
+tests require the code in ``src/`` to match it exactly, or within a
+tolerance stated in the test where the summation order changed.  Nothing
+under ``src/`` imports from here.
 """

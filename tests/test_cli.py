@@ -51,6 +51,27 @@ class TestParser:
                                           "--alpha", value, "--beta", value])
         assert args.alpha == args.beta == float(value)
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--epochs", "0"),
+        ("run", "--budget", "0"),
+        ("run", "--iterations", "-1"),
+        ("run", "--seed-size", "0"),
+        ("run", "--seed-size", "-3"),
+        ("run", "--budget", "ten"),
+        ("full", "--epochs", "0"),
+    ])
+    def test_out_of_range_count_rejected(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--dataset", "amazon_google", flag, value])
+        assert raised.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_count_bounds_accepted(self):
+        args = build_parser().parse_args(
+            ["run", "--dataset", "amazon_google", "--iterations", "0",
+             "--budget", "1", "--seed-size", "1", "--epochs", "1"])
+        assert (args.iterations, args.budget, args.seed_size, args.epochs) == (0, 1, 1, 1)
+
     def test_experiments_defaults(self):
         args = build_parser().parse_args(["experiments"])
         assert args.jobs == 1
