@@ -155,9 +155,9 @@ class ActiveLearningLoop:
     seed_size:
         Size of the labeled initialization seed ``D_train_0`` (half matches,
         half non-matches); defaults to ``budget_per_iteration``.
-    weak_supervision / weak_budget:
-        Weak-supervision mode (Section 3.7) and its per-iteration budget
-        (defaults to ``budget_per_iteration``).
+    weak_supervision:
+        Weak-supervision mode (Section 3.7); each iteration proposes up to
+        ``budget_per_iteration`` weak labels.
     features:
         Optional precomputed feature matrix for *all* candidate pairs of
         ``dataset`` (as produced by ``PairFeaturizer(featurizer_config)
@@ -178,7 +178,6 @@ class ActiveLearningLoop:
         budget_per_iteration: int = 100,
         seed_size: int | None = None,
         weak_supervision: WeakSupervisionMode | str | None = WeakSupervisionMode.SELECTOR,
-        weak_budget: int | None = None,
         random_state: RandomState = None,
         features: np.ndarray | None = None,
     ) -> None:
@@ -195,7 +194,6 @@ class ActiveLearningLoop:
         self.budget_per_iteration = budget_per_iteration
         self.seed_size = seed_size if seed_size is not None else budget_per_iteration
         self.weak_mode = resolve_mode(weak_supervision)
-        self.weak_budget = weak_budget if weak_budget is not None else budget_per_iteration
         self._rng = ensure_rng(random_state)
 
         if features is not None:
@@ -326,7 +324,7 @@ class ActiveLearningLoop:
                 start = time.perf_counter()
                 selected = self.selector.select(context)
                 weak = select_weak_labels(self.weak_mode, self.selector, context,
-                                          self.weak_budget)
+                                          self.budget_per_iteration)
                 selection_seconds = time.perf_counter() - start
 
                 selected = [int(index) for index in selected

@@ -11,10 +11,10 @@ of the scenario matrix (:mod:`repro.scenarios`):
 * :class:`AbstainingOracle` — refuses to answer some queries, so the loop
   receives fewer labels than it paid for.
 
-Wrapping oracles delegate to their base oracle through
-:meth:`LabelingOracle.peek`, the sanctioned hook that answers without
-counting a query, so oracles compose (e.g. an abstaining annotator that is
-also noisy) without reaching into each other's private methods.
+Oracles do not compose: each scenario picks one.  :class:`NoisyOracle` and
+:class:`AbstainingOracle` take the gold answers from a
+:class:`PerfectOracle` of their own through :meth:`LabelingOracle.peek`, the
+hook that answers without counting a query, so each query is counted once.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class LabelingOracle(abc.ABC):
     def peek(self, pair_index: int) -> int:
         """Answer without counting a query.
 
-        This is the delegation hook wrapping oracles use: a wrapper counts
-        the query against *itself* and obtains the underlying answer here, so
-        stacking wrappers never double-counts ``num_queries`` and never
-        depends on another oracle's private methods.
+        :class:`NoisyOracle` and :class:`AbstainingOracle` count the query
+        against themselves and get the gold answer here, so
+        ``num_queries`` is billed once and no oracle reaches into another's
+        private methods.
         """
         return self._label(pair_index)
 
@@ -101,31 +101,24 @@ class NoisyOracle(LabelingOracle):
     Parameters
     ----------
     dataset:
-        Benchmark whose gold labels the default base oracle answers with.
+        Benchmark whose gold labels are flipped.
     flip_probability:
         Probability that any single answer is flipped.
     random_state:
         Seed or generator for the flip draws.
-    base:
-        Oracle supplying the unflipped answers (defaults to a
-        :class:`PerfectOracle` over ``dataset``); wrapping a non-perfect base
-        composes noise models.
     """
 
     def __init__(self, dataset: EMDataset, flip_probability: float = 0.05,
-                 random_state: RandomState = None,
-                 base: LabelingOracle | None = None) -> None:
+                 random_state: RandomState = None) -> None:
         super().__init__()
         if not 0.0 <= flip_probability <= 1.0:
             raise OracleError("flip_probability must be in [0, 1]")
-        self._base = base if base is not None else PerfectOracle(dataset)
+        self._base = PerfectOracle(dataset)
         self.flip_probability = flip_probability
         self._rng, = spawn_rng(ensure_rng(random_state), 1)
 
     def _label(self, pair_index: int) -> int:
         label = self._base.peek(pair_index)
-        if label == ABSTAIN:
-            return ABSTAIN
         if self._rng.random() < self.flip_probability:
             return 1 - label
         return label
@@ -194,23 +187,19 @@ class AbstainingOracle(LabelingOracle):
     Parameters
     ----------
     dataset:
-        Benchmark the default base oracle answers over.
+        Benchmark whose gold labels answer the queries not declined.
     abstain_probability:
         Fraction of pairs the annotator declines.
     random_state:
         Seed or generator for the abstention mask.
-    base:
-        Oracle answering the non-abstained queries (defaults to a
-        :class:`PerfectOracle` over ``dataset``).
     """
 
     def __init__(self, dataset: EMDataset, abstain_probability: float = 0.1,
-                 random_state: RandomState = None,
-                 base: LabelingOracle | None = None) -> None:
+                 random_state: RandomState = None) -> None:
         super().__init__()
         if not 0.0 <= abstain_probability <= 1.0:
             raise OracleError("abstain_probability must be in [0, 1]")
-        self._base = base if base is not None else PerfectOracle(dataset)
+        self._base = PerfectOracle(dataset)
         self.abstain_probability = abstain_probability
         self.num_abstentions = 0
         mask_rng, = spawn_rng(ensure_rng(random_state), 1)
@@ -220,7 +209,7 @@ class AbstainingOracle(LabelingOracle):
         """Label a single pair, counting the query and any billed abstention.
 
         The abstention counter lives here (not in ``_label``) so that
-        :meth:`peek` stays side-effect free, as the delegation contract
+        :meth:`peek` stays side-effect free, as its contract
         promises: only *billed* refusals count.
         """
         label = super().query(pair_index)

@@ -1,10 +1,17 @@
-"""Selector interface and the per-iteration selection context.
+"""Selector interface, the per-iteration selection context, and the per-class
+ranking the baselines share.
 
 A selector receives a :class:`SelectionContext` — everything the current
 matcher knows about the dataset — and returns the pool indices to send to the
 oracle.  Selectors may also propose *weak* labels (Section 3.7); the default
 implementation mirrors DAL: the most confident pool pairs by conditional
 entropy, half predicted matches and half predicted non-matches.
+
+DAL, DIAL and DAL's weak labels all rank each predicted class on its own and
+cut it to that class's budget; :func:`rank_per_class` is that one ranking.
+DAL and DIAL query with :func:`most_uncertain_per_class`, which ranks by
+negated uncertainty and tops up from the overall ranking when a class runs
+short.
 """
 
 from __future__ import annotations
@@ -65,14 +72,6 @@ class SelectionContext:
                 raise ValueError(f"{name} must have length {n}")
         if len(self.representations) != n:
             raise ValueError("representations must have one row per universe entry")
-        self._position = {int(index): position for position, index in enumerate(self.universe)}
-
-    # ------------------------------------------------------------------ #
-    # Convenience accessors
-    # ------------------------------------------------------------------ #
-    def position_of(self, dataset_index: int) -> int:
-        """Row position of ``dataset_index`` within the context arrays."""
-        return self._position[int(dataset_index)]
 
     @property
     def predictions(self) -> np.ndarray:
@@ -125,24 +124,54 @@ class Selector(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def rank_per_class(predictions: np.ndarray, keys: np.ndarray,
+                   positive_budget: int, negative_budget: int,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows chosen per predicted class: matches, then non-matches.
+
+    Each class's rows are ordered by ``np.argsort`` of their ``keys``
+    (ascending, default sort kind) and cut to that class's budget.
+    """
+    positive, negative = (np.flatnonzero(predictions == value) for value in (1, 0))
+    return (positive[np.argsort(keys[positive])][:positive_budget],
+            negative[np.argsort(keys[negative])][:negative_budget])
+
+
+def most_uncertain_per_class(context: SelectionContext, predictions: np.ndarray,
+                             uncertainty: np.ndarray) -> list[int]:
+    """Class-balanced uncertainty sampling over the pool (DAL and DIAL).
+
+    Half of the budget (``round(B / 2)``) goes to the most uncertain predicted
+    matches, the rest to the most uncertain predicted non-matches.  When a
+    class runs short, the budget is filled from the overall ranking.
+    ``predictions`` and ``uncertainty`` are aligned with
+    ``context.pool_positions``.
+    """
+    keys = -uncertainty
+    positive_budget = int(round(context.budget * 0.5))
+    chosen = np.concatenate(rank_per_class(
+        predictions, keys, positive_budget, context.budget - positive_budget))
+    if len(chosen) < context.budget:
+        overall = np.argsort(keys)
+        overall = overall[~np.isin(overall, chosen)]
+        chosen = np.concatenate([chosen, overall[:context.budget - len(chosen)]])
+    return context.universe[context.pool_positions[chosen]].tolist()
+
+
 def entropy_weak_selection(context: SelectionContext, budget: int) -> dict[int, int]:
-    """DAL-style weak supervision: lowest-entropy pool pairs, class balanced."""
-    if budget <= 0:
-        return {}
+    """DAL-style weak supervision: lowest-entropy pool pairs, class balanced.
+
+    ``budget // 2`` weak labels go to predicted matches, the rest to
+    predicted non-matches.
+    """
     pool = context.pool_positions
-    if len(pool) == 0:
+    if budget <= 0 or len(pool) == 0:
         return {}
     probabilities = context.probabilities[pool]
-    predictions = (probabilities >= 0.5).astype(np.int64)
-    entropies = np.asarray(conditional_entropy(probabilities))
-
-    per_class = budget // 2
-    weak: dict[int, int] = {}
-    for class_value, class_budget in ((1, per_class), (0, budget - per_class)):
-        class_positions = pool[predictions == class_value]
-        class_entropies = entropies[predictions == class_value]
-        order = np.argsort(class_entropies)
-        for position in class_positions[order][:class_budget]:
-            weak[int(context.universe[position])] = class_value
+    positive, negative = rank_per_class(
+        (probabilities >= 0.5).astype(np.int64),
+        np.asarray(conditional_entropy(probabilities)),
+        budget // 2, budget - budget // 2)
+    weak = dict.fromkeys(context.universe[pool[positive]].tolist(), 1)
+    weak.update(dict.fromkeys(context.universe[pool[negative]].tolist(), 0))
     return weak
-

@@ -25,7 +25,7 @@ Every iteration the selector:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,10 +64,13 @@ class BattleshipConfig:
     positive_initial_share / positive_decay / positive_floor:
         Parameters of the positive-budget schedule ``B+ = B * max(initial -
         decay * i, floor)``.
-    use_correspondence:
-        When ``False`` the prediction-based graph separation and the B+/B-
-        split are disabled (ablation switch; selection then runs on a single
-        graph over the whole pool).
+    random_state:
+        Seed of the clustering and of the residue draws of Eq. 2; each
+        iteration offsets it by the iteration number.
+
+    The defaults are the paper's values.  The experiment harness varies
+    ``alpha`` and ``beta``, and the ablation benchmarks vary
+    ``num_neighbors`` and the cluster fractions.
     """
 
     alpha: float = 0.5
@@ -80,7 +83,6 @@ class BattleshipConfig:
     positive_initial_share: float = 0.8
     positive_decay: float = 0.05
     positive_floor: float = 0.5
-    use_correspondence: bool = True
     random_state: int = 0
 
     def __post_init__(self) -> None:
@@ -101,18 +103,17 @@ class BattleshipConfig:
 
 @dataclass
 class _IterationArtifacts:
-    """Graphs and scores computed once per iteration and shared by
+    """Scores and components computed once per iteration and shared by
     :meth:`BattleshipSelector.select` and :meth:`BattleshipSelector.select_weak`.
     Cached per context *object* (see :meth:`BattleshipSelector._prepare`)."""
 
-    heterogeneous_graph: SparseAdjacency
-    positive_graph: SparseAdjacency
-    negative_graph: SparseAdjacency
-    certainty: dict[int, float] = field(default_factory=dict)
-    positive_centrality: dict[int, float] = field(default_factory=dict)
-    negative_centrality: dict[int, float] = field(default_factory=dict)
-    positive_components: list[set[int]] = field(default_factory=list)
-    negative_components: list[set[int]] = field(default_factory=list)
+    #: Certainty (Eq. 4) of every pool pair, in pool order.
+    certainty: dict[int, float]
+    positive_components: list[set[int]]
+    negative_components: list[set[int]]
+    #: PageRank (Eq. 5) of every node of G+ and G-, within its component.
+    positive_centrality: dict[int, float]
+    negative_centrality: dict[int, float]
 
 
 class BattleshipSelector(Selector):
@@ -180,11 +181,11 @@ class BattleshipSelector(Selector):
         )
 
     def _prepare(self, context: SelectionContext) -> _IterationArtifacts:
-        """Compute (or reuse) the per-iteration graphs and scores.
+        """Build the iteration's graphs and keep their scores and components.
 
-        The cache is keyed on the context *object* (not just its iteration
+        The result is cached on the context *object* (not just its iteration
         number): a selector instance reused across runs or datasets would
-        otherwise silently serve the previous run's graphs whenever the
+        otherwise silently serve the previous run's scores whenever the
         iteration numbers coincide.
         """
         cached_context = (self._artifacts_context()
@@ -197,45 +198,33 @@ class BattleshipSelector(Selector):
 
         pool = context.pool_positions
         predictions = context.predictions
-        if self.config.use_correspondence:
-            plus_positions = pool[predictions[pool] == 1]
-            minus_positions = pool[predictions[pool] == 0]
-        else:
-            # Ablation: a single prediction-agnostic pool graph (assigned to the
-            # "positive" slot; the negative slot stays empty).
-            plus_positions = pool
-            minus_positions = np.asarray([], dtype=np.int64)
+        heterogeneous = self._build_graph(context, np.arange(len(context.universe)),
+                                          include_labels=True, rng=hetero_rng)
+        positive_graph = self._build_graph(context, pool[predictions[pool] == 1],
+                                           include_labels=False, rng=plus_rng)
+        negative_graph = self._build_graph(context, pool[predictions[pool] == 0],
+                                           include_labels=False, rng=minus_rng)
 
-        all_positions = np.arange(len(context.universe))
-        heterogeneous = self._build_graph(context, all_positions, include_labels=True,
-                                          rng=hetero_rng)
-        positive_graph = self._build_graph(context, plus_positions, include_labels=False,
-                                           rng=plus_rng)
-        negative_graph = self._build_graph(context, minus_positions, include_labels=False,
-                                           rng=minus_rng)
-
-        artifacts = _IterationArtifacts(
-            heterogeneous_graph=heterogeneous,
-            positive_graph=positive_graph,
-            negative_graph=negative_graph,
-        )
         # Certainty (Eq. 4) on the heterogeneous graph: one batched pass over
         # all nodes (rows of the heterogeneous adjacency are context rows),
-        # exposed for pool nodes only.
+        # kept for pool nodes only.
         certainty_values = certainty_scores_batch(heterogeneous, beta=self.config.beta)
-        for position in pool:
-            artifacts.certainty[int(context.universe[position])] = float(
-                certainty_values[position])
+        positive_components = positive_graph.components()
+        negative_components = negative_graph.components()
         # Centrality (Eq. 5) per connected component of the prediction graphs,
         # by sparse power iteration over each component's edge arrays.
-        artifacts.positive_components = positive_graph.components()
-        artifacts.negative_components = negative_graph.components()
-        artifacts.positive_centrality.update(pagerank_components(
-            positive_graph, artifacts.positive_components,
-            damping=self.config.pagerank_damping))
-        artifacts.negative_centrality.update(pagerank_components(
-            negative_graph, artifacts.negative_components,
-            damping=self.config.pagerank_damping))
+        artifacts = _IterationArtifacts(
+            certainty=dict(zip(context.universe[pool].tolist(),
+                               certainty_values[pool].tolist())),
+            positive_components=positive_components,
+            negative_components=negative_components,
+            positive_centrality=pagerank_components(
+                positive_graph, positive_components,
+                damping=self.config.pagerank_damping),
+            negative_centrality=pagerank_components(
+                negative_graph, negative_components,
+                damping=self.config.pagerank_damping),
+        )
         self._artifacts = artifacts
         self._artifacts_context = weakref.ref(context)
         return artifacts
@@ -244,123 +233,88 @@ class BattleshipSelector(Selector):
     # Selection
     # ------------------------------------------------------------------ #
     @staticmethod
+    def _component_shares(components: list[set[int]], budget: int,
+                          rng: np.random.Generator) -> list[tuple[set[int], int]]:
+        """Each component with a share of ``budget`` (Eq. 2), capped at its size."""
+        sizes = {component_id: len(component)
+                 for component_id, component in enumerate(components)}
+        shares = cap_budgets_by_size(
+            distribute_budget(sizes, budget, random_state=rng), sizes)
+        return [(component, shares[component_id])
+                for component_id, component in enumerate(components)
+                if shares[component_id] > 0]
+
+    @staticmethod
     def _ranking(scores: dict[int, float]) -> dict[int, int]:
         """Rank node ids by descending score (rank 1 = highest score)."""
         ordered = sorted(scores, key=lambda node: scores[node], reverse=True)
         return {node: rank for rank, node in enumerate(ordered, start=1)}
 
-    def _select_from_components(
-        self,
-        components: list[set[int]],
-        budgets: dict[int, int],
-        certainty: dict[int, float],
-        centrality: dict[int, float],
-    ) -> list[int]:
-        """Pick each component's budget worth of nodes by the weighted rank (Eq. 6)."""
-        selected: list[int] = []
-        for component_id, component in enumerate(components):
-            budget = budgets.get(component_id, 0)
-            if budget <= 0:
-                continue
-            members = [node for node in component if node in certainty]
-            if not members:
-                continue
-            certainty_rank = self._ranking({node: certainty[node] for node in members})
-            centrality_rank = self._ranking(
-                {node: centrality.get(node, 0.0) for node in members})
-            combined = {
-                node: (self.config.alpha * certainty_rank[node]
-                       + (1.0 - self.config.alpha) * centrality_rank[node])
-                for node in members
-            }
-            ordered = sorted(members, key=lambda node: (combined[node], node))
-            selected.extend(ordered[:budget])
-        return selected
+    def _rank_component(self, component: set[int], certainty: dict[int, float],
+                        centrality: dict[int, float]) -> list[int]:
+        """The component's nodes by the weighted rank of Eq. 6, ties by node id."""
+        certainty_rank = self._ranking({node: certainty[node] for node in component})
+        centrality_rank = self._ranking({node: centrality[node] for node in component})
+        combined = {
+            node: (self.config.alpha * certainty_rank[node]
+                   + (1.0 - self.config.alpha) * centrality_rank[node])
+            for node in component
+        }
+        return sorted(component, key=lambda node: (combined[node], node))
 
     def select(self, context: SelectionContext) -> list[int]:
-        if context.budget <= 0:
-            return []
-        pool = context.pool_indices()
-        if len(pool) == 0:
+        if context.budget <= 0 or len(context.pool_positions) == 0:
             return []
         artifacts = self._prepare(context)
 
-        positive_budget_total, negative_budget_total = split_budget(
+        positive_budget, negative_budget = split_budget(
             context.budget, context.iteration,
             initial_share=self.config.positive_initial_share,
             decay=self.config.positive_decay,
             floor=self.config.positive_floor,
         )
-        if not self.config.use_correspondence:
-            positive_budget_total, negative_budget_total = context.budget, 0
-
         selection_rng = ensure_rng(self.config.random_state + 1000 + context.iteration)
         selected: list[int] = []
-        for components, centrality, budget_total in (
+        for components, centrality, budget in (
             (artifacts.positive_components, artifacts.positive_centrality,
-             positive_budget_total),
+             positive_budget),
             (artifacts.negative_components, artifacts.negative_centrality,
-             negative_budget_total),
+             negative_budget),
         ):
-            if budget_total <= 0 or not components:
-                continue
-            sizes = {component_id: len(component)
-                     for component_id, component in enumerate(components)}
-            budgets = distribute_budget(sizes, budget_total, random_state=selection_rng)
-            budgets = cap_budgets_by_size(budgets, sizes)
-            selected.extend(self._select_from_components(
-                components, budgets, artifacts.certainty, centrality))
+            for component, share in self._component_shares(components, budget,
+                                                           selection_rng):
+                selected.extend(self._rank_component(
+                    component, artifacts.certainty, centrality)[:share])
 
-        # Deduplicate while preserving order and top up from the overall
-        # certainty ranking when one side could not absorb its budget.
-        unique: list[int] = []
-        seen: set[int] = set()
-        for node in selected:
-            if node not in seen:
-                unique.append(node)
-                seen.add(node)
-        if len(unique) < context.budget:
-            fallback = sorted(artifacts.certainty,
-                              key=lambda node: -artifacts.certainty[node])
-            for node in fallback:
-                if node not in seen:
-                    unique.append(node)
-                    seen.add(node)
-                if len(unique) >= context.budget:
-                    break
-        return unique[:context.budget]
+        # Top up from the overall certainty ranking when one side could not
+        # absorb its budget.
+        if len(selected) < context.budget:
+            taken = set(selected)
+            fallback = [node for node in sorted(artifacts.certainty,
+                                                key=lambda node: -artifacts.certainty[node])
+                        if node not in taken]
+            selected.extend(fallback[:context.budget - len(selected)])
+        return selected
 
     # ------------------------------------------------------------------ #
     # Weak supervision (Section 3.7)
     # ------------------------------------------------------------------ #
     def select_weak(self, context: SelectionContext, budget: int) -> dict[int, int]:
+        """The most spatially confident pool pairs (smallest Eq. 4), ``budget // 2``
+        predicted matches and the rest predicted non-matches, spread over the
+        components like the queries."""
         if budget <= 0:
             return {}
         artifacts = self._prepare(context)
-        already_selected = set()  # weak labels may overlap nothing labeled
         weak_rng = ensure_rng(self.config.random_state + 2000 + context.iteration)
-
         weak: dict[int, int] = {}
-        per_class = budget // 2
         for components, label, class_budget in (
-            (artifacts.positive_components, 1, per_class),
-            (artifacts.negative_components, 0, budget - per_class),
+            (artifacts.positive_components, 1, budget // 2),
+            (artifacts.negative_components, 0, budget - budget // 2),
         ):
-            if class_budget <= 0 or not components:
-                continue
-            sizes = {component_id: len(component)
-                     for component_id, component in enumerate(components)}
-            budgets = distribute_budget(sizes, class_budget, random_state=weak_rng)
-            budgets = cap_budgets_by_size(budgets, sizes)
-            for component_id, component in enumerate(components):
-                share = budgets.get(component_id, 0)
-                if share <= 0:
-                    continue
-                members = [node for node in component
-                           if node in artifacts.certainty and node not in already_selected]
-                # Most confident = smallest certainty (entropy) score.
-                ordered = sorted(members, key=lambda node: (artifacts.certainty[node], node))
-                for node in ordered[:share]:
-                    weak[node] = label
-                    already_selected.add(node)
+            for component, share in self._component_shares(components, class_budget,
+                                                           weak_rng):
+                ordered = sorted(component,
+                                 key=lambda node: (artifacts.certainty[node], node))
+                weak.update(dict.fromkeys(ordered[:share], label))
         return weak

@@ -2,12 +2,15 @@
 
 DIAL (Jain et al., 2021) co-learns a blocker and a matcher and selects samples
 with an *index-by-committee* uncertainty criterion.  In this reproduction the
-committee is a set of lightweight logistic-regression heads trained on
-bootstrap resamples of the labeled set, using the current matcher's pair
+committee is five lightweight logistic-regression heads trained on bootstrap
+resamples of the labeled set, using the current matcher's pair
 representations as features — the analogue of committee heads sharing a
 transformer encoder.  Committee disagreement ``X(u) * (1 - X(u))`` (the
 variance form used by Mozafari et al. and adopted in the related-work
-discussion of the paper) ranks the pool; selection is class balanced like DAL.
+discussion of the paper) ranks the pool; selection is class balanced like DAL,
+through the same
+:func:`~repro.active.selectors.base.most_uncertain_per_class`.  The committee
+is seeded with 0, so a selection depends only on its context.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro._rng import ensure_rng, spawn_rng
-from repro.active.selectors.base import SelectionContext, Selector
+from repro.active.selectors.base import SelectionContext, Selector, most_uncertain_per_class
 from repro.neural.activations import sigmoid
+
+#: Logistic heads voting on every pool pair.
+_COMMITTEE_SIZE = 5
 
 
 class _LogisticHead:
@@ -54,20 +60,9 @@ class CommitteeSelector(Selector):
 
     name = "dial"
 
-    def __init__(self, committee_size: int = 5, positive_share: float = 0.5,
-                 random_state: int = 0) -> None:
-        if committee_size < 2:
-            raise ValueError("committee_size must be >= 2")
-        if not 0.0 <= positive_share <= 1.0:
-            raise ValueError("positive_share must be in [0, 1]")
-        self.committee_size = committee_size
-        self.positive_share = positive_share
-        self.random_state = random_state
-
     def _committee_votes(self, context: SelectionContext) -> np.ndarray:
         """Fraction of committee members voting *match* for every pool pair."""
-        rng = ensure_rng(self.random_state)
-        member_rngs = spawn_rng(rng, self.committee_size)
+        member_rngs = spawn_rng(ensure_rng(0), _COMMITTEE_SIZE)
         labeled = context.labeled_positions
         pool = context.pool_positions
         features = context.representations
@@ -94,35 +89,11 @@ class CommitteeSelector(Selector):
                 noise = member_rng.normal(0.0, 0.05, size=len(pool))
                 member_probabilities = np.clip(context.probabilities[pool] + noise, 0.0, 1.0)
             votes += (member_probabilities >= 0.5).astype(np.float64)
-        return votes / self.committee_size
+        return votes / _COMMITTEE_SIZE
 
     def select(self, context: SelectionContext) -> list[int]:
-        pool = context.pool_positions
-        if len(pool) == 0 or context.budget <= 0:
+        if len(context.pool_positions) == 0 or context.budget <= 0:
             return []
         votes = self._committee_votes(context)
-        disagreement = votes * (1.0 - votes)
-        predictions = (votes >= 0.5).astype(np.int64)
-
-        positive_budget = int(round(context.budget * self.positive_share))
-        negative_budget = context.budget - positive_budget
-        selected: list[int] = []
-        for class_value, class_budget in ((1, positive_budget), (0, negative_budget)):
-            class_mask = predictions == class_value
-            class_positions = pool[class_mask]
-            class_scores = disagreement[class_mask]
-            order = np.argsort(-class_scores)
-            selected.extend(int(context.universe[p])
-                            for p in class_positions[order][:class_budget])
-
-        if len(selected) < context.budget:
-            already = set(selected)
-            order = np.argsort(-disagreement)
-            for position in pool[order]:
-                index = int(context.universe[position])
-                if index not in already:
-                    selected.append(index)
-                    already.add(index)
-                if len(selected) >= context.budget:
-                    break
-        return selected[:context.budget]
+        return most_uncertain_per_class(
+            context, (votes >= 0.5).astype(np.int64), votes * (1.0 - votes))

@@ -1,10 +1,12 @@
 """The DAL baseline (Kasai et al., 2019): uncertainty sampling by entropy.
 
-In every iteration DAL labels the ``B/2`` most uncertain predicted matches and
-the ``B/2`` most uncertain predicted non-matches, where uncertainty is the
-conditional entropy of the matcher's confidence (Eq. 1).  Its weak-supervision
-component (high-confidence augmentation) is the default implementation
-inherited from :class:`~repro.active.selectors.base.Selector`.
+In every iteration DAL labels the ``round(B/2)`` most uncertain predicted
+matches and the remaining most uncertain predicted non-matches, where
+uncertainty is the conditional entropy of the matcher's confidence (Eq. 1);
+the ranking is :func:`~repro.active.selectors.base.most_uncertain_per_class`,
+shared with DIAL.  Its weak-supervision component (high-confidence
+augmentation) is the default implementation inherited from
+:class:`~repro.active.selectors.base.Selector`.
 
 The adversarial transfer-learning component of the original paper is omitted,
 exactly as in Section 4.3 of the battleship paper (no source-domain data is
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.active.selectors.base import SelectionContext, Selector
+from repro.active.selectors.base import SelectionContext, Selector, most_uncertain_per_class
 from repro.graphs.entropy import conditional_entropy
 
 
@@ -24,42 +26,11 @@ class EntropySelector(Selector):
 
     name = "dal"
 
-    def __init__(self, positive_share: float = 0.5) -> None:
-        if not 0.0 <= positive_share <= 1.0:
-            raise ValueError("positive_share must be in [0, 1]")
-        self.positive_share = positive_share
-
     def select(self, context: SelectionContext) -> list[int]:
         pool = context.pool_positions
         if len(pool) == 0 or context.budget <= 0:
             return []
         probabilities = context.probabilities[pool]
-        predictions = (probabilities >= 0.5).astype(np.int64)
-        entropies = np.asarray(conditional_entropy(probabilities))
-
-        positive_budget = int(round(context.budget * self.positive_share))
-        negative_budget = context.budget - positive_budget
-
-        selected: list[int] = []
-        for class_value, class_budget in ((1, positive_budget), (0, negative_budget)):
-            class_mask = predictions == class_value
-            class_positions = pool[class_mask]
-            class_entropies = entropies[class_mask]
-            # Most uncertain first (largest entropy).
-            order = np.argsort(-class_entropies)
-            selected.extend(int(context.universe[p])
-                            for p in class_positions[order][:class_budget])
-
-        # If one class ran short (e.g. no predicted matches at all), fill the
-        # remaining budget with the most uncertain pairs overall.
-        if len(selected) < context.budget:
-            already = set(selected)
-            order = np.argsort(-entropies)
-            for position in pool[order]:
-                index = int(context.universe[position])
-                if index not in already:
-                    selected.append(index)
-                    already.add(index)
-                if len(selected) >= context.budget:
-                    break
-        return selected[:context.budget]
+        return most_uncertain_per_class(
+            context, (probabilities >= 0.5).astype(np.int64),
+            np.asarray(conditional_entropy(probabilities)))

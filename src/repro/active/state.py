@@ -35,17 +35,6 @@ class ActiveLearningState:
     # Views
     # ------------------------------------------------------------------ #
     @property
-    def labeled_indices(self) -> np.ndarray:
-        """Dataset indices labeled so far (sorted)."""
-        return np.asarray(sorted(self.labeled), dtype=np.int64)
-
-    @property
-    def pool_indices(self) -> np.ndarray:
-        """Dataset indices still unlabeled (sorted)."""
-        return np.asarray(
-            sorted(self._universe_set - set(self.labeled)), dtype=np.int64)
-
-    @property
     def num_labeled(self) -> int:
         return len(self.labeled)
 
@@ -56,10 +45,6 @@ class ActiveLearningState:
     def labeled_positives(self) -> list[int]:
         """Labeled indices whose oracle label is match."""
         return [index for index, label in self.labeled.items() if label == 1]
-
-    def labeled_negatives(self) -> list[int]:
-        """Labeled indices whose oracle label is non-match."""
-        return [index for index, label in self.labeled.items() if label == 0]
 
     def is_labeled(self, index: int) -> bool:
         return index in self.labeled

@@ -41,8 +41,9 @@ from repro.experiments.engine import (
     ParallelExecutor,
     method_factory,
 )
+from repro.experiments.faults import FaultInjector, RetryPolicy, ledger_path
 from repro.experiments.store import ArtifactStore
-from repro.exceptions import ManifestError
+from repro.exceptions import ConfigurationError, ManifestError
 from repro.neural.matcher import MatcherConfig
 from repro.scenarios import available_scenarios, get_scenario, resolve_scenarios
 
@@ -78,13 +79,33 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _positive_number(text: str) -> float:
+    """argparse type of ``--timeout``: a number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number > 0, got {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _chaos_spec(text: str) -> FaultInjector | None:
+    """argparse type of ``--chaos``: the parsed :class:`FaultInjector`."""
+    try:
+        return FaultInjector.from_spec(text)
+    except ConfigurationError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     """The shared fault-tolerance flags of the sweep subcommands."""
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+    parser.add_argument("--retries", type=_int_at_least(1), default=None, metavar="N",
                         help="Max attempts per job (default: fail fast; "
                              "transient failures retry with deterministic "
                              "backoff)")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_positive_number, default=None,
                         metavar="SECONDS",
                         help="Per-job wall-clock timeout; a timed-out job "
                              "counts as a transient failure (needs --jobs "
@@ -93,7 +114,7 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
                         help="Record permanent failures in the failure "
                              "ledger and keep executing sibling jobs "
                              "instead of aborting the sweep")
-    parser.add_argument("--chaos", default=None, metavar="SPEC",
+    parser.add_argument("--chaos", type=_chaos_spec, default=None, metavar="SPEC",
                         help="Deterministic fault injection for tests/CI: "
                              "comma-separated KIND[=VALUE][@RANK][:ATTEMPT] "
                              "directives (kinds: raise, permanent, kill, "
@@ -106,13 +127,11 @@ def _executor(args: argparse.Namespace, base_policy=None,
     """The executor the sweep flags (plus a manifest's [execution] base)
     ask for.
 
-    CLI flags override the manifest's declared policy field by field.
-    ParallelExecutor validates the job count, so --jobs 0 fails loudly.
+    CLI flags override the manifest's declared policy field by field.  The
+    parser has already checked every flag, so a bad value exits 2 there.
     """
-    from repro.experiments.faults import FaultInjector, RetryPolicy
-
-    injector = (FaultInjector.from_spec(args.chaos)
-                if args.chaos else FaultInjector.from_environment())
+    injector = (args.chaos if args.chaos is not None
+                else FaultInjector.from_environment())
     policy = base_policy
     if args.retries is not None or args.timeout is not None:
         base = policy if policy is not None else RetryPolicy()
@@ -185,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         help="Run the paper's figure/table sweeps through the job engine")
     experiments.add_argument("--scale", default="tiny", choices=available_scales())
-    experiments.add_argument("--jobs", type=int, default=1,
+    experiments.add_argument("--jobs", type=_int_at_least(1), default=1,
                              help="Worker processes (1 = serial execution)")
     experiments.add_argument("--store", default=None, metavar="DIR",
                              help="Artifact directory; completed runs are "
@@ -213,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--list", action="store_true", dest="list_scenarios",
                            help="List the registered scenarios and exit")
     scenarios.add_argument("--scale", default="tiny", choices=available_scales())
-    scenarios.add_argument("--jobs", type=int, default=1,
+    scenarios.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="Worker processes (1 = serial execution)")
     scenarios.add_argument("--store", default=None, metavar="DIR",
                            help="Artifact directory; completed runs are "
@@ -245,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "build",
         help="Expand a manifest into its RunSpec grid and execute it")
     manifest_build.add_argument("path", help="Manifest file (.toml or .json)")
-    manifest_build.add_argument("--jobs", type=int, default=1,
+    manifest_build.add_argument("--jobs", type=_int_at_least(1), default=1,
                                 help="Worker processes (1 = serial execution)")
     manifest_build.add_argument("--store", default=None, metavar="DIR",
                                 help="Artifact directory; completed runs are "
@@ -485,7 +504,6 @@ def _engine_report_line(engine: ExperimentEngine, store_path: str | None) -> str
             f"{report.from_store} loaded from store"
             f"{memory_note}{retry_note}{failed_note}{store_note}")
     if report.failed and store_path:
-        from repro.experiments.faults import ledger_path
         line += (f"\nfailures: {report.failed} permanent failure(s) "
                  f"recorded in {ledger_path(store_path)}; a re-run with the "
                  "same store retries exactly these jobs")

@@ -35,8 +35,9 @@ class ClusterSelection:
     """Outcome of the cluster-count selection procedure.
 
     ``method`` names what decided ``num_clusters``: ``"kneedle"``,
-    ``"silhouette"`` (Kneedle found no knee), ``"single_candidate"``,
-    ``"fixed"`` or ``"degenerate"``.  ``silhouette_curve`` has one score per
+    ``"silhouette"`` (Kneedle found no knee), ``"single_candidate"`` (the
+    size bounds allow one ``k``) or ``"degenerate"`` (fewer than four points,
+    one cluster).  ``silhouette_curve`` has one score per
     candidate when ``method == "silhouette"`` and is empty otherwise, because
     silhouettes are only computed on that fallback.
     """
@@ -115,7 +116,6 @@ def select_num_clusters(points: np.ndarray, min_fraction: float = 0.05,
 def cluster_representations(points: np.ndarray, min_fraction: float = 0.05,
                             max_fraction: float = 0.15,
                             random_state: RandomState = None,
-                            num_clusters: int | None = None,
                             ) -> tuple[KMeansResult, ClusterSelection]:
     """Select ``k`` and run constrained K-Means, as the battleship pipeline does.
 
@@ -123,42 +123,23 @@ def cluster_representations(points: np.ndarray, min_fraction: float = 0.05,
     through unchanged to the sweep and the final fit, so callers handing over
     a representation matrix (e.g. the battleship selector, which reuses the
     same block for the vectorized graph builder) pay for at most one copy.
-    ``num_clusters`` skips the Kneedle/silhouette sweep and clusters with the
-    given ``k`` directly.  Falls back to plain K-Means when the size
-    constraints are infeasible for the selected ``k`` (possible for very small
-    pools in the last iterations).
+    Fewer than four points form one cluster.  Falls back to plain K-Means
+    when the size constraints are infeasible for the selected ``k`` (the
+    fractions can allow a single ``k`` whose bounds do not fit the point
+    count).
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     rng = ensure_rng(random_state)
     selection_rng, final_rng = spawn_rng(rng, 2)
 
-    if num_clusters is not None:
-        if num_clusters < 1:
-            raise ConfigurationError("num_clusters must be >= 1")
-        if num_clusters > max(len(points), 1):
-            raise ConfigurationError(
-                f"num_clusters={num_clusters} exceeds the {len(points)} points")
-
     if len(points) < 4:
-        if num_clusters is not None and num_clusters > 1:
-            # Tiny pools can still honor an explicit k.
-            model = KMeans(num_clusters, random_state=final_rng)
-            return model.fit(points), ClusterSelection(
-                num_clusters=num_clusters, method="fixed",
-                candidates=[num_clusters])
-        # Degenerate pools: a single cluster containing everything.
         labels = np.zeros(len(points), dtype=np.int64)
         centroid = points.mean(axis=0, keepdims=True) if len(points) else np.zeros((1, 1))
         result = KMeansResult(labels=labels, centroids=centroid, inertia=0.0,
                               num_iterations=0, converged=True)
         return result, ClusterSelection(num_clusters=1, method="degenerate")
 
-    if num_clusters is not None:
-        selection = ClusterSelection(num_clusters=num_clusters, method="fixed",
-                                     candidates=[num_clusters])
-    else:
-        selection = select_num_clusters(points, min_fraction, max_fraction,
-                                        selection_rng)
+    selection = select_num_clusters(points, min_fraction, max_fraction, selection_rng)
     constraints = SizeConstraints.from_fractions(len(points), min_fraction, max_fraction)
     if constraints.feasible(len(points), selection.num_clusters):
         model = ConstrainedKMeans(selection.num_clusters, constraints,

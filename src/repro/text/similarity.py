@@ -69,21 +69,8 @@ def _levenshtein_bitparallel(pattern: str, text: str) -> int:
                                    text)
 
 
-def levenshtein_distance(a: str, b: str, upper_bound: int | None = None) -> int:
-    """Edit distance between ``a`` and ``b`` (insert / delete / substitute).
-
-    Parameters
-    ----------
-    a / b:
-        The strings to compare.
-    upper_bound:
-        Optional early-exit threshold (the caller's current best distance).
-        When given, the function may stop as soon as it can prove the true
-        distance is ``>= upper_bound`` and return any value ``>= upper_bound``
-        (the length-difference lower bound, or ``upper_bound`` itself when a
-        DP row's minimum reaches it).  With ``upper_bound=None`` the exact
-        distance is always returned.
-    """
+def levenshtein_distance(a: str, b: str) -> int:
+    """Edit distance between ``a`` and ``b`` (insert / delete / substitute)."""
     if a == b:
         return 0
     if not a:
@@ -92,11 +79,6 @@ def levenshtein_distance(a: str, b: str, upper_bound: int | None = None) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
-    length_gap = len(a) - len(b)
-    if upper_bound is not None and length_gap >= upper_bound:
-        # The distance is at least the length difference; no DP needed to
-        # know it cannot beat the caller's current best.
-        return length_gap
     if len(b) <= 64:
         # The shorter string fits one bit-parallel word; exact and much
         # faster than the row DP.
@@ -107,10 +89,6 @@ def levenshtein_distance(a: str, b: str, upper_bound: int | None = None) -> int:
         for j, char_b in enumerate(b, start=1):
             cost = 0 if char_a == char_b else 1
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        if upper_bound is not None and min(current) >= upper_bound:
-            # Row minima never decrease, so the final distance is >= the
-            # bound already; abandon the remaining rows.
-            return upper_bound
         previous = current
     return previous[-1]
 

@@ -77,23 +77,13 @@ class TestNoisyOracle:
             NoisyOracle(tiny_dataset, flip_probability=1.5)
 
     def test_delegates_through_peek_not_private_access(self, tiny_dataset):
-        # Regression: the wrapper used to call the base's private _label;
-        # the sanctioned hook keeps base bookkeeping untouched and lets
-        # arbitrary bases compose.
-        base = PerfectOracle(tiny_dataset)
-        noisy = NoisyOracle(tiny_dataset, flip_probability=0.0, base=base)
-        noisy.query_many(range(10))
+        # Regression: the oracle used to call its gold oracle's private
+        # _label; peek leaves the gold oracle's query count untouched.
+        noisy = NoisyOracle(tiny_dataset, flip_probability=0.0)
+        answers = noisy.query_many(range(10))
+        assert answers == PerfectOracle(tiny_dataset).query_many(range(10))
         assert noisy.num_queries == 10
-        assert base.num_queries == 0
-
-    def test_composes_over_custom_base(self, tiny_dataset):
-        class ConstantOracle(PerfectOracle):
-            def _label(self, pair_index: int) -> int:
-                return 1
-
-        noisy = NoisyOracle(tiny_dataset, flip_probability=1.0, random_state=0,
-                            base=ConstantOracle(tiny_dataset))
-        assert all(noisy.query(i) == 0 for i in range(10))
+        assert noisy._base.num_queries == 0
 
 
 class TestClassConditionalNoisyOracle:
@@ -165,15 +155,6 @@ class TestAbstainingOracle:
         assert oracle.num_queries == 50
         assert oracle.num_abstentions == 50 - len(answered)
 
-    def test_composes_with_noisy_base(self, tiny_dataset):
-        base = NoisyOracle(tiny_dataset, flip_probability=1.0, random_state=0)
-        oracle = AbstainingOracle(tiny_dataset, abstain_probability=0.0,
-                                  random_state=0, base=base)
-        perfect = PerfectOracle(tiny_dataset)
-        for index in range(10):
-            assert oracle.query(index) == 1 - perfect.query(index)
-        assert base.num_queries == 0
-
     def test_invalid_probability(self, tiny_dataset):
         with pytest.raises(OracleError):
             AbstainingOracle(tiny_dataset, abstain_probability=-0.5)
@@ -213,16 +194,15 @@ class TestActiveLearningState:
         state = ActiveLearningState(universe=np.arange(10))
         assert state.num_labeled == 0
         assert state.num_pool == 10
-        assert len(state.pool_indices) == 10
 
     def test_add_labels_moves_to_labeled(self):
         state = ActiveLearningState(universe=np.arange(10))
         state.add_labels({2: 1, 5: 0})
         assert state.num_labeled == 2
         assert state.is_labeled(2)
-        assert 2 not in state.pool_indices
+        assert state.num_pool == 8
         assert state.labeled_positives() == [2]
-        assert state.labeled_negatives() == [5]
+        assert state.labeled == {2: 1, 5: 0}
 
     def test_duplicate_label_rejected(self):
         state = ActiveLearningState(universe=np.arange(5))

@@ -169,35 +169,14 @@ class TestClusterRepresentations:
         assert len(result.labels) == 2
         assert set(result.labels.tolist()) == {0}
 
-    def test_fixed_num_clusters_skips_the_sweep(self, rng):
-        points = _blobs(rng, num_blobs=8, per_blob=20)
-        result, selection = cluster_representations(points, random_state=0,
-                                                    num_clusters=8)
-        assert selection.method == "fixed"
-        assert selection.num_clusters == 8
-        assert result.num_clusters == 8
-        assert result.cluster_sizes().sum() == len(points)
-
     def test_fixed_num_clusters_beyond_constraints_falls_back_to_plain_kmeans(self, rng):
         points = _blobs(rng, num_blobs=4, per_blob=10)
-        # k = 25 makes the 5%-15% size constraints infeasible for 40 points.
-        result, selection = cluster_representations(points, random_state=0,
-                                                    num_clusters=25)
-        assert selection.method == "fixed"
+        # 30%-30% fractions leave one candidate, k = 4, whose 12-point
+        # clusters cannot hold 40 points: plain K-Means must take over.
+        result, selection = cluster_representations(points, min_fraction=0.3,
+                                                    max_fraction=0.3, random_state=0)
+        assert selection.method == "single_candidate"
+        assert selection.num_clusters == 4
+        assert result.num_clusters == 4
         assert len(result.labels) == len(points)
-
-    def test_fixed_num_clusters_validated(self, rng):
-        points = _blobs(rng, num_blobs=4, per_blob=10)
-        with pytest.raises(ConfigurationError):
-            cluster_representations(points, random_state=0, num_clusters=0)
-        with pytest.raises(ConfigurationError):
-            cluster_representations(points, random_state=0,
-                                    num_clusters=len(points) + 1)
-
-    def test_fixed_num_clusters_honored_on_tiny_pools(self):
-        points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
-        result, selection = cluster_representations(points, random_state=0,
-                                                    num_clusters=2)
-        assert selection.method == "fixed"
-        assert result.num_clusters == 2
-        assert len(set(result.labels.tolist())) == 2
+        assert sorted(result.cluster_sizes().tolist()) == [10, 10, 10, 10]

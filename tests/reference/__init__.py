@@ -2,7 +2,8 @@
 
 Each module keeps a straightforward version of a routine that ``src/``
 rewrote or folded: loop-based versions of the clustering, graph and
-featurization code, and the original two-method Adam/AdamW step.  The oracle
+featurization code, the original two-method Adam/AdamW step, and the
+ranking loops DAL and DIAL each wrote out before they shared one.  The oracle
 tests require the code in ``src/`` to match it exactly, or within a
 tolerance stated in the test where the summation order changed.  Nothing
 under ``src/`` imports from here.

@@ -82,10 +82,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiments", "--figure", "2"])
 
-    def test_experiments_zero_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
+    def test_experiments_zero_jobs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as raised:
             main(["experiments", "--jobs", "0", "--datasets", "amazon_google",
                   "--methods", "random"])
+        assert raised.value.code == 2
+        assert "argument --jobs: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["experiments"], ["scenarios"], ["manifest", "build", "campaign.toml"],
+    ], ids=["experiments", "scenarios", "manifest-build"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--retries", "0"), ("--timeout", "0"),
+        ("--timeout", "-1"), ("--chaos", "bogus"),
+    ])
+    def test_sweep_flags_rejected_by_the_parser(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([*command, flag, value])
+        assert raised.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_scenarios_defaults(self):
         args = build_parser().parse_args(["scenarios"])

@@ -82,32 +82,6 @@ class TestLevenshtein:
         b = "ba" * 60 + "c"
         assert levenshtein_distance(a, b) == self._dp_distance(a, b)
 
-    def test_upper_bound_length_gap_early_exit(self):
-        # True distance is 10; the length-gap lower bound (10) already
-        # meets the bound, so the value returned is >= the bound.
-        assert levenshtein_distance("a" * 12, "aa", upper_bound=5) >= 5
-
-    def test_upper_bound_returns_exact_distance_when_under_bound(self):
-        assert levenshtein_distance("kitten", "sitting", upper_bound=10) == 3
-
-    def test_upper_bound_row_minimum_abort(self):
-        # Dissimilar strings of equal length: every DP row quickly exceeds
-        # the bound; whatever is returned must be >= the bound and never
-        # exceed the true distance's contract.
-        value = levenshtein_distance("abcdefgh" * 10, "12345678" * 10,
-                                     upper_bound=3)
-        assert value >= 3
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=_SHORT_TEXT, b=_SHORT_TEXT, bound=st.integers(1, 20))
-    def test_property_upper_bound_contract(self, a, b, bound):
-        exact = levenshtein_distance(a, b)
-        bounded = levenshtein_distance(a, b, upper_bound=bound)
-        if exact < bound:
-            assert bounded == exact
-        else:
-            assert bounded >= bound
-
 
 class TestJaro:
     def test_identical(self):
