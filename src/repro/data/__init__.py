@@ -1,29 +1,15 @@
 """Data model: schemas, records, tables, candidate pairs, datasets, and IO."""
 
-from repro.data.dataset import DatasetStatistics, EMDataset, build_pairset
+from repro.data.dataset import DatasetStatistics, EMDataset
 from repro.data.pair import MATCH, NON_MATCH, CandidatePair, PairSet
 from repro.data.record import Record, Table
 from repro.data.schema import Attribute, AttributeType, Schema, bibliographic_schema, product_schema
-from repro.data.serialization import (
-    CLS_TOKEN,
-    COL_TOKEN,
-    SEP_TOKEN,
-    VAL_TOKEN,
-    SerializationConfig,
-    deserialize_record,
-    serialize_pair,
-    serialize_record,
-    split_pair_serialization,
-    truncate_tokens,
-)
 from repro.data.splits import DatasetSplit, SplitRatios, stratified_split
 
 __all__ = [
     "Attribute",
     "AttributeType",
     "CandidatePair",
-    "CLS_TOKEN",
-    "COL_TOKEN",
     "DatasetSplit",
     "DatasetStatistics",
     "EMDataset",
@@ -32,18 +18,9 @@ __all__ = [
     "PairSet",
     "Record",
     "Schema",
-    "SEP_TOKEN",
-    "SerializationConfig",
     "SplitRatios",
     "Table",
-    "VAL_TOKEN",
     "bibliographic_schema",
-    "build_pairset",
-    "deserialize_record",
     "product_schema",
-    "serialize_pair",
-    "serialize_record",
-    "split_pair_serialization",
     "stratified_split",
-    "truncate_tokens",
 ]

@@ -10,15 +10,13 @@ Section 4 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
-from repro.data.schema import Schema
-from repro.data.serialization import SerializationConfig, serialize_pair
 from repro.data.splits import DatasetSplit, SplitRatios, stratified_split
 from repro.exceptions import DatasetError
 from repro._rng import RandomState
@@ -63,9 +61,10 @@ class EMDataset:
     split:
         Optional pre-computed train/validation/test split; when omitted a
         stratified 3:1:1 split is drawn.
-    serialization:
-        Serialization options shared by all consumers of this dataset (the WDC
-        benchmarks restrict it to the ``title`` attribute, as in the paper).
+    attributes:
+        The attributes the matcher reads, in order; ``None`` means every
+        attribute of the left schema.  The WDC benchmarks use only
+        ``title``, as in the paper.
     """
 
     def __init__(
@@ -75,7 +74,7 @@ class EMDataset:
         right: Table,
         pairs: PairSet,
         split: DatasetSplit | None = None,
-        serialization: SerializationConfig | None = None,
+        attributes: Sequence[str] | None = None,
         split_ratios: SplitRatios | None = None,
         random_state: RandomState = None,
     ) -> None:
@@ -87,7 +86,8 @@ class EMDataset:
         self.left = left
         self.right = right
         self.pairs = pairs
-        self.serialization = serialization or SerializationConfig()
+        self.attributes = (tuple(attributes) if attributes is not None
+                           else left.schema.attribute_names)
         self._validate_pairs()
         if split is None:
             split = stratified_split(pairs, split_ratios, random_state)
@@ -110,18 +110,6 @@ class EMDataset:
     def records_for(self, pair: CandidatePair) -> tuple[Record, Record]:
         """Return the (left, right) records of ``pair``."""
         return self.left[pair.left_id], self.right[pair.right_id]
-
-    def serialize(self, pair: CandidatePair) -> str:
-        """DITTO-style serialization of ``pair`` (Example 3 of the paper)."""
-        left, right = self.records_for(pair)
-        return serialize_pair(left, right, self.left.schema, self.right.schema,
-                              self.serialization)
-
-    def serialized_pairs(self, indices: Sequence[int] | None = None) -> list[str]:
-        """Serializations of the pairs at ``indices`` (all pairs by default)."""
-        if indices is None:
-            indices = range(len(self.pairs))
-        return [self.serialize(self.pairs[i]) for i in indices]
 
     def labels(self, indices: Sequence[int] | None = None) -> np.ndarray:
         """Gold labels of the pairs at ``indices`` (all pairs by default)."""
@@ -161,9 +149,7 @@ class EMDataset:
             num_pairs=len(self.pairs),
             num_train_pairs=len(self.train_indices),
             positive_rate=float(np.mean(train_labels)) if len(train_labels) else 0.0,
-            num_attributes=len(self.serialization.attributes
-                               if self.serialization.attributes is not None
-                               else self.left.schema.attribute_names),
+            num_attributes=len(self.attributes),
             num_left_records=len(self.left),
             num_right_records=len(self.right),
         )
@@ -173,13 +159,3 @@ class EMDataset:
         return (f"EMDataset(name={self.name!r}, pairs={stats.num_pairs}, "
                 f"train={stats.num_train_pairs}, pos_rate={stats.positive_rate:.3f})")
 
-
-def build_pairset(
-    labeled_keys: Iterable[tuple[str, str, int]],
-    prefix: str = "p",
-) -> PairSet:
-    """Create a :class:`PairSet` from ``(left_id, right_id, label)`` triples."""
-    pairs = PairSet()
-    for index, (left_id, right_id, label) in enumerate(labeled_keys):
-        pairs.add(CandidatePair(f"{prefix}{index}", left_id, right_id, label))
-    return pairs

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable
 
 from repro.data.dataset import EMDataset
 from repro.data.pair import CandidatePair, PairSet
@@ -89,7 +88,13 @@ def read_pairs_csv(path: str | Path) -> PairSet:
             )
         for index, row in enumerate(reader):
             raw_label = row.get("label", "")
-            label = int(raw_label) if raw_label not in ("", None) else None
+            try:
+                label = int(raw_label) if raw_label not in ("", None) else None
+            except ValueError:
+                raise DatasetError(
+                    f"Pairs CSV {path}, line {reader.line_num}: label must be "
+                    f"0, 1 or empty, got {raw_label!r}"
+                ) from None
             pair_id = row.get("pair_id") or f"p{index}"
             pairs.add(CandidatePair(pair_id, row["ltable_id"], row["rtable_id"], label))
     return pairs
@@ -117,16 +122,3 @@ def export_dataset(dataset: EMDataset, directory: str | Path) -> dict[str, Path]
     written["split"] = split_path
     return written
 
-
-def write_serialized_pairs(dataset: EMDataset, path: str | Path,
-                           indices: Iterable[int] | None = None) -> Path:
-    """Write DITTO-style serializations (one per line, tab-separated label)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    index_list = list(indices) if indices is not None else list(range(len(dataset.pairs)))
-    with path.open("w", encoding="utf-8") as handle:
-        for index in index_list:
-            pair = dataset.pairs[index]
-            label = "" if pair.label is None else str(pair.label)
-            handle.write(f"{dataset.serialize(pair)}\t{label}\n")
-    return path

@@ -9,7 +9,7 @@ index-addressable collection the active-learning machinery operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,36 +51,31 @@ class CandidatePair:
         """The ``(left_id, right_id)`` key of the pair."""
         return (self.left_id, self.right_id)
 
-    def with_label(self, label: int) -> "CandidatePair":
-        """Return a copy of this pair carrying ``label``."""
-        return CandidatePair(self.pair_id, self.left_id, self.right_id, label)
-
 
 class PairSet:
     """An ordered collection of :class:`CandidatePair` objects.
 
-    Pairs are addressable both by integer position (the representation
-    matrices produced by the matcher are aligned with positions) and by
-    ``pair_id``.
+    Pairs are addressed by integer position: the representation matrices
+    produced by the matcher are aligned with positions.  Pair ids and
+    ``(left_id, right_id)`` keys are unique within the collection.
     """
 
     def __init__(self, pairs: Iterable[CandidatePair] = ()) -> None:
         self._pairs: list[CandidatePair] = []
-        self._by_id: dict[str, int] = {}
-        self._by_key: dict[tuple[str, str], int] = {}
+        self._ids: set[str] = set()
+        self._keys: set[tuple[str, str]] = set()
         for pair in pairs:
             self.add(pair)
 
     def add(self, pair: CandidatePair) -> None:
         """Append ``pair`` to the collection."""
-        if pair.pair_id in self._by_id:
+        if pair.pair_id in self._ids:
             raise DatasetError(f"Duplicate pair_id {pair.pair_id!r}")
-        if pair.key in self._by_key:
+        if pair.key in self._keys:
             raise DatasetError(f"Duplicate candidate pair for key {pair.key!r}")
-        index = len(self._pairs)
         self._pairs.append(pair)
-        self._by_id[pair.pair_id] = index
-        self._by_key[pair.key] = index
+        self._ids.add(pair.pair_id)
+        self._keys.add(pair.key)
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -92,34 +87,7 @@ class PairSet:
         return self._pairs[index]
 
     def __contains__(self, pair_id: object) -> bool:
-        return pair_id in self._by_id
-
-    def by_id(self, pair_id: str) -> CandidatePair:
-        """Return the pair with identifier ``pair_id``."""
-        try:
-            return self._pairs[self._by_id[pair_id]]
-        except KeyError:
-            raise DatasetError(f"No candidate pair with id {pair_id!r}") from None
-
-    def by_key(self, left_id: str, right_id: str) -> CandidatePair:
-        """Return the pair connecting ``left_id`` and ``right_id``."""
-        try:
-            return self._pairs[self._by_key[(left_id, right_id)]]
-        except KeyError:
-            raise DatasetError(
-                f"No candidate pair for key ({left_id!r}, {right_id!r})"
-            ) from None
-
-    def index_of(self, pair_id: str) -> int:
-        """Positional index of the pair with identifier ``pair_id``."""
-        try:
-            return self._by_id[pair_id]
-        except KeyError:
-            raise DatasetError(f"No candidate pair with id {pair_id!r}") from None
-
-    def pair_ids(self) -> tuple[str, ...]:
-        """All pair identifiers in positional order."""
-        return tuple(pair.pair_id for pair in self._pairs)
+        return pair_id in self._ids
 
     def labels(self, missing: int = -1) -> np.ndarray:
         """Gold labels as an integer array (``missing`` for unlabeled pairs)."""
@@ -128,30 +96,12 @@ class PairSet:
             dtype=np.int64,
         )
 
-    def labeled_fraction(self) -> float:
-        """Fraction of pairs carrying a gold label."""
-        if not self._pairs:
-            return 0.0
-        labeled = sum(1 for pair in self._pairs if pair.label is not None)
-        return labeled / len(self._pairs)
-
     def positive_rate(self) -> float:
         """Fraction of labeled pairs that are matches."""
         labeled = [pair.label for pair in self._pairs if pair.label is not None]
         if not labeled:
             return 0.0
         return float(np.mean(labeled))
-
-    def subset(self, indices: Sequence[int]) -> "PairSet":
-        """A new :class:`PairSet` restricted to ``indices`` (order preserved)."""
-        return PairSet(self._pairs[i] for i in indices)
-
-    def split_by_label(self) -> tuple["PairSet", "PairSet", "PairSet"]:
-        """Split into (matches, non-matches, unlabeled) pair sets."""
-        matches = PairSet(p for p in self._pairs if p.label == MATCH)
-        non_matches = PairSet(p for p in self._pairs if p.label == NON_MATCH)
-        unlabeled = PairSet(p for p in self._pairs if p.label is None)
-        return matches, non_matches, unlabeled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PairSet(pairs={len(self)}, positive_rate={self.positive_rate():.3f})"

@@ -8,8 +8,8 @@ clean-clean matching setting of Section 2.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError, SchemaError
@@ -45,10 +45,6 @@ class Record:
         """Return the value of ``attribute`` or ``default`` when missing."""
         raw = self.values.get(attribute, default)
         return default if raw is None else str(raw)
-
-    def non_empty_attributes(self) -> tuple[str, ...]:
-        """Names of attributes with a non-empty value."""
-        return tuple(name for name, value in self.values.items() if str(value).strip())
 
     def text(self, attributes: Iterable[str] | None = None, separator: str = " ") -> str:
         """Concatenate attribute values into a single text blob."""
@@ -100,28 +96,6 @@ class Table:
             raise DatasetError(
                 f"Table {self.name!r} has no record with id {record_id!r}"
             ) from None
-
-    def get(self, record_id: str, default: Record | None = None) -> Record | None:
-        """Return the record with ``record_id`` or ``default`` if absent."""
-        index = self._by_id.get(record_id)
-        return default if index is None else self._records[index]
-
-    @property
-    def record_ids(self) -> tuple[str, ...]:
-        """All record identifiers in insertion order."""
-        return tuple(record.record_id for record in self._records)
-
-    def records(self) -> list[Record]:
-        """A shallow copy of the record list."""
-        return list(self._records)
-
-    def filter(self, predicate: Callable[[Record], bool]) -> "Table":
-        """Return a new table containing only records satisfying ``predicate``."""
-        return Table(self.name, self.schema, (r for r in self._records if predicate(r)))
-
-    def entity_ids(self) -> set[str]:
-        """Distinct ground-truth entity identifiers present in the table."""
-        return {r.entity_id for r in self._records if r.entity_id is not None}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Table(name={self.name!r}, records={len(self)}, schema={self.schema.name!r})"

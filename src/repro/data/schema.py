@@ -2,15 +2,14 @@
 
 Entity matching operates over tuples drawn from (usually two) tables.  Every
 tuple is a set of ``(attribute, value)`` pairs (Section 2.1 of the paper).  A
-:class:`Schema` declares the attribute names, their types, and which attribute
-acts as the record identifier; :class:`Attribute` carries per-attribute
-metadata used by the serializer, the similarity features, and the synthetic
-data generators.
+:class:`Schema` declares the attribute names and their types;
+:class:`Attribute` carries per-attribute metadata used by the similarity
+features and the synthetic data generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -37,12 +36,13 @@ class Attribute:
     Attributes
     ----------
     name:
-        Attribute name as it appears in serialized pairs, e.g. ``"title"``.
+        Attribute name as records and datasets refer to it, e.g. ``"title"``.
     kind:
         The :class:`AttributeType` of the attribute.
     weight:
-        Relative importance used by similarity-feature aggregation; the
-        default of ``1.0`` treats all attributes equally.
+        Relative importance of the attribute (positive, default ``1.0``).
+        No feature reads it; it stays because
+        :func:`~repro.datasets.registry.benchmark_fingerprint` hashes it.
     """
 
     name: str
@@ -62,8 +62,8 @@ class Attribute:
 class Schema:
     """An ordered collection of :class:`Attribute` objects.
 
-    The order is significant: serialization (Example 3 in the paper) walks the
-    attributes in schema order.
+    The order is significant: a record's text and its similarity features
+    walk the attributes in schema order unless the dataset names its own.
     """
 
     attributes: tuple[Attribute, ...]

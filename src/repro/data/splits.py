@@ -59,10 +59,6 @@ class DatasetSplit:
         if len(np.unique(all_indices)) != len(all_indices):
             raise DatasetError("Split parts overlap")
 
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return (len(self.train), len(self.validation), len(self.test))
-
 
 def stratified_split(
     pairs: PairSet,

@@ -29,7 +29,6 @@ from repro.data.dataset import EMDataset
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
 from repro.data.schema import AttributeType, Schema
-from repro.data.serialization import SerializationConfig
 from repro.data.splits import SplitRatios
 from repro.datasets.corruptions import CorruptionConfig, corrupt_values
 from repro.exceptions import DatasetError
@@ -79,8 +78,11 @@ class BenchmarkSpec:
     left_corruption / right_corruption:
         Noise profiles of the two sources.
     serialized_attributes:
-        Attributes exposed to the matcher (``None`` means all; the WDC
-        benchmarks expose only ``title``).
+        Attributes exposed to the matcher, passed on as
+        :attr:`EMDataset.attributes` (``None`` means all; the WDC benchmarks
+        expose only ``title``).  The field keeps its name because
+        :func:`~repro.datasets.registry.benchmark_fingerprint` hashes it
+        under that key.
     hard_negative_fraction:
         Share of non-match pairs drawn within entity families.
     split_ratios:
@@ -240,13 +242,12 @@ def build_benchmark(
                                 f"l{left_index}", f"r{right_index}", 0))
         pair_counter += 1
 
-    serialization = SerializationConfig(attributes=spec.serialized_attributes)
     return EMDataset(
         name=spec.name,
         left=left_table,
         right=right_table,
         pairs=pairs,
-        serialization=serialization,
+        attributes=spec.serialized_attributes,
         split_ratios=spec.split_ratios,
         random_state=split_rng,
     )

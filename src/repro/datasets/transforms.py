@@ -52,7 +52,7 @@ def _with_train_pool(dataset: EMDataset, train_indices: np.ndarray) -> EMDataset
         right=dataset.right,
         pairs=dataset.pairs,
         split=split,
-        serialization=dataset.serialization,
+        attributes=dataset.attributes,
     )
 
 

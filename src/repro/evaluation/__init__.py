@@ -1,6 +1,6 @@
 """Evaluation: matching metrics, learning curves, AUC, and report formatting."""
 
-from repro.evaluation.curves import LearningCurve, auc_table, average_curves
+from repro.evaluation.curves import LearningCurve, average_curves
 from repro.evaluation.metrics import (
     ConfusionMatrix,
     MatchingMetrics,
@@ -10,20 +10,18 @@ from repro.evaluation.metrics import (
     precision_score,
     recall_score,
 )
-from repro.evaluation.reporting import format_learning_curves, format_table, paper_comparison_row
+from repro.evaluation.reporting import format_learning_curves, format_table
 
 __all__ = [
     "ConfusionMatrix",
     "LearningCurve",
     "MatchingMetrics",
-    "auc_table",
     "average_curves",
     "confusion_matrix",
     "f1_score",
     "format_learning_curves",
     "format_table",
     "matching_metrics",
-    "paper_comparison_row",
     "precision_score",
     "recall_score",
 ]

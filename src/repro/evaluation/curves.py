@@ -72,11 +72,6 @@ class LearningCurve:
         return area / span * (len(x) - 1)
 
 
-def auc_table(curves: dict[str, LearningCurve]) -> dict[str, float]:
-    """AUC per method (one row of Table 5)."""
-    return {method: curve.auc() for method, curve in curves.items()}
-
-
 def average_curves(curves: Sequence[LearningCurve]) -> LearningCurve:
     """Average several curves measured at the same checkpoints.
 

@@ -16,17 +16,6 @@ class ConfusionMatrix:
     true_negative: int
     false_negative: int
 
-    @property
-    def total(self) -> int:
-        return (self.true_positive + self.false_positive
-                + self.true_negative + self.false_negative)
-
-    @property
-    def accuracy(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return (self.true_positive + self.true_negative) / self.total
-
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
     """Compute the binary confusion matrix."""

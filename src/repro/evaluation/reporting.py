@@ -52,15 +52,3 @@ def format_learning_curves(curves: Mapping[str, LearningCurve], title: str | Non
         lines.append(f"{method:>14}  {points}")
     return "\n".join(lines)
 
-
-def paper_comparison_row(name: str, paper_value: float, measured_value: float,
-                         unit: str = "F1") -> dict[str, object]:
-    """One row of an EXPERIMENTS.md-style paper-vs-measured comparison."""
-    delta = measured_value - paper_value
-    return {
-        "experiment": name,
-        "metric": unit,
-        "paper": round(paper_value, 2),
-        "measured": round(measured_value, 2),
-        "delta": round(delta, 2),
-    }

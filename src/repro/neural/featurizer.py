@@ -1,8 +1,10 @@
 """Featurization of candidate pairs for the NumPy matcher.
 
-DITTO feeds the serialized pair text through a subword tokenizer and a
-transformer.  The stand-in matcher feeds the same serialization through
-feature hashing plus attribute-wise similarity features:
+DITTO feeds each pair to a subword tokenizer and a transformer as
+``[COL] attribute [VAL] value`` text (Example 3 of the paper).  The stand-in
+matcher reads the same attributes (:attr:`EMDataset.attributes`) but no such
+markers: a record's text is its attribute values joined by spaces, and the
+pair goes through feature hashing plus attribute-wise similarity features:
 
 * hashed token/q-gram vectors of the left and right record texts,
 * their element-wise product and absolute difference (interaction features,
@@ -252,10 +254,8 @@ class PairFeaturizer:
 
     @staticmethod
     def _serialized_attributes(dataset: EMDataset) -> tuple[str, ...]:
-        if dataset.serialization.attributes is not None:
-            return tuple(name for name in dataset.serialization.attributes
-                         if name in dataset.left.schema.attribute_names)
-        return dataset.left.schema.attribute_names
+        names = dataset.left.schema.attribute_names
+        return tuple(name for name in dataset.attributes if name in names)
 
     def _record_text(self, record: Record, attributes: Sequence[str]) -> str:
         return " ".join(record.value(name) for name in attributes)
@@ -270,7 +270,7 @@ class PairFeaturizer:
         Batched pipeline, bit-identical to the seed's per-pair loop:
 
         1. the records referenced by the requested pairs are deduplicated
-           (first by record identity, then by serialized text, so duplicated
+           (first by record identity, then by record text, so duplicated
            records collapse too) and each unique text is vectorized once via
            the bulk hashing path;
         2. the raw and interaction blocks are assembled by fancy-indexing the
@@ -320,8 +320,8 @@ class PairFeaturizer:
         """Map every pair side to a row of the unique-record-text matrix.
 
         Two memo levels: record identity (``(side, record_id)``) avoids
-        re-serializing a record that appears in many pairs, and the text
-        itself collapses distinct records with identical serialized values.
+        re-joining the values of a record that appears in many pairs, and the
+        text itself collapses distinct records with identical values.
         """
         unique_texts: list[str] = []
         text_rows: dict[str, int] = {}

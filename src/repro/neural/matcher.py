@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._rng import RandomState, ensure_rng, spawn_rng
+from repro.evaluation.metrics import f1_score
 from repro.exceptions import NotFittedError
 from repro.neural.activations import sigmoid
 from repro.neural.calibration import sharpen_probabilities
@@ -80,18 +81,6 @@ class TrainingHistory:
     @property
     def num_epochs(self) -> int:
         return len(self.train_loss)
-
-
-def _binary_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """F1 of the positive class (local helper to avoid importing evaluation)."""
-    y_true = np.asarray(y_true).astype(bool)
-    y_pred = np.asarray(y_pred).astype(bool)
-    true_positive = np.sum(y_true & y_pred)
-    if true_positive == 0:
-        return 0.0
-    precision = true_positive / max(np.sum(y_pred), 1)
-    recall = true_positive / max(np.sum(y_true), 1)
-    return float(2 * precision * recall / (precision + recall))
 
 
 class NeuralMatcher:
@@ -198,7 +187,7 @@ class NeuralMatcher:
             if has_validation:
                 self._network = network  # temporary, for predict during training
                 probabilities = self._raw_probabilities(np.asarray(validation_features))
-                f1 = _binary_f1(np.asarray(validation_labels), probabilities >= 0.5)
+                f1 = f1_score(np.asarray(validation_labels), probabilities >= 0.5)
                 history.validation_f1.append(f1)
                 if f1 > best_f1:
                     best_f1 = f1

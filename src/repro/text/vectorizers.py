@@ -3,9 +3,10 @@
 :class:`HashingVectorizer` hashes the tokens (and optionally character
 q-grams) of a text into a fixed-width vector.  It is the front end of the
 neural matcher substrate (:mod:`repro.neural`): the DITTO model of the paper
-consumes the serialized pair text through a subword tokenizer; we consume the
-same text through feature hashing, which needs no vocabulary fitting and
-therefore behaves identically across active-learning iterations.
+reads ``[COL] attribute [VAL] value`` pair text through a subword tokenizer;
+we hash each record's space-joined attribute values instead, which needs no
+vocabulary fitting and therefore behaves identically across active-learning
+iterations.
 :func:`cosine_similarity_matrix` gives the edge weights of the pair graphs.
 """
 

@@ -1,10 +1,11 @@
-"""Self-lint: the repository's own ``src/`` tree must gate green.
+"""Self-lint: the repository's own code must gate green.
 
-This is the test CI's ``static-analysis`` job mirrors: every finding in the
-shipped source is either fixed, suppressed with a reasoned
-``# repro: noqa[RULE] reason``, or consciously grandfathered in the committed
-baseline.  A new violation anywhere under ``src/`` fails this test with the
-exact ``file:line:col`` to look at.
+This is the test CI's ``static-analysis`` job mirrors, over the same trees:
+``src/``, ``examples/``, ``benchmarks/`` and the reference oracles in
+``tests/reference/``.  Every finding there is either fixed, suppressed with a
+reasoned ``# repro: noqa[RULE] reason``, or consciously grandfathered in the
+committed baseline.  A new violation anywhere in those trees fails this test
+with the exact ``file:line:col`` to look at.
 """
 
 from __future__ import annotations
@@ -17,17 +18,20 @@ from repro.analysis import DEFAULT_BASELINE_NAME, lint_paths, read_baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: The trees CI's reprolint gate checks.
+LINTED_TREES = ("src", "examples", "benchmarks", "tests/reference")
+
 
 @pytest.fixture(scope="module")
 def self_report():
     baseline = REPO_ROOT / DEFAULT_BASELINE_NAME
-    return lint_paths([REPO_ROOT / "src"], root=REPO_ROOT,
+    return lint_paths([REPO_ROOT / tree for tree in LINTED_TREES], root=REPO_ROOT,
                       baseline_path=baseline if baseline.exists() else None)
 
 
 def test_src_tree_is_lint_clean(self_report):
     rendered = "\n".join(f.render() for f in self_report.findings)
-    assert self_report.ok, f"new lint findings in src/:\n{rendered}"
+    assert self_report.ok, f"new lint findings in {', '.join(LINTED_TREES)}:\n{rendered}"
 
 
 def test_committed_baseline_has_no_stale_entries(self_report):

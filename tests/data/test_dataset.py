@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import EMDataset, build_pairset
+from repro.data.dataset import EMDataset
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
 from repro.data.schema import Schema
-from repro.data.serialization import SerializationConfig
 from repro.exceptions import DatasetError
 
 
@@ -60,14 +59,6 @@ class TestEMDatasetAccess:
         assert left.record_id == pair.left_id
         assert right.record_id == pair.right_id
 
-    def test_serialize_contains_both_sides(self, small_dataset):
-        text = small_dataset.serialize(small_dataset.pairs[0])
-        assert "[SEP]" in text
-        assert "product 0" in text
-
-    def test_serialized_pairs_default_all(self, small_dataset):
-        assert len(small_dataset.serialized_pairs()) == len(small_dataset.pairs)
-
     def test_labels_full_and_subset(self, small_dataset):
         labels = small_dataset.labels()
         assert labels.sum() == 10
@@ -86,18 +77,16 @@ class TestEMDatasetAccess:
         assert stats.num_attributes == 1
         assert 0.0 < stats.positive_rate < 1.0
 
-    def test_statistics_respects_serialization_attributes(self, small_dataset):
-        dataset = EMDataset("toy2", small_dataset.left, small_dataset.right,
-                            small_dataset.pairs,
-                            serialization=SerializationConfig(attributes=("title",)),
-                            random_state=0)
-        assert dataset.statistics().num_attributes == 1
-
-
-class TestBuildPairset:
-    def test_build_pairset_assigns_ids_and_labels(self):
-        pairs = build_pairset([("l0", "r0", 1), ("l1", "r1", 0)])
-        assert len(pairs) == 2
-        assert pairs[0].label == 1
-        assert pairs[1].label == 0
-        assert pairs[0].pair_id == "p0"
+    def test_statistics_respects_serialization_attributes(self):
+        """``attributes`` defaults to the left schema and can restrict it."""
+        schema = Schema.from_names(["title", "brand"])
+        left = Table("left", schema, [Record("l0", {"title": "tv", "brand": "lg"})])
+        right = Table("right", schema, [Record("r0", {"title": "tv", "brand": "lg"})])
+        pairs = PairSet([CandidatePair("p0", "l0", "r0", 1)])
+        every = EMDataset("every", left, right, pairs, random_state=0)
+        title_only = EMDataset("title_only", left, right, pairs,
+                               attributes=["title"], random_state=0)
+        assert every.attributes == ("title", "brand")
+        assert every.statistics().num_attributes == 2
+        assert title_only.attributes == ("title",)
+        assert title_only.statistics().num_attributes == 1

@@ -9,7 +9,6 @@ from repro.data.io import (
     read_pairs_csv,
     read_table_csv,
     write_pairs_csv,
-    write_serialized_pairs,
     write_table_csv,
 )
 from repro.data.pair import CandidatePair, PairSet
@@ -60,10 +59,7 @@ class TestPairsCSV:
         ])
         path = write_pairs_csv(pairs, tmp_path / "pairs.csv")
         loaded = read_pairs_csv(path)
-        assert len(loaded) == 3
-        assert loaded.by_id("p0").label == 1
-        assert loaded.by_id("p1").label == 0
-        assert loaded.by_id("p2").label is None
+        assert list(loaded) == list(pairs)
 
     def test_missing_columns_raise(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -75,6 +71,18 @@ class TestPairsCSV:
         with pytest.raises(DatasetError):
             read_pairs_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("label", ["1.0", "yes"])
+    def test_malformed_label_names_file_and_line(self, tmp_path, label):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"ltable_id,rtable_id,label\nl0,r0,1\nl1,r1,{label}\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetError) as raised:
+            read_pairs_csv(path)
+        message = str(raised.value)
+        assert str(path) in message
+        assert "line 3" in message
+        assert repr(label) in message
+
 
 class TestDatasetExport:
     def test_export_layout(self, tmp_path, tiny_dataset):
@@ -85,13 +93,3 @@ class TestDatasetExport:
         split = json.loads(written["split"].read_text(encoding="utf-8"))
         assert set(split) == {"train", "validation", "test"}
         assert len(split["train"]) == len(tiny_dataset.train_indices)
-
-    def test_write_serialized_pairs(self, tmp_path, tiny_dataset):
-        path = write_serialized_pairs(tiny_dataset, tmp_path / "pairs.txt",
-                                      indices=range(5))
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert len(lines) == 5
-        for line in lines:
-            text, label = line.rsplit("\t", 1)
-            assert "[SEP]" in text
-            assert label in {"0", "1"}

@@ -12,12 +12,6 @@ class TestCandidatePair:
         pair = CandidatePair("p1", "l1", "r1", MATCH)
         assert pair.key == ("l1", "r1")
 
-    def test_with_label(self):
-        pair = CandidatePair("p1", "l1", "r1")
-        labeled = pair.with_label(NON_MATCH)
-        assert labeled.label == NON_MATCH
-        assert pair.label is None
-
     def test_rejects_invalid_label(self):
         with pytest.raises(DatasetError):
             CandidatePair("p1", "l1", "r1", label=2)
@@ -44,13 +38,9 @@ class TestPairSet:
 
     def test_positional_and_id_access(self, pairs):
         assert pairs[1].pair_id == "p1"
-        assert pairs.by_id("p2").left_id == "l2"
-        assert pairs.index_of("p3") == 3
-
-    def test_by_key(self, pairs):
-        assert pairs.by_key("l1", "r1").pair_id == "p1"
-        with pytest.raises(DatasetError):
-            pairs.by_key("l9", "r9")
+        assert pairs[2].key == ("l2", "r2")
+        assert "p3" in pairs
+        assert "missing" not in pairs
 
     def test_duplicate_id_rejected(self, pairs):
         with pytest.raises(DatasetError):
@@ -60,12 +50,6 @@ class TestPairSet:
         with pytest.raises(DatasetError):
             pairs.add(CandidatePair("p9", "l0", "r0"))
 
-    def test_unknown_id_raises(self, pairs):
-        with pytest.raises(DatasetError):
-            pairs.by_id("missing")
-        with pytest.raises(DatasetError):
-            pairs.index_of("missing")
-
     def test_labels_array(self, pairs):
         labels = pairs.labels()
         assert labels.dtype == np.int64
@@ -74,28 +58,9 @@ class TestPairSet:
     def test_labels_custom_missing(self, pairs):
         assert list(pairs.labels(missing=9)) == [1, 0, 0, 9]
 
-    def test_labeled_fraction(self, pairs):
-        assert pairs.labeled_fraction() == pytest.approx(0.75)
-
-    def test_labeled_fraction_empty(self):
-        assert PairSet().labeled_fraction() == 0.0
-
     def test_positive_rate(self, pairs):
         assert pairs.positive_rate() == pytest.approx(1.0 / 3.0)
 
     def test_positive_rate_no_labels(self):
         unlabeled = PairSet([CandidatePair("p0", "a", "b")])
         assert unlabeled.positive_rate() == 0.0
-
-    def test_subset_preserves_order(self, pairs):
-        subset = pairs.subset([2, 0])
-        assert [p.pair_id for p in subset] == ["p2", "p0"]
-
-    def test_split_by_label(self, pairs):
-        matches, non_matches, unlabeled = pairs.split_by_label()
-        assert [p.pair_id for p in matches] == ["p0"]
-        assert [p.pair_id for p in non_matches] == ["p1", "p2"]
-        assert [p.pair_id for p in unlabeled] == ["p3"]
-
-    def test_pair_ids(self, pairs):
-        assert pairs.pair_ids() == ("p0", "p1", "p2", "p3")

@@ -26,10 +26,6 @@ class TestRecord:
         with pytest.raises(DatasetError):
             Record("", {"title": "x"})
 
-    def test_non_empty_attributes(self):
-        record = Record("r1", {"title": "tv", "brand": "  ", "price": "10"})
-        assert set(record.non_empty_attributes()) == {"title", "price"}
-
     def test_text_concatenation(self):
         record = Record("r1", {"title": "sony tv", "brand": "sony"})
         assert record.text(["title", "brand"]) == "sony tv sony"
@@ -69,10 +65,6 @@ class TestTable:
         with pytest.raises(DatasetError):
             table["missing"]
 
-    def test_get_returns_default(self, schema):
-        table = Table("left", schema)
-        assert table.get("missing") is None
-
     def test_empty_name_rejected(self, schema):
         with pytest.raises(DatasetError):
             Table("", schema)
@@ -81,25 +73,4 @@ class TestTable:
         table = Table("left", schema)
         for i in (3, 1, 2):
             table.add(Record(f"r{i}", {"title": str(i)}))
-        assert table.record_ids == ("r3", "r1", "r2")
-
-    def test_filter(self, schema):
-        table = Table("left", schema)
-        table.add(Record("r1", {"title": "tv"}, entity_id="e1"))
-        table.add(Record("r2", {"title": "radio"}, entity_id="e2"))
-        filtered = table.filter(lambda r: r.value("title") == "tv")
-        assert filtered.record_ids == ("r1",)
-
-    def test_entity_ids(self, schema):
-        table = Table("left", schema)
-        table.add(Record("r1", {"title": "a"}, entity_id="e1"))
-        table.add(Record("r2", {"title": "b"}, entity_id="e1"))
-        table.add(Record("r3", {"title": "c"}))
-        assert table.entity_ids() == {"e1"}
-
-    def test_records_returns_copy(self, schema):
-        table = Table("left", schema)
-        table.add(Record("r1", {"title": "a"}))
-        records = table.records()
-        records.clear()
-        assert len(table) == 1
+        assert [record.record_id for record in table] == ["r3", "r1", "r2"]

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.dataset import build_pairset
+from repro.data.pair import CandidatePair, PairSet
 from repro.data.splits import DatasetSplit, SplitRatios, stratified_split
 from repro.exceptions import DatasetError
 
 
-def _make_pairs(num_positive: int, num_negative: int):
-    triples = [(f"l{i}", f"r{i}", 1) for i in range(num_positive)]
-    triples += [(f"l{i}", f"r{i + num_positive}", 0)
-                for i in range(num_positive, num_positive + num_negative)]
-    return build_pairset(triples)
+def _make_pairs(num_positive: int, num_negative: int) -> PairSet:
+    labels = [1] * num_positive + [0] * num_negative
+    return PairSet(CandidatePair(f"p{i}", f"l{i}", f"r{i}", label)
+                   for i, label in enumerate(labels))
 
 
 class TestSplitRatios:
@@ -41,11 +40,6 @@ class TestDatasetSplit:
             DatasetSplit(train=np.array([0, 1]), validation=np.array([1]),
                          test=np.array([2]))
 
-    def test_sizes(self):
-        split = DatasetSplit(train=np.array([0, 1, 2]), validation=np.array([3]),
-                             test=np.array([4, 5]))
-        assert split.sizes == (3, 1, 2)
-
 
 class TestStratifiedSplit:
     def test_partition_is_disjoint_and_complete(self):
@@ -57,9 +51,9 @@ class TestStratifiedSplit:
     def test_ratios_respected(self):
         pairs = _make_pairs(50, 200)
         split = stratified_split(pairs, SplitRatios(3, 1, 1), random_state=0)
-        assert split.sizes[0] == pytest.approx(150, abs=3)
-        assert split.sizes[1] == pytest.approx(50, abs=3)
-        assert split.sizes[2] == pytest.approx(50, abs=3)
+        assert len(split.train) == pytest.approx(150, abs=3)
+        assert len(split.validation) == pytest.approx(50, abs=3)
+        assert len(split.test) == pytest.approx(50, abs=3)
 
     def test_stratification_preserves_positive_rate(self):
         pairs = _make_pairs(30, 270)
@@ -70,8 +64,8 @@ class TestStratifiedSplit:
             assert labels[part].mean() == pytest.approx(overall, abs=0.05)
 
     def test_unlabeled_pairs_rejected(self):
-        pairs = build_pairset([("l0", "r0", 1)])
-        pairs.add(type(pairs[0])("pX", "lx", "rx", None))
+        pairs = PairSet([CandidatePair("p0", "l0", "r0", 1),
+                         CandidatePair("pX", "lx", "rx", None)])
         with pytest.raises(DatasetError):
             stratified_split(pairs)
 

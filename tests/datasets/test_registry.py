@@ -15,6 +15,12 @@ from repro.datasets.registry import (
 from repro.exceptions import DatasetError
 
 
+def _pair_values(dataset, indices):
+    """Both sides' raw record values for the pairs at ``indices``."""
+    return [tuple(record.values for record in dataset.records_for(dataset.pairs[i]))
+            for i in indices]
+
+
 class TestRegistry:
     def test_all_six_paper_benchmarks_available(self):
         assert set(available_benchmarks()) == set(PAPER_STATISTICS)
@@ -59,20 +65,19 @@ class TestBuildBenchmark:
     def test_deterministic_given_seed(self):
         first = load_benchmark("wdc_cameras", scale="tiny", random_state=21)
         second = load_benchmark("wdc_cameras", scale="tiny", random_state=21)
-        assert first.pairs.pair_ids() == second.pairs.pair_ids()
+        assert list(first.pairs) == list(second.pairs)
         assert list(first.labels()) == list(second.labels())
-        assert first.serialize(first.pairs[0]) == second.serialize(second.pairs[0])
+        assert _pair_values(first, [0]) == _pair_values(second, [0])
 
     def test_different_seeds_produce_different_data(self):
         first = load_benchmark("wdc_cameras", scale="tiny", random_state=1)
         second = load_benchmark("wdc_cameras", scale="tiny", random_state=2)
-        assert first.serialize(first.pairs[0]) != second.serialize(second.pairs[0])
+        assert _pair_values(first, [0]) != _pair_values(second, [0])
 
     def test_wdc_serialization_restricted_to_title(self):
         dataset = load_benchmark("wdc_cameras", scale="tiny", random_state=5)
-        text = dataset.serialize(dataset.pairs[0])
-        assert "[COL] title" in text
-        assert text.count("[COL]") == 2  # one per record side
+        assert dataset.attributes == ("title",)
+        assert dataset.statistics().num_attributes == 1
 
     def test_invalid_positive_rate_rejected(self):
         spec = benchmark_spec("amazon_google")

@@ -136,7 +136,15 @@ def test_empty_index_list_keeps_feature_dim(tiny_dataset):
 
 
 def test_serialization_attribute_subset_respected(tiny_dataset):
-    """The batch path honours dataset.serialization.attributes like the reference."""
+    """The batch path honours dataset.attributes like the reference."""
     featurizer = PairFeaturizer(FeaturizerConfig(hash_dim=32))
-    assert np.array_equal(transform_reference(featurizer, tiny_dataset),
-                          featurizer.transform(tiny_dataset))
+    title_only = EMDataset(tiny_dataset.name, tiny_dataset.left, tiny_dataset.right,
+                           tiny_dataset.pairs, split=tiny_dataset.split,
+                           attributes=("title",))
+    for dataset in (tiny_dataset, title_only):
+        assert np.array_equal(transform_reference(featurizer, dataset),
+                              featurizer.transform(dataset))
+    dropped = len(tiny_dataset.attributes) - 1
+    assert dropped > 0
+    assert (featurizer.feature_dim(tiny_dataset) - featurizer.feature_dim(title_only)
+            == PairFeaturizer.SIMILARITIES_PER_ATTRIBUTE * dropped)

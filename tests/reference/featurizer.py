@@ -76,8 +76,8 @@ def attribute_similarities(left_value: str, right_value: str,
 
 
 def _serialized_attributes(dataset: EMDataset) -> tuple[str, ...]:
-    if dataset.serialization.attributes is not None:
-        return tuple(name for name in dataset.serialization.attributes
+    if dataset.attributes is not None:
+        return tuple(name for name in dataset.attributes
                      if name in dataset.left.schema.attribute_names)
     return dataset.left.schema.attribute_names
 
