@@ -6,6 +6,9 @@ parameters and their gradients live in ``layer.parameters`` /
 :class:`repro.neural.optimizers.AdamW` can update any layer uniformly.
 ``backward`` assigns every gradient and never accumulates, so nothing is
 zeroed between steps; ``gradients`` is empty until the first ``backward``.
+:meth:`Linear.assign_gradients` assigns a linear layer's weight and bias
+gradients alone, without the gradient w.r.t. the input, for a network's
+first layer, whose input gradient nothing reads.
 """
 
 from __future__ import annotations
@@ -35,7 +38,12 @@ class Layer(abc.ABC):
 
 
 class Linear(Layer):
-    """Fully connected layer ``y = x W + b`` with He-style initialization."""
+    """Fully connected layer ``y = x W + b`` with He-style initialization.
+
+    ``backward`` is :meth:`assign_gradients` followed by the gradient w.r.t.
+    the input, ``grad_output @ W.T``; a caller that does not need the input
+    gradient calls :meth:`assign_gradients` alone.
+    """
 
     def __init__(self, in_features: int, out_features: int,
                  random_state: RandomState = None) -> None:
@@ -54,11 +62,15 @@ class Linear(Layer):
         self._input = x if training else None
         return x @ self.parameters["weight"] + self.parameters["bias"]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def assign_gradients(self, grad_output: np.ndarray) -> None:
+        """Assign the weight and bias gradients for ``grad_output``."""
         if self._input is None:
             raise RuntimeError("backward called before a training forward pass")
         self.gradients["weight"] = self._input.T @ grad_output
         self.gradients["bias"] = grad_output.sum(axis=0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.assign_gradients(grad_output)
         return grad_output @ self.parameters["weight"].T
 
 

@@ -70,9 +70,13 @@ class FeedForwardNetwork:
         """Backpropagate the gradient of the loss w.r.t. the output logits.
 
         Every layer assigns its ``gradients`` afresh, so no zeroing pass is
-        needed between optimizer steps.
+        needed between optimizer steps.  Nothing reads the gradient w.r.t. the
+        input features, so the first layer, always a :class:`Linear`, only
+        assigns its weight and bias gradients (:meth:`Linear.assign_gradients`).
         """
         grad = np.asarray(grad_logits, dtype=np.float64).reshape(-1, 1)
-        grad = self.output_layer.backward(grad)
-        for layer in reversed(self.hidden_layers):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
+        assert isinstance(first, Linear)
+        first.assign_gradients(grad)
