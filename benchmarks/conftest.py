@@ -27,7 +27,7 @@ if _TESTS_DIR not in sys.path:
 from reference import graphs as oracle
 from repro.config import get_scale
 from repro.experiments.configs import ExperimentSettings, default_settings
-from repro.experiments.runner import run_learning_curves
+from repro.experiments.figures import figure5_learning_curves
 from repro.graphs.sparse import (
     build_sparse_adjacency,
     certainty_scores_batch,
@@ -77,7 +77,7 @@ def headline_curves(bench_settings):
     This is the data behind Figure 5 and Tables 4-5; sharing it across the
     benches avoids re-running the expensive active-learning sweeps.
     """
-    return run_learning_curves(bench_settings.datasets, HEADLINE_METHODS, bench_settings)
+    return figure5_learning_curves(bench_settings, methods=HEADLINE_METHODS)
 
 
 def substrate_pool_inputs(num_nodes: int, dim: int = 64, num_clusters: int = 8,

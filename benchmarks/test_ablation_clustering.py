@@ -9,7 +9,7 @@ whose clusters are effectively unconstrained.
 
 from repro.active.selectors import BattleshipConfig, BattleshipSelector
 from repro.evaluation.reporting import format_table
-from repro.experiments.runner import get_dataset, run_single
+from repro.experiments.engine import get_dataset, run_single
 
 _DATASET = "amazon_google"
 

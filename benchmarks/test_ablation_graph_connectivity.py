@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.active.selectors import BattleshipConfig, BattleshipSelector
 from repro.evaluation.reporting import format_table
-from repro.experiments.runner import get_dataset, run_single
+from repro.experiments.engine import get_dataset, run_single
 
 _DATASET = "amazon_google"
 _Q_VALUES = (3, 8, 15)

@@ -10,15 +10,15 @@ especially in AUC terms (see the Table 5 bench).
 import numpy as np
 
 from repro.evaluation.reporting import format_learning_curves
-from repro.experiments.runner import run_learning_curves
+from repro.experiments.figures import figure5_learning_curves
 
 
 def test_figure5_learning_curves(benchmark, bench_settings, headline_curves, write_report):
     # The heavy sweep is computed once in the session fixture; the benchmark
     # measures a representative single-dataset/method run for timing purposes.
     benchmark.pedantic(
-        run_learning_curves,
-        args=(("amazon_google",), ("random",), bench_settings),
+        figure5_learning_curves,
+        args=(bench_settings, ("amazon_google",), ("random",)),
         rounds=1, iterations=1,
     )
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.ann.exact import ExactNearestNeighbors
 from repro.clustering.constrained import ConstrainedKMeans, SizeConstraints
-from repro.experiments.runner import get_dataset
+from repro.experiments.engine import get_dataset
 from repro.graphs.sparse import build_sparse_adjacency, pagerank_components
 from repro.neural.featurizer import PairFeaturizer
 from repro.neural.matcher import NeuralMatcher

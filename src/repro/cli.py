@@ -180,8 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iterations", type=_int_at_least(0), default=3)
     run.add_argument("--budget", type=_int_at_least(1), default=20)
     run.add_argument("--seed-size", type=_int_at_least(1), default=None)
-    run.add_argument("--alpha", type=_unit_interval, default=0.5)
-    run.add_argument("--beta", type=_unit_interval, default=0.5)
+    run.add_argument("--alpha", type=_unit_interval, default=None,
+                     help="Battleship's α (default 0.5)")
+    run.add_argument("--beta", type=_unit_interval, default=None,
+                     help="Battleship's β (default 0.5)")
     run.add_argument("--epochs", type=_int_at_least(1), default=None,
                      help="Matcher training epochs (default: the harness setting)")
     run.add_argument("--no-weak-supervision", action="store_true")
@@ -333,9 +335,11 @@ def _command_datasets(args: argparse.Namespace) -> int:
 def _command_run(args: argparse.Namespace) -> int:
     settings = default_settings(args.scale)
     dataset = load_benchmark(args.dataset, scale=args.scale, random_state=args.seed)
+    alpha = 0.5 if args.alpha is None else args.alpha
+    beta = 0.5 if args.beta is None else args.beta
     loop = ActiveLearningLoop(
         dataset=dataset,
-        selector=method_factory(args.selector)(args.alpha, args.beta),
+        selector=method_factory(args.selector)(alpha, beta),
         matcher_config=_matcher_config(args, settings),
         featurizer_config=settings.featurizer_config,
         iterations=args.iterations,
@@ -383,6 +387,32 @@ def _curve_rows(curves) -> list[dict[str, object]]:
     return rows
 
 
+def _requested_outputs(args: argparse.Namespace,
+                       ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """The figures and tables ``experiments`` builds (default: Figure 5 and
+    Tables 4/5), and whether they read the learning-curve grid."""
+    requested_figures = tuple(dict.fromkeys(args.figure or ()))
+    requested_tables = tuple(dict.fromkeys(args.table or ()))
+    if not requested_figures and not requested_tables:
+        requested_figures, requested_tables = (5,), (4, 5)
+    reads_curves = 5 in requested_figures or bool({4, 5} & set(requested_tables))
+    return requested_figures, requested_tables, reads_curves
+
+
+def _reject_ignored_flags(parser: argparse.ArgumentParser,
+                          args: argparse.Namespace) -> None:
+    """Exit 2 on a flag the requested command would silently ignore."""
+    if args.command == "run" and args.selector != "battleship":
+        for flag in ("alpha", "beta"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} only applies to --selector battleship, "
+                             f"not {args.selector}")
+    if (args.command == "experiments" and args.methods
+            and not _requested_outputs(args)[2]):
+        parser.error("--methods only restricts Figure 5 and Tables 4/5; "
+                     "none of them is requested")
+
+
 def _command_experiments(args: argparse.Namespace) -> int:
     from repro.experiments import figures, tables
 
@@ -397,10 +427,7 @@ def _command_experiments(args: argparse.Namespace) -> int:
     # builders' placeholder outputs are meaningless, so only the plan prints.
     emit = (lambda text: None) if dry_run else print
 
-    requested_figures = tuple(dict.fromkeys(args.figure or ()))
-    requested_tables = tuple(dict.fromkeys(args.table or ()))
-    if not requested_figures and not requested_tables:
-        requested_figures, requested_tables = (5,), (4, 5)
+    requested_figures, requested_tables, reads_curves = _requested_outputs(args)
     methods = tuple(args.methods) if args.methods else ACTIVE_LEARNING_METHODS
     # Figures 7-10 default to the paper's ablation datasets; an explicit
     # --datasets restriction overrides that too.
@@ -409,7 +436,7 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
     # The learning-curve grid feeds Figure 5 and Tables 4/5; run it once.
     curves = None
-    if 5 in requested_figures or {4, 5} & set(requested_tables):
+    if reads_curves:
         curves = figures.figure5_learning_curves(settings, methods=methods,
                                                  engine=engine)
 
@@ -739,6 +766,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``python -m repro``."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_ignored_flags(parser, args)
     return _COMMANDS[args.command](args)
 
 

@@ -17,8 +17,9 @@ module turns that grid into explicit jobs:
   from the store instead of re-executed (resume), fresh results are persisted.
 
 The engine also hosts the execution primitives (`method_factory`,
-`get_dataset`, `run_single`) that the figure/table layer builds on, keeping
-the dependency order loop → engine/store → runner/figures/tables → CLI.
+`get_dataset`, `run_single`) that the figure/table layer imports from here
+directly.  The dependency order is loop → engine/store → runner (the grid
+convention) → figures/tables/robustness → CLI.
 """
 
 from __future__ import annotations

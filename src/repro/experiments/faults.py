@@ -5,9 +5,10 @@ one transient exception, one OOM-killed process, or one hung job must cost a
 single retried run — never the whole sweep.  This module hosts the three
 pieces the engine builds that guarantee on:
 
-* :class:`RetryPolicy` — how often a failed job is retried, with exponential
-  backoff whose jitter is *deterministic* (seeded by spec fingerprint ×
-  attempt, no RNG), and the transient-vs-permanent error classification.
+* :class:`RetryPolicy` — how often a failed job is retried and how long one
+  attempt may take, on a fixed exponential backoff whose jitter is
+  *deterministic* (seeded by spec fingerprint × attempt, no RNG), and the
+  transient-vs-permanent error classification.
 * :class:`FaultInjector` — a deterministic chaos harness: directives keyed by
   RunSpec fingerprint × attempt raise transient or permanent errors, hard-kill
   the worker (``os._exit``), stall a job, or tear an artifact write.  It is
@@ -38,7 +39,6 @@ from repro.exceptions import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # avoid a circular import; the engine imports this module
     from repro.experiments.engine import RunSpec
-    from repro.experiments.store import ArtifactStore
 
 #: Environment variable carrying a chaos spec (same grammar as ``--chaos``).
 CHAOS_ENV_VAR = "REPRO_CHAOS"
@@ -58,6 +58,14 @@ POOL_KILL_QUARANTINE = 2
 
 #: Bumped whenever the failure-ledger layout changes incompatibly.
 LEDGER_FORMAT_VERSION = 1
+
+#: The backoff schedule: ``_BACKOFF_BASE * _BACKOFF_FACTOR**n`` seconds
+#: before retrying failed attempt ``n`` (0-based), capped at
+#: ``_BACKOFF_MAX`` and spread by ±``_BACKOFF_JITTER`` (a fraction).
+_BACKOFF_BASE = 0.05
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 30.0
+_BACKOFF_JITTER = 0.25
 
 
 class InjectedTransientError(ReproError):
@@ -90,9 +98,7 @@ TRANSIENT_ERROR_TYPES: tuple[type[BaseException], ...] = (
     JobTimeoutError,
     WorkerCrashError,
     BrokenProcessPool,
-    ConnectionError,
-    TimeoutError,
-    OSError,
+    OSError,  # ConnectionError and TimeoutError included
 )
 
 
@@ -118,74 +124,35 @@ class RetryPolicy:
     """How failed jobs are retried.
 
     ``max_attempts`` counts *attempts*, not retries: the default of 3 means
-    one initial run plus up to two retries.  Backoff for the n-th failed
-    attempt is ``backoff_base * backoff_factor**n`` capped at
-    ``backoff_max``, spread by ±``jitter`` (a fraction) whose value is a
+    one initial run plus up to two retries.  ``timeout`` is the per-job
+    wall-clock limit, enforced only with ``jobs>=2`` (at ``jobs=1`` jobs run
+    in the calling process, which cannot preempt itself).  The backoff
+    before a retry is a fixed schedule, not a setting: 0.05 s doubling per
+    failed attempt, capped at 30 s, spread by ±25% jitter that is a
     deterministic function of spec fingerprint × attempt — identical across
-    reruns and processes, so chaos tests stay reproducible.  ``timeout`` is
-    the per-job wall-clock limit, enforced only with ``jobs>=2`` (at
-    ``jobs=1`` jobs run in the calling process, which cannot preempt itself).
+    reruns and processes, so chaos tests stay reproducible.
     """
 
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter: float = 0.25
     timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0:
-            raise ConfigurationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.backoff_max < 0:
-            raise ConfigurationError(
-                f"backoff_max must be >= 0, got {self.backoff_max}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}")
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError(
                 f"timeout must be > 0 seconds, got {self.timeout}")
 
     def backoff_seconds(self, fingerprint: str, attempt: int) -> float:
         """Deterministic backoff before retrying ``attempt`` (0-based)."""
-        raw = min(self.backoff_max,
-                  self.backoff_base * self.backoff_factor ** attempt)
-        spread = (_unit_interval(fingerprint, attempt) - 0.5) * 2 * self.jitter
-        return max(0.0, min(self.backoff_max, raw * (1.0 + spread)))
+        raw = min(_BACKOFF_MAX, _BACKOFF_BASE * _BACKOFF_FACTOR ** attempt)
+        spread = (_unit_interval(fingerprint, attempt) - 0.5) * 2 * _BACKOFF_JITTER
+        return max(0.0, min(_BACKOFF_MAX, raw * (1.0 + spread)))
 
     def retryable(self, error: BaseException, failed_attempts: int) -> bool:
         """Whether a job that failed ``failed_attempts`` times should retry."""
         return failed_attempts < self.max_attempts and is_transient(error)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-            "jitter": self.jitter,
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "RetryPolicy":
-        timeout = payload.get("timeout")
-        return cls(
-            max_attempts=int(payload.get("max_attempts", 3)),  # type: ignore[arg-type]
-            backoff_base=float(payload.get("backoff_base", 0.05)),  # type: ignore[arg-type]
-            backoff_factor=float(payload.get("backoff_factor", 2.0)),  # type: ignore[arg-type]
-            backoff_max=float(payload.get("backoff_max", 30.0)),  # type: ignore[arg-type]
-            jitter=float(payload.get("jitter", 0.25)),  # type: ignore[arg-type]
-            timeout=float(timeout) if timeout is not None else None,  # type: ignore[arg-type]
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -487,10 +454,6 @@ class FailureLedger:
         self.entries: dict[str, FailureRecord] = {}
         if self.path.exists():
             self._load()
-
-    @classmethod
-    def for_store(cls, store: "ArtifactStore") -> "FailureLedger":
-        return cls(ledger_path(store.root))
 
     def _load(self) -> None:
         try:

@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.active.loop import ActiveLearningResult
 from repro.active.weak_supervision import WeakSupervisionMode
 from repro.ann.exact import ExactNearestNeighbors
 from repro.baselines.full_training import train_full_matcher
 from repro.evaluation.curves import LearningCurve
-from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ABLATION_DATASETS, ExperimentSettings, default_settings
-from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import ACTIVE_LEARNING_METHODS, ExperimentEngine, get_dataset
 from repro.experiments.paper_values import (
     FIGURE7_BETA_F1,
     FIGURE8_CORRESPONDENCE,
@@ -26,23 +26,13 @@ from repro.experiments.paper_values import (
     FIGURE10_WS_METHOD_AUC,
 )
 from repro.experiments.runner import (
-    ACTIVE_LEARNING_METHODS,
     enumerate_run_specs,
-    get_dataset,
+    resolve_engine,
     run_curve_grid,
-    run_learning_curves,
-    run_method,
+    run_spec_grid,
 )
 from repro.neural.featurizer import PairFeaturizer
 from repro.visualization.tsne import TSNE, TSNEConfig
-
-
-def _resolve_settings(settings: ExperimentSettings | None,
-                      engine: ExperimentEngine | None = None) -> ExperimentSettings:
-    """Explicit settings win; otherwise reuse the engine's, else defaults."""
-    if settings is not None:
-        return settings
-    return engine.settings if engine is not None else default_settings()
 
 
 # --------------------------------------------------------------------------- #
@@ -144,11 +134,22 @@ def figure5_learning_curves(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[str, LearningCurve]]:
     """Reproduce Figure 5: F1 versus labeled samples per dataset and method."""
-    settings = _resolve_settings(settings, engine)
-    dataset_names = dataset_names or settings.datasets
-    methods = methods or ACTIVE_LEARNING_METHODS
-    return run_learning_curves(tuple(dataset_names), tuple(methods), settings,
-                               engine=engine)
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
+    dataset_names = tuple(dataset_names or settings.datasets)
+    methods = tuple(methods or ACTIVE_LEARNING_METHODS)
+    groups = {
+        (dataset_name, method): enumerate_run_specs(dataset_name, method, settings)
+        for dataset_name in dataset_names
+        for method in methods
+    }
+    curves = run_curve_grid(groups, engine)
+    return {
+        dataset_name: {method: curves[(dataset_name, method)]
+                       for method in methods
+                       if (dataset_name, method) in curves}
+        for dataset_name in dataset_names
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -168,6 +169,22 @@ def _measures_timings_faithfully(engine: ExperimentEngine) -> bool:
     return engine.store is None and engine.executor.jobs == 1
 
 
+def _average_selection_runtimes(results: list[ActiveLearningResult]) -> list[float]:
+    """Per-iteration selection runtimes averaged over ``results``.
+
+    Each iteration is averaged over the runs that reached it, so a run
+    that stopped selecting early (exhausted pool) shortens nothing but
+    its own contribution.
+    """
+    per_run = [result.selection_runtimes() for result in results]
+    length = max((len(runtimes) for runtimes in per_run), default=0)
+    averaged = []
+    for i in range(length):
+        reached = [runtimes[i] for runtimes in per_run if len(runtimes) > i]
+        averaged.append(float(sum(reached) / len(reached)))
+    return averaged
+
+
 def figure6_runtime(
     settings: ExperimentSettings | None = None,
     dataset_names: tuple[str, ...] | None = None,
@@ -182,16 +199,11 @@ def figure6_runtime(
     only *replaying* stored timings is not — so overlapping figures don't
     re-execute the same specs.
     """
-    settings = _resolve_settings(settings, engine)
-    if engine is not None and engine.settings != settings:
-        # Checked before any timing run, not only when adopt_results would
-        # reject the finished sweep's results at the very end.
-        raise ConfigurationError(
-            "figure6_runtime was given settings different from the engine's; "
-            "build both from the same ExperimentSettings")
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     dataset_names = dataset_names or settings.datasets
     timing_engine = engine
-    if engine is not None and not _measures_timings_faithfully(engine):
+    if not _measures_timings_faithfully(engine):
         warnings.warn(
             "figure 6: re-measuring selection runtimes through a serial, "
             "store-less engine (timings taken under parallel contention or "
@@ -201,9 +213,9 @@ def figure6_runtime(
     rows: list[dict[str, object]] = []
     try:
         for dataset_name in dataset_names:
-            run = run_method(dataset_name, "battleship", settings,
-                             engine=timing_engine)
-            runtimes = run.selection_runtimes()
+            specs = enumerate_run_specs(dataset_name, "battleship", settings)
+            results = run_spec_grid({dataset_name: specs}, timing_engine)
+            runtimes = _average_selection_runtimes(results[dataset_name])
             for iteration, seconds in enumerate(runtimes, start=1):
                 rows.append({
                     "dataset": dataset_name,
@@ -230,14 +242,15 @@ def figure7_beta_ablation(
     engine: ExperimentEngine | None = None,
 ) -> dict[str, dict[float, LearningCurve]]:
     """Reproduce Figure 7: battleship with β ∈ {0, 0.5, 1} and α = 0.5."""
-    settings = _resolve_settings(settings, engine)
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     groups = {
         (dataset_name, beta): enumerate_run_specs(
             dataset_name, "battleship", settings, beta=beta, alphas=(0.5,))
         for dataset_name in dataset_names
         for beta in betas
     }
-    curves = run_curve_grid(groups, settings, engine)
+    curves = run_curve_grid(groups, engine)
     return {
         dataset_name: {beta: curves[(dataset_name, beta)] for beta in betas}
         for dataset_name in dataset_names
@@ -272,14 +285,15 @@ def figure8_correspondence(
     conditional entropy — exactly DAL's criterion — so any remaining difference
     is due to the graph separation and budget distribution (correspondence).
     """
-    settings = _resolve_settings(settings, engine)
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     groups = {}
     for dataset_name in dataset_names:
         groups[(dataset_name, "battleship")] = enumerate_run_specs(
             dataset_name, "battleship", settings, beta=1.0, alphas=(1.0,))
         groups[(dataset_name, "dal")] = enumerate_run_specs(
             dataset_name, "dal", settings)
-    curves = run_curve_grid(groups, settings, engine)
+    curves = run_curve_grid(groups, engine)
 
     rows: list[dict[str, object]] = []
     for dataset_name in dataset_names:
@@ -307,7 +321,8 @@ def figure9_weak_supervision(
     engine: ExperimentEngine | None = None,
 ) -> list[dict[str, object]]:
     """Reproduce Figure 9: battleship and DAL with and without weak supervision."""
-    settings = _resolve_settings(settings, engine)
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     modes = (WeakSupervisionMode.SELECTOR, WeakSupervisionMode.OFF)
     groups = {
         (dataset_name, method, mode): enumerate_run_specs(
@@ -316,7 +331,7 @@ def figure9_weak_supervision(
         for method in ("battleship", "dal")
         for mode in modes
     }
-    curves = run_curve_grid(groups, settings, engine)
+    curves = run_curve_grid(groups, engine)
 
     rows: list[dict[str, object]] = []
     for dataset_name in dataset_names:
@@ -348,7 +363,8 @@ def figure10_ws_method(
     engine: ExperimentEngine | None = None,
 ) -> list[dict[str, object]]:
     """Reproduce Figure 10: battleship with its own WS vs. DAL-style WS."""
-    settings = _resolve_settings(settings, engine)
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     modes = (WeakSupervisionMode.SELECTOR, WeakSupervisionMode.ENTROPY)
     groups = {
         (dataset_name, mode): enumerate_run_specs(
@@ -357,7 +373,7 @@ def figure10_ws_method(
         for dataset_name in dataset_names
         for mode in modes
     }
-    curves = run_curve_grid(groups, settings, engine)
+    curves = run_curve_grid(groups, engine)
 
     rows: list[dict[str, object]] = []
     for dataset_name in dataset_names:

@@ -20,12 +20,8 @@ from __future__ import annotations
 
 from repro.evaluation.curves import LearningCurve
 from repro.experiments.configs import ExperimentSettings
-from repro.experiments.engine import DEFAULT_SCENARIO, ExperimentEngine
-from repro.experiments.runner import (
-    ACTIVE_LEARNING_METHODS,
-    enumerate_run_specs,
-    run_curve_grid,
-)
+from repro.experiments.engine import ACTIVE_LEARNING_METHODS, DEFAULT_SCENARIO, ExperimentEngine
+from repro.experiments.runner import enumerate_run_specs, resolve_engine, run_curve_grid
 from repro.scenarios import Scenario, resolve_scenarios
 
 #: Key of one cell of the robustness grid.
@@ -61,11 +57,13 @@ def robustness_curves(
     engine: ExperimentEngine | None = None,
 ) -> dict[ScenarioCell, LearningCurve]:
     """One seed/α-averaged learning curve per scenario-grid cell."""
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     dataset_names = tuple(dataset_names or settings.datasets)
     scenarios = resolve_scenarios(scenarios)
     methods = tuple(methods or ACTIVE_LEARNING_METHODS)
     groups = scenario_grid_specs(settings, dataset_names, scenarios, methods)
-    return run_curve_grid(groups, settings, engine)
+    return run_curve_grid(groups, engine)
 
 
 def robustness_rows(

@@ -1,81 +1,43 @@
-"""Shared experiment runner: one function per repeated pattern in the harness.
+"""The grid convention every figure and table builder shares.
 
-Every figure/table of the paper boils down to: enumerate a grid of
-:class:`~repro.experiments.engine.RunSpec` jobs, resolve them through an
+Every figure/table of the paper enumerates a grid of
+:class:`~repro.experiments.engine.RunSpec` jobs, resolves them through an
 :class:`~repro.experiments.engine.ExperimentEngine` (serially, in parallel,
-or straight from a warm artifact store), and aggregate the learning curves.
-The execution primitives live in :mod:`repro.experiments.engine`; this module
-keeps the seed/α averaging conventions so the figure and table builders stay
-short, and re-exports the primitives under their historical names.
+or from a warm artifact store) and averages the learning curves.  This
+module keeps the seed/α enumeration and averaging conventions, and
+:func:`resolve_engine`, the one place a builder's settings meet its engine.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.active.loop import ActiveLearningResult
 from repro.active.weak_supervision import WeakSupervisionMode
 from repro.evaluation.curves import LearningCurve, average_curves
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import ExperimentSettings
+from repro.experiments.configs import ExperimentSettings, default_settings
 from repro.experiments.engine import (
-    ACTIVE_LEARNING_METHODS,
     DEFAULT_SCENARIO,
     ExperimentEngine,
     RunSpec,
-    SelectorFactory,
-    clear_dataset_cache,
-    clear_feature_cache,
-    get_dataset,
-    get_feature_matrix,
     method_factory,
-    run_single,
 )
 
-__all__ = [
-    "ACTIVE_LEARNING_METHODS",
-    "MethodRun",
-    "SelectorFactory",
-    "clear_dataset_cache",
-    "clear_feature_cache",
-    "enumerate_run_specs",
-    "get_dataset",
-    "get_feature_matrix",
-    "method_factory",
-    "run_curve_grid",
-    "run_learning_curves",
-    "run_method",
-    "run_single",
-    "run_spec_grid",
-]
 
+def resolve_engine(settings: ExperimentSettings | None,
+                   engine: ExperimentEngine | None) -> ExperimentEngine:
+    """The engine a builder runs through; its ``settings`` are the run's.
 
-@dataclass
-class MethodRun:
-    """All raw results of one method on one dataset (across seeds and α values)."""
-
-    dataset: str
-    method: str
-    results: list[ActiveLearningResult] = field(default_factory=list)
-
-    def curve(self) -> LearningCurve:
-        """Learning curve averaged over every underlying run."""
-        return average_curves([result.learning_curve() for result in self.results])
-
-    def selection_runtimes(self) -> list[float]:
-        """Per-iteration selection runtimes averaged over runs (Figure 6).
-
-        Each iteration is averaged over the runs that reached it, so a run
-        that stopped selecting early (exhausted pool) shortens nothing but
-        its own contribution.
-        """
-        per_run = [result.selection_runtimes() for result in self.results]
-        length = max((len(runtimes) for runtimes in per_run), default=0)
-        averaged = []
-        for i in range(length):
-            reached = [runtimes[i] for runtimes in per_run if len(runtimes) > i]
-            averaged.append(float(sum(reached) / len(reached)))
-        return averaged
+    Without an ``engine``, a serial, store-less one over ``settings`` (or the
+    default settings).  Settings that differ from the engine's are rejected
+    before anything runs: they would silently describe a different run.
+    """
+    if engine is None:
+        return ExperimentEngine(settings or default_settings())
+    if settings is not None and engine.settings != settings:
+        raise ConfigurationError(
+            "The engine was built from different ExperimentSettings than the "
+            "requested run; construct engine and run from the same settings")
+    return engine
 
 
 def enumerate_run_specs(
@@ -87,12 +49,11 @@ def enumerate_run_specs(
     weak_supervision: WeakSupervisionMode | str = WeakSupervisionMode.SELECTOR,
     scenario: str = DEFAULT_SCENARIO,
 ) -> list[RunSpec]:
-    """The job grid behind one ``run_method`` call (seeds × α values).
+    """The job grid of one method on one dataset (seeds × α values).
 
-    The battleship method is averaged over ``alphas`` (the paper averages
-    α ∈ {0.25, 0.5, 0.75}); other methods run a single nominal α.
-    ``scenario`` selects the robustness scenario every enumerated run
-    executes under (the paper's perfect setting by default).
+    Battleship is averaged over ``alphas`` (the paper averages α ∈ {0.25,
+    0.5, 0.75}); other methods run a single nominal α.  Every run executes
+    under ``scenario`` (the paper's perfect setting by default).
     """
     method_factory(method)  # validate the name before enumerating
     beta = settings.beta if beta is None else beta
@@ -106,34 +67,17 @@ def enumerate_run_specs(
     ]
 
 
-def _resolve_engine(settings: ExperimentSettings,
-                    engine: ExperimentEngine | None) -> ExperimentEngine:
-    """Default to a serial, store-less engine over ``settings``."""
-    if engine is None:
-        return ExperimentEngine(settings)
-    if engine.settings != settings:
-        raise ConfigurationError(
-            "The engine was built from different ExperimentSettings than the "
-            "requested run; construct engine and run from the same settings")
-    return engine
-
-
 def run_spec_grid(
     spec_groups: dict[object, list[RunSpec]],
-    settings: ExperimentSettings,
-    engine: ExperimentEngine | None = None,
+    engine: ExperimentEngine,
 ) -> dict[object, list[ActiveLearningResult]]:
     """Resolve several labeled groups of specs through one engine batch.
 
-    Submitting the union as a single batch lets a parallel executor overlap
-    runs *across* groups (e.g. across a figure's β values or a table's α
-    columns), instead of being capped at the seeds within one group.
-
-    Under a ``--keep-going`` executor a permanently failed spec has no
-    result; it is dropped from its group (the engine's report and failure
-    ledger account for it), so the surviving runs still aggregate.
+    One batch lets a parallel executor overlap runs *across* groups (e.g. a
+    figure's β values), not just the seeds within one.  Under ``--keep-going``
+    a permanently failed spec has no result and is dropped from its group
+    (the engine's report and failure ledger account for it).
     """
-    engine = _resolve_engine(settings, engine)
     all_specs = [spec for specs in spec_groups.values() for spec in specs]
     results = engine.run(all_specs)
     return {key: [results[spec] for spec in specs if spec in results]
@@ -142,65 +86,15 @@ def run_spec_grid(
 
 def run_curve_grid(
     spec_groups: dict[object, list[RunSpec]],
-    settings: ExperimentSettings,
-    engine: ExperimentEngine | None = None,
+    engine: ExperimentEngine,
 ) -> dict[object, LearningCurve]:
     """One seed/α-averaged learning curve per labeled group of specs.
 
-    This is the aggregation every figure and table shares: resolve the whole
-    grid as one engine batch (see :func:`run_spec_grid`), then collapse each
-    group's raw results into a single averaged curve.  Keeping the averaging
-    convention here means a change to it lands in every builder at once.
+    Resolves the whole grid as one engine batch (see :func:`run_spec_grid`),
+    then collapses each group's raw results into one averaged curve, so a
+    change to the averaging convention lands in every builder at once.
     """
-    resolved = run_spec_grid(spec_groups, settings, engine)
+    resolved = run_spec_grid(spec_groups, engine)
     # A group whose every run failed under --keep-going has no curve.
     return {key: average_curves([result.learning_curve() for result in results])
             for key, results in resolved.items() if results}
-
-
-def run_method(
-    dataset_name: str,
-    method: str,
-    settings: ExperimentSettings,
-    beta: float | None = None,
-    alphas: tuple[float, ...] | None = None,
-    weak_supervision: WeakSupervisionMode | str = WeakSupervisionMode.SELECTOR,
-    engine: ExperimentEngine | None = None,
-) -> MethodRun:
-    """Run ``method`` on ``dataset_name`` averaged over seeds (and α values).
-
-    With an ``engine`` the runs execute through its executor and artifact
-    store (parallelism and resume); otherwise they run serially in-process.
-    """
-    specs = enumerate_run_specs(dataset_name, method, settings,
-                                beta=beta, alphas=alphas,
-                                weak_supervision=weak_supervision)
-    resolved = run_spec_grid({dataset_name: specs}, settings, engine)
-    return MethodRun(dataset=dataset_name, method=method,
-                     results=resolved[dataset_name])
-
-
-def run_learning_curves(
-    dataset_names: tuple[str, ...],
-    methods: tuple[str, ...],
-    settings: ExperimentSettings,
-    engine: ExperimentEngine | None = None,
-) -> dict[str, dict[str, LearningCurve]]:
-    """Learning curves per dataset per method (the data behind Figure 5).
-
-    The whole grid is enumerated up front and submitted as one batch, so a
-    parallel engine overlaps runs across datasets and methods, not just
-    within one method.
-    """
-    groups = {
-        (dataset_name, method): enumerate_run_specs(dataset_name, method, settings)
-        for dataset_name in dataset_names
-        for method in methods
-    }
-    curves = run_curve_grid(groups, settings, engine)
-    return {
-        dataset_name: {method: curves[(dataset_name, method)]
-                       for method in methods
-                       if (dataset_name, method) in curves}
-        for dataset_name in dataset_names
-    }

@@ -11,13 +11,9 @@ from repro.baselines.full_training import evaluate_zeroer, train_full_matcher
 from repro.datasets.registry import PAPER_STATISTICS
 from repro.evaluation.curves import LearningCurve
 from repro.experiments.configs import ExperimentSettings, default_settings
-from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import ExperimentEngine, get_dataset
 from repro.experiments.paper_values import TABLE4_F1, TABLE5_AUC, TABLE6_ALPHA_F1
-from repro.experiments.runner import (
-    enumerate_run_specs,
-    get_dataset,
-    run_curve_grid,
-)
+from repro.experiments.runner import enumerate_run_specs, resolve_engine, run_curve_grid
 
 
 def table3_dataset_statistics(settings: ExperimentSettings | None = None) -> list[dict[str, object]]:
@@ -55,7 +51,7 @@ def table4_f1_by_budget(
     """Table 4: F1 at the mid and final labeled-sample checkpoints.
 
     ``curves`` maps dataset → method → learning curve (as produced by
-    :func:`repro.experiments.runner.run_learning_curves`).  The mid / final
+    :func:`repro.experiments.figures.figure5_learning_curves`).  The mid / final
     checkpoints play the role of the paper's 500 / 900 labeled samples.
     """
     mid, final = settings.mid_checkpoint, settings.final_checkpoint
@@ -125,6 +121,8 @@ def table6_alpha_ablation(
     engine: ExperimentEngine | None = None,
 ) -> list[dict[str, object]]:
     """Table 6: final battleship F1 for different α values (β fixed at 0.5)."""
+    engine = resolve_engine(settings, engine)
+    settings = engine.settings
     dataset_names = dataset_names or settings.datasets
     groups = {
         (dataset_name, alpha): enumerate_run_specs(
@@ -132,7 +130,7 @@ def table6_alpha_ablation(
         for dataset_name in dataset_names
         for alpha in alphas
     }
-    curves = run_curve_grid(groups, settings, engine)
+    curves = run_curve_grid(groups, engine)
     rows: list[dict[str, object]] = []
     for dataset_name in dataset_names:
         row: dict[str, object] = {"dataset": dataset_name}

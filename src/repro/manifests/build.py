@@ -64,30 +64,15 @@ def build_retry_policy(
 
     ``(None, False)`` when the manifest has no ``[execution]`` section —
     the campaign then runs with whatever the caller (CLI flags, API)
-    chooses, typically fail-fast.  Declared fields override the policy's
-    defaults field by field.
+    chooses, typically fail-fast.  An undeclared ``max_attempts`` takes the
+    policy's default.
     """
     execution = document.execution
     if execution is None:
         return None, False
-    defaults = RetryPolicy()
-    return RetryPolicy(
-        max_attempts=(execution.max_attempts
-                      if execution.max_attempts is not None
-                      else defaults.max_attempts),
-        backoff_base=(execution.backoff_base
-                      if execution.backoff_base is not None
-                      else defaults.backoff_base),
-        backoff_factor=(execution.backoff_factor
-                        if execution.backoff_factor is not None
-                        else defaults.backoff_factor),
-        backoff_max=(execution.backoff_max
-                     if execution.backoff_max is not None
-                     else defaults.backoff_max),
-        jitter=(execution.jitter if execution.jitter is not None
-                else defaults.jitter),
-        timeout=execution.timeout,
-    ), execution.keep_going
+    max_attempts = (execution.max_attempts if execution.max_attempts is not None
+                    else RetryPolicy().max_attempts)
+    return RetryPolicy(max_attempts, execution.timeout), execution.keep_going
 
 
 def expand_run_specs(

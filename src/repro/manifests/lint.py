@@ -45,8 +45,6 @@ _GRID_KEYS = ("datasets", "methods", "scenarios", "seeds", "alphas", "beta",
 _RUN_KEYS = ("dataset", "method", "scenario", "seed", "alpha", "beta",
              "weak_supervision")
 _SEED_RANGE_KEYS = ("start", "count", "stride")
-_EXECUTION_KEYS = ("max_attempts", "backoff_base", "backoff_factor",
-                   "backoff_max", "jitter", "timeout", "keep_going")
 
 
 def render_field_path(path: FieldPath) -> str:
@@ -152,21 +150,18 @@ class _Linter:
             return default
         return float(value)
 
-    def read_float(self, table: dict, key: str, path: FieldPath,
-                   default: float | None, minimum: float = 0.0,
-                   exclusive: bool = False) -> float | None:
+    def read_positive_float(self, table: dict, key: str,
+                            path: FieldPath) -> float | None:
         if key not in table:
-            return default
+            return None
         value = table[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(path + (key,),
                        f"expected a number, got {type(value).__name__}")
-            return default
-        if value < minimum or (exclusive and value == minimum):
-            bound = ">" if exclusive else ">="
-            self.error(path + (key,), f"must be {bound} {minimum:g}, "
-                                      f"got {value}")
-            return default
+            return None
+        if value <= 0:
+            self.error(path + (key,), f"must be > 0, got {value}")
+            return None
         return float(value)
 
     def read_bool(self, table: dict, key: str, path: FieldPath,
@@ -297,7 +292,7 @@ class _Linter:
         )
 
     def lint_execution(self) -> ExecutionPolicy | None:
-        """The optional ``[execution]`` retry-policy section.
+        """The optional ``[execution]`` section, keyed by ExecutionPolicy's fields.
 
         Bounds mirror :class:`repro.experiments.faults.RetryPolicy`'s own
         invariants, so every value the linter accepts constructs a valid
@@ -310,21 +305,11 @@ class _Linter:
         if not isinstance(table, dict):
             self.error(path, f"expected a table, got {type(table).__name__}")
             return None
-        self.check_unknown_keys(table, _EXECUTION_KEYS, path, "execution")
-        jitter = self.read_float(table, "jitter", path, None)
-        if jitter is not None and jitter > 1.0:
-            self.error(path + ("jitter",),
-                       f"must be in [0, 1], got {jitter:g}")
-            jitter = None
+        keys = tuple(f.name for f in dataclasses.fields(ExecutionPolicy))
+        self.check_unknown_keys(table, keys, path, "execution")
         return ExecutionPolicy(
             max_attempts=self.read_int(table, "max_attempts", path, None),
-            backoff_base=self.read_float(table, "backoff_base", path, None),
-            backoff_factor=self.read_float(table, "backoff_factor", path,
-                                           None, minimum=1.0),
-            backoff_max=self.read_float(table, "backoff_max", path, None),
-            jitter=jitter,
-            timeout=self.read_float(table, "timeout", path, None,
-                                    exclusive=True),
+            timeout=self.read_positive_float(table, "timeout", path),
             keep_going=self.read_bool(table, "keep_going", path, False),
         )
 

@@ -136,32 +136,17 @@ class ManifestSettings:
 class ExecutionPolicy:
     """The ``[execution]`` section: how the campaign's jobs are retried.
 
-    Mirrors :class:`repro.experiments.faults.RetryPolicy` field for field
-    (plus ``keep_going``); ``None`` means "take the retry-policy default",
-    so a manifest only spells out what it overrides.  The section is
-    *declarative* fault tolerance: the campaign file records how its runs
-    survive transient faults, so a sweep replayed on another machine retries
-    the same way.
+    The same three settings as ``--retries``, ``--timeout`` and
+    ``--keep-going``; ``None`` means "take the
+    :class:`repro.experiments.faults.RetryPolicy` default", so a manifest
+    only spells out what it overrides.  The section is *declarative* fault
+    tolerance: the campaign file records how its runs survive transient
+    faults, so a sweep replayed on another machine retries the same way.
     """
 
     max_attempts: int | None = None
-    backoff_base: float | None = None
-    backoff_factor: float | None = None
-    backoff_max: float | None = None
-    jitter: float | None = None
     timeout: float | None = None
     keep_going: bool = False
-
-    def to_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {}
-        for key in ("max_attempts", "backoff_base", "backoff_factor",
-                    "backoff_max", "jitter", "timeout"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
-        if self.keep_going:
-            payload["keep_going"] = True
-        return payload
 
 
 @dataclass(frozen=True)
@@ -196,7 +181,13 @@ class ManifestDocument:
         return tuple(ordered)
 
     def to_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
+        """What the manifest declares to run; ``execution`` is left out.
+
+        How a campaign retries never changes what its runs compute, so
+        editing ``[execution]`` moves neither :meth:`fingerprint`,
+        :meth:`manifest_id` nor the lockfile.
+        """
+        return {
             "format_version": MANIFEST_FORMAT_VERSION,
             "name": self.name,
             "description": self.description,
@@ -204,15 +195,9 @@ class ManifestDocument:
             "grids": [grid.to_dict() for grid in self.grids],
             "runs": [run.to_dict() for run in self.runs],
         }
-        # Only present when declared: manifests written before the
-        # [execution] section existed keep their fingerprints (and lockfile
-        # pins) unchanged.
-        if self.execution is not None:
-            payload["execution"] = self.execution.to_dict()
-        return payload
 
     def fingerprint(self) -> str:
-        """Content hash of the whole declaration (description included)."""
+        """Content hash of :meth:`to_dict` (description included)."""
         return hashlib.sha256(
             _canonical_json(self.to_dict()).encode("utf-8")).hexdigest()[:16]
 

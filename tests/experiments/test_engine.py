@@ -14,7 +14,7 @@ from repro.active.loop import ActiveLearningResult, IterationRecord
 from repro.config import get_scale
 from repro.evaluation.metrics import MatchingMetrics
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import ExperimentSettings
+from repro.experiments.configs import ExperimentSettings, default_settings
 from repro.experiments.engine import (
     ExperimentEngine,
     ParallelExecutor,
@@ -27,8 +27,12 @@ from repro.experiments.faults import (
     RetryPolicy,
     ledger_path,
 )
-from repro.experiments.figures import figure6_runtime
-from repro.experiments.runner import MethodRun, enumerate_run_specs, run_method
+from repro.experiments.figures import (
+    _average_selection_runtimes,
+    figure5_learning_curves,
+    figure6_runtime,
+)
+from repro.experiments.runner import enumerate_run_specs, resolve_engine
 from repro.experiments.store import ArtifactStore
 from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
@@ -197,12 +201,20 @@ class TestEngine:
         with pytest.raises(ConfigurationError):
             ExperimentEngine(fast_settings).run(specs)
 
-    def test_run_method_rejects_mismatched_engine(self, fast_settings):
+    def test_builder_rejects_mismatched_engine(self, fast_settings):
         from dataclasses import replace
         other = replace(fast_settings, iterations=3)
         with pytest.raises(ConfigurationError):
-            run_method("amazon_google", "random", other,
-                       engine=ExperimentEngine(fast_settings))
+            figure5_learning_curves(other, methods=("random",),
+                                    engine=ExperimentEngine(fast_settings))
+
+    def test_resolve_engine_defaults_and_reuse(self, fast_settings):
+        default = resolve_engine(fast_settings, None)
+        assert default.settings == fast_settings
+        assert default.store is None and default.executor.jobs == 1
+        assert resolve_engine(None, default) is default
+        assert resolve_engine(fast_settings, default) is default
+        assert resolve_engine(None, None).settings == default_settings()
 
     def test_store_resume_executes_zero_jobs(self, tmp_path, fast_settings):
         store = ArtifactStore(tmp_path / "store")
@@ -365,8 +377,8 @@ class TestEngine:
                     == [r.test_metrics for r in serial[spec].records])
 
 
-#: Zero-sleep policy for chaos tests: retries must not slow the suite down.
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
+#: Chaos tests retry on the fixed schedule: about 0.05 s before a first retry.
+FAST_RETRY = RetryPolicy(max_attempts=3)
 
 
 def _assert_same_curves(actual, expected, specs):
@@ -445,8 +457,7 @@ class TestFaultTolerance:
         # The hang (60 s) dwarfs the timeout (10 s), which itself dwarfs a
         # tiny-scale run; the retried attempt has no directive and completes.
         injector = FaultInjector.from_spec("hang=60@0").resolve(specs)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0,
-                             timeout=10.0)
+        policy = RetryPolicy(max_attempts=3, timeout=10.0)
         engine = ExperimentEngine(
             fast_settings,
             executor=ParallelExecutor(jobs=2, retry_policy=policy,
@@ -498,7 +509,7 @@ class TestFaultTolerance:
         # Every attempt of job 0 fails: the retry budget runs out.
         injector = FaultInjector.from_spec(
             "raise@0:0,raise@0:1").resolve(specs)
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_attempts=2)
         executor = ParallelExecutor(jobs=1, retry_policy=policy,
                                     keep_going=True, injector=injector)
         engine = ExperimentEngine(fast_settings, executor=executor)
@@ -517,7 +528,7 @@ class TestFaultTolerance:
         """A job that keeps killing its worker must not sink the sweep."""
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         injector = FaultInjector.from_spec("kill@0:0,kill@0:1").resolve(specs)
-        policy = RetryPolicy(max_attempts=5, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_attempts=5)
         executor = ParallelExecutor(jobs=2, retry_policy=policy,
                                     keep_going=True, injector=injector)
         engine = ExperimentEngine(fast_settings, executor=executor)
@@ -608,8 +619,10 @@ class TestFigure6TimingGuard:
         assert engine.total_report.executed > 0
 
 
-class TestMethodRunAggregation:
-    def test_selection_runtimes_average_over_runs_that_reached_iteration(self):
+class TestRuntimeAverage:
+    """Figure 6 averages each iteration over the runs that reached it."""
+
+    def test_averages_runs_that_reached_iteration(self):
         def result_with_runtimes(runtimes):
             metrics = MatchingMetrics(precision=0.5, recall=0.5, f1=0.5,
                                       num_examples=10)
@@ -621,12 +634,12 @@ class TestMethodRunAggregation:
                                          selection_seconds=seconds)
                          for i, seconds in enumerate(runtimes)])
 
-        run = MethodRun(dataset="d", method="s", results=[
+        results = [
             result_with_runtimes([1.0, 3.0, 5.0]),
             result_with_runtimes([3.0]),  # exhausted its pool early
-        ])
+        ]
         # Regression: the tail used to be truncated to the shortest run.
-        assert run.selection_runtimes() == [2.0, 3.0, 5.0]
+        assert _average_selection_runtimes(results) == [2.0, 3.0, 5.0]
 
     def test_selection_runtimes_empty(self):
-        assert MethodRun(dataset="d", method="s").selection_runtimes() == []
+        assert _average_selection_runtimes([]) == []

@@ -13,15 +13,16 @@ from repro.config import get_scale
 from repro.evaluation.curves import LearningCurve
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ExperimentSettings, default_settings
-from repro.experiments.paper_values import TABLE4_F1, TABLE5_AUC
-from repro.experiments.runner import (
+from repro.experiments.engine import (
     ACTIVE_LEARNING_METHODS,
+    ExperimentEngine,
     clear_dataset_cache,
     get_dataset,
     method_factory,
-    run_learning_curves,
-    run_method,
 )
+from repro.experiments.figures import figure5_learning_curves
+from repro.experiments.paper_values import TABLE4_F1, TABLE5_AUC
+from repro.experiments.runner import enumerate_run_specs, run_curve_grid, run_spec_grid
 from repro.experiments.tables import table3_dataset_statistics, table4_f1_by_budget, table5_auc
 from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
@@ -86,20 +87,22 @@ class TestRunner:
         second = get_dataset("amazon_google", tiny_settings)
         assert first is second
 
-    def test_run_method_produces_expected_curve_axis(self, tiny_settings):
-        run = run_method("amazon_google", "random", tiny_settings)
-        curve = run.curve()
+    def test_run_curve_grid_produces_expected_curve_axis(self, tiny_settings):
+        specs = enumerate_run_specs("amazon_google", "random", tiny_settings)
+        curves = run_curve_grid({"random": specs}, ExperimentEngine(tiny_settings))
+        curve = curves["random"]
         assert curve.labeled_counts == list(tiny_settings.labeled_checkpoints)
         assert all(0.0 <= f1 <= 1.0 for f1 in curve.f1_scores)
 
-    def test_run_method_weak_supervision_override(self, tiny_settings):
-        run = run_method("amazon_google", "dal", tiny_settings,
-                         weak_supervision=WeakSupervisionMode.OFF)
+    def test_run_spec_grid_weak_supervision_override(self, tiny_settings):
+        specs = enumerate_run_specs("amazon_google", "dal", tiny_settings,
+                                    weak_supervision=WeakSupervisionMode.OFF)
+        results = run_spec_grid({"dal": specs}, ExperimentEngine(tiny_settings))
         assert all(record.num_weak == 0
-                   for result in run.results for record in result.records)
+                   for result in results["dal"] for record in result.records)
 
-    def test_run_learning_curves_structure(self, tiny_settings):
-        curves = run_learning_curves(("amazon_google",), ("random", "dal"), tiny_settings)
+    def test_figure5_learning_curves_structure(self, tiny_settings):
+        curves = figure5_learning_curves(tiny_settings, methods=("random", "dal"))
         assert set(curves) == {"amazon_google"}
         assert set(curves["amazon_google"]) == {"random", "dal"}
 

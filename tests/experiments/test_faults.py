@@ -68,12 +68,8 @@ class TestRetryPolicy:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
-        {"backoff_base": -0.1},
-        {"backoff_factor": 0.5},
-        {"backoff_max": -1.0},
-        {"jitter": 1.5},
-        {"jitter": -0.1},
         {"timeout": 0.0},
+        {"timeout": -1.0},
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -91,23 +87,30 @@ class TestRetryPolicy:
         assert (policy.backoff_seconds("abcd1234", 0)
                 != policy.backoff_seconds("abcd1234", 1))
 
-    def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter=0.0)
-        assert policy.backoff_seconds("fp", 0) == pytest.approx(0.1)
-        assert policy.backoff_seconds("fp", 1) == pytest.approx(0.2)
-        assert policy.backoff_seconds("fp", 3) == pytest.approx(0.8)
-
     def test_backoff_capped_at_maximum(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=10.0,
-                             backoff_max=5.0, jitter=0.25)
-        assert policy.backoff_seconds("fp", 9) <= 5.0
+        policy = RetryPolicy()
+        for attempt in (10, 16, 30):
+            assert 22.5 <= policy.backoff_seconds("fp", attempt) <= 30.0
 
     def test_jitter_stays_within_spread(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=1.0,
-                             backoff_max=100.0, jitter=0.25)
-        for attempt in range(16):
+        """0.05 s doubling per failed attempt, spread by ±25%."""
+        policy = RetryPolicy()
+        for attempt in range(9):
+            nominal = 0.05 * 2.0 ** attempt
             backoff = policy.backoff_seconds("fp", attempt)
-            assert 0.75 <= backoff <= 1.25
+            assert 0.75 * nominal <= backoff <= 1.25 * nominal
+
+    @pytest.mark.parametrize("fingerprint, attempt, seconds", [
+        ("fp", 0, 0.038648856414051),
+        ("fp", 1, 0.12177489207749602),
+        ("abcd1234", 3, 0.3490102615787206),
+        ("put:abcd1234", 0, 0.04191901917905058),
+        ("fp", 12, 22.526629826758672),
+    ])
+    def test_backoff_schedule_is_pinned(self, fingerprint, attempt, seconds):
+        """The schedule is fixed: every policy backs off by the same floats."""
+        for policy in (RetryPolicy(), RetryPolicy(max_attempts=7, timeout=9.0)):
+            assert policy.backoff_seconds(fingerprint, attempt) == seconds
 
     def test_retryable_classification(self):
         policy = RetryPolicy(max_attempts=2)
@@ -127,11 +130,6 @@ class TestRetryPolicy:
         assert is_transient(TimeoutError("slow"))
         assert is_transient(OSError("disk"))
         assert not is_transient(KeyError("missing"))
-
-    def test_dict_round_trip(self):
-        policy = RetryPolicy(max_attempts=5, backoff_base=0.1, timeout=12.5)
-        assert RetryPolicy.from_dict(
-            json.loads(json.dumps(policy.to_dict()))) == policy
 
 
 class TestDirectiveGrammar:

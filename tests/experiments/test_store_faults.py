@@ -257,7 +257,7 @@ class TestTornWriteInjection:
         store_path = tmp_path / "store"
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         injector = FaultInjector.from_spec("torn@0").resolve(specs)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
+        policy = RetryPolicy(max_attempts=3)
         engine = ExperimentEngine(
             fast_settings,
             executor=ParallelExecutor(jobs=1, retry_policy=policy,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import ManifestError
+from repro.experiments.faults import RetryPolicy
 from repro.manifests import (
     build_manifest,
     build_settings,
@@ -139,7 +140,6 @@ def test_manifest_id_is_content_addressed():
 EXECUTION_MANIFEST = MANIFEST + """
 [execution]
 max_attempts = 2
-backoff_base = 0.01
 keep_going = true
 """
 
@@ -149,13 +149,13 @@ def test_execution_section_builds_a_retry_policy():
     report = lint_manifest(parse_manifest_text(EXECUTION_MANIFEST))
     assert report.ok
     policy, keep_going = build_retry_policy(report.document)
-    assert policy is not None
-    assert policy.max_attempts == 2
-    assert policy.backoff_base == 0.01
-    # Undeclared fields inherit the policy defaults.
-    assert policy.backoff_factor == 2.0
-    assert policy.timeout is None
+    assert policy == RetryPolicy(max_attempts=2, timeout=None)
     assert keep_going is True
+    # An undeclared max_attempts inherits the policy default.
+    defaulted = lint_manifest(parse_manifest_text(
+        EXECUTION_MANIFEST.replace("max_attempts = 2\n", "timeout = 60.0\n")))
+    policy, _ = build_retry_policy(defaulted.document)
+    assert policy == RetryPolicy(max_attempts=3, timeout=60.0)
 
 
 def test_manifest_without_execution_builds_no_policy():

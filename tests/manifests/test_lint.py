@@ -197,10 +197,6 @@ scale = "tiny"
 
 [execution]
 max_attempts = 4
-backoff_base = 0.1
-backoff_factor = 2.0
-backoff_max = 10.0
-jitter = 0.5
 timeout = 120.0
 keep_going = true
 
@@ -218,6 +214,18 @@ def test_execution_section_lints_clean():
     assert execution.max_attempts == 4
     assert execution.timeout == 120.0
     assert execution.keep_going is True
+
+
+@pytest.mark.parametrize("key", ["backoff_base", "backoff_factor",
+                                 "backoff_max", "jitter"])
+def test_backoff_keys_are_unknown_keys(key):
+    """The backoff is a fixed schedule, so a backoff key would do nothing."""
+    text = EXECUTION_MANIFEST.replace("max_attempts = 4",
+                                      f"max_attempts = 4\n{key} = 0.5")
+    report = lint_manifest(parse_manifest_text(text))
+    issue = next(i for i in report.errors if i.field == f"execution.{key}")
+    assert f"Unknown execution key '{key}'" in issue.message
+    assert issue.line == 10
 
 
 def test_execution_section_is_optional():

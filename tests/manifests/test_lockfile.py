@@ -70,3 +70,29 @@ def test_write_and_read_round_trip(tmp_path):
     write_lockfile(lock, data)
     assert read_lockfile(lock) == data
     assert lock.read_text(encoding="utf-8") == render_lockfile(data)
+
+
+EXECUTION = """
+[execution]
+max_attempts = 3
+keep_going = true
+"""
+
+
+def test_adding_an_execution_section_leaves_the_lockfile_unchanged():
+    """How a campaign retries is not what it runs: the pins must hold."""
+    assert _lockfile(MANIFEST + EXECUTION) == _lockfile()
+
+
+def test_editing_the_execution_section_leaves_the_lockfile_unchanged():
+    pinned = _lockfile(MANIFEST + EXECUTION)
+    edited = _lockfile(MANIFEST + EXECUTION.replace(
+        "max_attempts = 3", "max_attempts = 5\ntimeout = 60.0"))
+    assert lockfile_drift(pinned, edited) == []
+
+
+def test_manifest_fingerprint_is_pinned():
+    """A manifest without [execution] keeps its fingerprint and lockfile pin."""
+    document, _, _ = build_manifest(parse_manifest_text(MANIFEST))
+    assert document.fingerprint() == "8fae8dc72033f957"
+    assert _lockfile()["manifest"]["fingerprint"] == "8fae8dc72033f957"

@@ -16,6 +16,7 @@ class TestParser:
         assert args.selector == "battleship"
         assert args.scale == "tiny"
         assert args.budget == 20
+        assert args.alpha is None and args.beta is None  # battleship runs 0.5
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
@@ -44,6 +45,33 @@ class TestParser:
                   flag, "2.0"])
         assert raised.value.code == 2
         assert f"argument {flag}: must be in [0, 1], got 2.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector", ["dal", "dial", "random"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_selector_weight_rejected_for_other_selectors(self, selector, flag,
+                                                          capsys):
+        # Only battleship reads the weights; elsewhere they would do nothing.
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "--dataset", "amazon_google", "--selector", selector,
+                  flag, "0.9"])
+        assert raised.value.code == 2
+        assert (f"{flag} only applies to --selector battleship"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("request_flags", [
+        ["--figure", "7", "--table", "6"],
+        ["--figure", "6"],
+        ["--table", "3"],
+    ], ids=["figure7-table6", "figure6", "table3"])
+    def test_methods_rejected_without_a_learning_curve_output(
+            self, request_flags, capsys):
+        # Only Figure 5 and Tables 4/5 read --methods.
+        with pytest.raises(SystemExit) as raised:
+            main(["experiments", "--scale", "tiny", *request_flags,
+                  "--methods", "dal", "--dry-run"])
+        assert raised.value.code == 2
+        assert "--methods only restricts Figure 5 and Tables 4/5" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "1", "0.25"])
     def test_selector_weight_bounds_accepted(self, value):
