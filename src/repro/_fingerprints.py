@@ -1,4 +1,8 @@
-"""Structural field coverage for content fingerprints.
+"""Content fingerprints: one hash recipe and structural field coverage.
+
+:func:`content_hash` is the one recipe every content fingerprint of the
+package uses: sha256 of the payload's canonical JSON (sorted keys, no
+whitespace), as hex, cut to a fixed length.
 
 Every content fingerprint of the package (settings, scenarios, configs) used
 to enumerate its payload field by field — which is exactly how the PR 6/7
@@ -19,7 +23,15 @@ regression tests pin the old hand-built payloads against the derived ones.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from typing import Any, Iterable
+
+
+def content_hash(payload: Any, length: int = 16) -> str:
+    """The first ``length`` hex characters of sha256 over canonical JSON."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]
 
 
 def fingerprint_fields(cls: type, exclude: Iterable[str] = ()) -> tuple[str, ...]:

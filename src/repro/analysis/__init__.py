@@ -12,18 +12,13 @@ Entry points: ``repro lint-code`` on the command line, :func:`lint_paths` /
 :func:`lint_source` programmatically, :func:`determinism_guard` at runtime.
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    read_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     Finding,
     available_rules,
-    resolve_rules,
     rule_class,
 )
 from repro.analysis.runner import (
+    DEFAULT_PATHS,
     LintReport,
     lint_paths,
     lint_source,
@@ -38,7 +33,7 @@ from repro.analysis.sanitizer import (
 )
 
 __all__ = [
-    "DEFAULT_BASELINE_NAME",
+    "DEFAULT_PATHS",
     "DeterminismViolation",
     "Finding",
     "LintReport",
@@ -47,11 +42,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "permuted",
-    "read_baseline",
-    "resolve_rules",
     "rule_catalog",
     "rule_class",
     "sanitizer_enabled",
     "shuffled_dict",
-    "write_baseline",
 ]

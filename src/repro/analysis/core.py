@@ -9,9 +9,9 @@ per-file context (:class:`LintContext`) rules need to scope their checks —
 the enclosing function stack, a parent map, and the names of locally defined
 (hence spawn-unsafe) functions per scope.
 
-The registry doubles as the vocabulary for ``--select``/``--ignore`` and
-``noqa`` directives; unknown codes are answered with the same did-you-mean
-formatting every other registry of the package uses
+Every registered rule runs on every file.  The registry doubles as the
+vocabulary of ``noqa`` directives; unknown codes are answered with the same
+did-you-mean formatting every other registry of the package uses
 (:func:`repro._suggest.unknown_name_message`).
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from repro._suggest import unknown_name_message
 from repro.exceptions import ConfigurationError
@@ -49,21 +49,14 @@ class Finding:
         return {"rule": self.rule, "file": self.file, "line": self.line,
                 "col": self.col, "message": self.message}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`."""
-        return cls(rule=str(payload["rule"]), file=str(payload["file"]),
-                   line=int(payload["line"]), col=int(payload["col"]),
-                   message=str(payload["message"]))
-
 
 class Rule:
     """Base class of every lint rule.
 
     Class attributes document the rule for ``--list-rules`` and the README
-    catalog: ``code`` is the stable selector, ``summary`` one line of what is
-    flagged, and ``history`` names the real bug of this repository the rule
-    encodes (the reason the rule exists).
+    catalog: ``code`` is the stable identifier, ``summary`` one line of what
+    is flagged, and ``history`` names the real bug of this repository the
+    rule encodes (the reason the rule exists).
     """
 
     code: str = ""
@@ -83,14 +76,11 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             message=message))
 
-    def finish(self, ctx: "LintContext") -> None:
-        """Hook called after the walk (for rules that accumulate state)."""
-
 
 _REGISTRY: dict[str, type[Rule]] = {}
 
 #: Codes of the meta-rules guarding the suppression mechanism itself; they
-#: are not selectable lint rules but are valid vocabulary in reports.
+#: are not registered rules but are valid vocabulary in reports.
 META_RULES: dict[str, str] = {
     "RL000": "the file could not be parsed (syntax error)",
     "RL001": "a `# repro: noqa[...]` directive is missing its reason",
@@ -126,25 +116,6 @@ def rule_class(code: str) -> type[Rule]:
 def is_known_rule(code: str) -> bool:
     """Whether ``code`` names a registered rule or a meta-rule."""
     return code in _REGISTRY or code in META_RULES
-
-
-def resolve_rules(select: Iterable[str] | None = None,
-                  ignore: Iterable[str] | None = None) -> tuple[str, ...]:
-    """The rule codes a run should apply, validating every name.
-
-    ``select`` restricts the run to the named codes; ``ignore`` then removes
-    codes.  Unknown codes raise :class:`ConfigurationError` with the
-    registry's did-you-mean formatting rather than silently linting with a
-    different rule set than the user asked for.
-    """
-    chosen = list(available_rules())
-    if select is not None:
-        selected = [rule_class(code).code for code in select]
-        chosen = [code for code in chosen if code in set(selected)]
-    if ignore is not None:
-        ignored = {rule_class(code).code for code in ignore}
-        chosen = [code for code in chosen if code not in ignored]
-    return tuple(chosen)
 
 
 @dataclass
@@ -217,8 +188,6 @@ class LintWalker:
         active = [rule for rule in self.rules if rule.applies(ctx)]
         if active:
             self._visit(ctx.tree, ctx, active)
-            for rule in active:
-                rule.finish(ctx)
         return ctx.findings
 
     def _visit(self, node: ast.AST, ctx: LintContext, rules: list[Rule]) -> None:

@@ -3,9 +3,7 @@
 A suppression is a *justified* exception, so the reason is mandatory — a bare
 ``noqa`` is itself a finding (``RL001``), as is a directive naming a rule
 that does not exist (``RL002``, with the registry's did-you-mean hint) or a
-directive that suppresses nothing (``RL003``, only checked when the full rule
-set runs — a narrowed ``--select`` would make every other suppression look
-unused).
+directive that suppresses nothing (``RL003``).
 
 The syntax is deliberately namespaced (``repro:``) so generic tool noqa
 comments never collide with it, and per-line: a directive suppresses exactly
@@ -108,12 +106,10 @@ def parse_suppressions(source: str,
 def apply_suppressions(
     findings: list[Finding],
     suppressions: list[Suppression],
-    check_unused: bool,
 ) -> tuple[list[Finding], list[Finding], list[Finding]]:
     """Split ``findings`` into kept and suppressed; add unused-noqa findings.
 
-    Returns ``(kept, suppressed, meta)``.  ``check_unused`` is only true when
-    the full rule set ran (see module docstring).
+    Returns ``(kept, suppressed, meta)``.
     """
     by_line: dict[tuple[str, int], list[Suppression]] = {}
     for suppression in suppressions:
@@ -130,14 +126,11 @@ def apply_suppressions(
             suppressed.append(finding)
         else:
             kept.append(finding)
-    meta: list[Finding] = []
-    if check_unused:
-        for suppression in suppressions:
-            if not suppression.used and suppression.rules:
-                meta.append(Finding(
-                    rule="RL003", file=suppression.file,
+    meta = [Finding(rule="RL003", file=suppression.file,
                     line=suppression.line, col=suppression.col,
                     message=f"noqa[{','.join(suppression.rules)}] "
                             "suppresses nothing on this line; remove the "
-                            "stale directive"))
+                            "stale directive")
+            for suppression in suppressions
+            if not suppression.used and suppression.rules]
     return kept, suppressed, meta

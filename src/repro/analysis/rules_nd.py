@@ -62,7 +62,8 @@ _FINGERPRINT_MODULES = ("experiments/store.py", "experiments/engine.py",
                         "manifests/lockfile.py")
 
 _HASH_FEEDING_CALLS = re.compile(
-    r"^(hashlib\.|zlib\.(crc32|adler32)$|sha\d+$|md5$|blake2)")
+    r"^(hashlib\.|zlib\.(crc32|adler32)$|sha\d+$|md5$|blake2)"
+    r"|(^|\.)content_hash$")
 
 
 def calls_hash_function(fn: ast.AST) -> bool:

@@ -1,10 +1,11 @@
 """The ``reprolint`` entry points: file discovery, linting, and rendering.
 
 ``lint_paths`` is what the CLI and the test suite call: it walks the given
-files/directories, runs every selected rule through one AST pass per file,
-applies ``noqa`` suppressions and the committed baseline, and returns a
-:class:`LintReport` that renders as human text or as the versioned JSON
-document CI uploads as an artifact.
+files/directories, runs every rule through one AST pass per file, applies
+``noqa`` suppressions, and returns a :class:`LintReport` that renders as human
+text or as the versioned JSON document CI uploads as an artifact.  There is
+no rule selection and no baseline: every finding is either fixed or
+suppressed inline with a reasoned ``noqa``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 # The rule modules register themselves on import; importing them here makes
 # "import repro.analysis.runner" sufficient to get the full registry.
@@ -21,24 +22,22 @@ import repro.analysis.rules_fp  # noqa: F401  (registration side effect)
 import repro.analysis.rules_mu  # noqa: F401
 import repro.analysis.rules_nd  # noqa: F401
 import repro.analysis.rules_sp  # noqa: F401
-from repro.analysis.baseline import (
-    BaselineEntry,
-    entry_for,
-    read_baseline,
-    split_by_baseline,
-)
 from repro.analysis.core import (
     Finding,
     LintContext,
     LintWalker,
     available_rules,
-    resolve_rules,
     rule_class,
 )
 from repro.analysis.noqa import apply_suppressions, parse_suppressions
+from repro.exceptions import ConfigurationError
 
 #: Format version of the ``--format json`` document.
-JSON_FORMAT_VERSION = 1
+JSON_FORMAT_VERSION = 2
+
+#: The trees ``repro lint-code`` checks when given no path (CI's gate): the
+#: package, the examples, the benchmark harness and the reference oracles.
+DEFAULT_PATHS = ("src", "examples", "benchmarks", "tests/reference")
 
 
 @dataclass
@@ -47,16 +46,11 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    grandfathered: list[Finding] = field(default_factory=list)
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
-    rules: tuple[str, ...] = ()
-    #: Source lines per display path (baseline writing needs them).
-    sources: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        """Whether the run should gate green (no non-baselined findings)."""
+        """Whether the run should gate green (no unsuppressed findings)."""
         return not self.findings
 
     def to_dict(self) -> dict[str, object]:
@@ -64,14 +58,10 @@ class LintReport:
         return {
             "version": JSON_FORMAT_VERSION,
             "tool": "reprolint",
-            "rules": list(self.rules),
+            "rules": list(available_rules()),
             "files_checked": self.files_checked,
             "findings": [finding.to_dict() for finding in self.findings],
             "suppressed": [finding.to_dict() for finding in self.suppressed],
-            "grandfathered": [finding.to_dict()
-                              for finding in self.grandfathered],
-            "stale_baseline": [entry.to_dict()
-                               for entry in self.stale_baseline],
         }
 
     def render_json(self) -> str:
@@ -79,57 +69,55 @@ class LintReport:
 
     def render_human(self) -> str:
         lines = [finding.render() for finding in self.findings]
-        for entry in self.stale_baseline:
-            lines.append(f"{entry.file}: stale baseline entry "
-                         f"[{entry.rule}] {entry.content!r} — the finding "
-                         "is gone; remove it from the baseline")
-        summary = (f"{len(self.findings)} finding(s), "
-                   f"{len(self.suppressed)} suppressed, "
-                   f"{len(self.grandfathered)} baselined, "
-                   f"{self.files_checked} file(s) checked")
-        lines.append(summary)
+        lines.append(f"{len(self.findings)} finding(s), "
+                     f"{len(self.suppressed)} suppressed, "
+                     f"{self.files_checked} file(s) checked")
         return "\n".join(lines)
 
-    def baseline_entries(self) -> list[BaselineEntry]:
-        """Baseline entries covering every current non-suppressed finding."""
-        return [entry_for(finding, self.sources.get(finding.file, []))
-                for finding in self.findings + self.grandfathered]
 
+def python_files(paths: Sequence[str | Path],
+                 root: Path | None = None) -> list[Path]:
+    """The ``.py`` files under ``paths``, each once, sorted per path.
 
-def iter_python_files(paths: Sequence[str | Path],
-                      root: Path | None = None) -> Iterator[Path]:
-    """Yield the ``.py`` files under ``paths``, sorted for determinism."""
+    A path that yields no ``.py`` file (missing, not Python, or a directory
+    holding none) raises :class:`ConfigurationError` naming every such path:
+    a typo'd tree must fail the gate, not pass it on zero files.
+    """
     root = root or Path.cwd()
+    files: dict[Path, None] = {}
+    empty: list[str] = []
     for raw in paths:
         path = Path(raw)
         if not path.is_absolute():
             path = root / path
         if path.is_dir():
-            yield from sorted(p for p in path.rglob("*.py") if p.is_file())
-        elif path.suffix == ".py":
-            yield path
+            found = sorted(p for p in path.rglob("*.py") if p.is_file())
+        else:
+            found = [path] if path.suffix == ".py" and path.is_file() else []
+        if not found:
+            empty.append(str(raw))
+        files.update(dict.fromkeys(p.resolve() for p in found))
+    if empty:
+        raise ConfigurationError(
+            f"no Python files to lint under: {', '.join(empty)}")
+    return list(files)
 
 
 def _display_path(path: Path, root: Path) -> str:
     try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
+        return path.relative_to(root.resolve()).as_posix()
     except ValueError:
         return path.as_posix()
 
 
-def lint_source(source: str, display_path: str,
-                rules: Iterable[str] | None = None,
-                check_unused_noqa: bool | None = None,
-                ) -> tuple[list[Finding], list[Finding]]:
+def lint_source(source: str,
+                display_path: str) -> tuple[list[Finding], list[Finding]]:
     """Lint one in-memory module; returns ``(kept, suppressed)`` findings.
 
     The workhorse behind :func:`lint_paths` and the per-rule fixture tests.
     Syntax errors are reported as a finding rather than raised — a lint gate
     must point at the broken file, not crash on it.
     """
-    codes = resolve_rules(rules) if rules is not None else available_rules()
-    if check_unused_noqa is None:
-        check_unused_noqa = set(codes) == set(available_rules())
     try:
         tree = ast.parse(source, filename=display_path)
     except SyntaxError as error:
@@ -138,11 +126,10 @@ def lint_source(source: str, display_path: str,
                         message=f"syntax error: {error.msg}")], []
     ctx = LintContext(path=Path(display_path), display_path=display_path,
                       source=source, tree=tree)
-    walker = LintWalker([rule_class(code)() for code in codes])
+    walker = LintWalker([rule_class(code)() for code in available_rules()])
     raw_findings = walker.walk(ctx)
     suppressions, directive_findings = parse_suppressions(source, display_path)
-    kept, suppressed, unused = apply_suppressions(
-        raw_findings, suppressions, check_unused=check_unused_noqa)
+    kept, suppressed, unused = apply_suppressions(raw_findings, suppressions)
     kept.extend(directive_findings)
     kept.extend(unused)
     kept.sort(key=lambda f: (f.line, f.col, f.rule))
@@ -150,34 +137,16 @@ def lint_source(source: str, display_path: str,
 
 
 def lint_paths(paths: Sequence[str | Path],
-               root: Path | None = None,
-               select: Iterable[str] | None = None,
-               ignore: Iterable[str] | None = None,
-               baseline_path: Path | None = None) -> LintReport:
-    """Lint every Python file under ``paths`` against the selected rules."""
+               root: Path | None = None) -> LintReport:
+    """Lint every Python file under ``paths`` against every rule."""
     root = root or Path.cwd()
-    codes = resolve_rules(select, ignore)
-    check_unused = set(codes) == set(available_rules())
-    report = LintReport(rules=codes)
-    all_kept: list[Finding] = []
-    for path in iter_python_files(paths, root=root):
-        display = _display_path(path, root)
-        source = path.read_text(encoding="utf-8")
-        report.sources[display] = source.splitlines()
-        kept, suppressed = lint_source(source, display, rules=codes,
-                                       check_unused_noqa=check_unused)
-        all_kept.extend(kept)
+    report = LintReport()
+    for path in python_files(paths, root=root):
+        kept, suppressed = lint_source(path.read_text(encoding="utf-8"),
+                                       _display_path(path, root))
+        report.findings.extend(kept)
         report.suppressed.extend(suppressed)
         report.files_checked += 1
-    if baseline_path is not None and baseline_path.exists():
-        entries = read_baseline(baseline_path)
-        new, grandfathered, stale = split_by_baseline(
-            all_kept, entries, report.sources)
-        report.findings = new
-        report.grandfathered = grandfathered
-        report.stale_baseline = stale
-    else:
-        report.findings = all_kept
     return report
 
 

@@ -15,8 +15,8 @@ Exposes the most common workflows without writing Python::
     python -m repro manifest build examples/campaign.toml --jobs 2 \
         --store ./artifacts
     python -m repro manifest versions examples/campaign.toml
-    python -m repro lint-code src                  # determinism/spawn-safety lint
-    python -m repro lint-code src --format json    # CI artifact document
+    python -m repro lint-code                      # determinism/spawn-safety lint
+    python -m repro lint-code --format json        # CI artifact document
     python -m repro lint-code --list-rules         # rule catalog + history
 """
 
@@ -28,7 +28,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.active.loop import ActiveLearningLoop
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
+from repro.analysis.runner import DEFAULT_PATHS, lint_paths, rule_catalog
 from repro.baselines.full_training import train_full_matcher
 from repro.config import available_scales
 from repro.data.io import export_dataset
@@ -118,8 +118,7 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
                         help="Deterministic fault injection for tests/CI: "
                              "comma-separated KIND[=VALUE][@RANK][:ATTEMPT] "
                              "directives (kinds: raise, permanent, kill, "
-                             "hang, torn); also honored from the "
-                             "REPRO_CHAOS environment variable")
+                             "hang, torn)")
 
 
 def _executor(args: argparse.Namespace, base_policy=None,
@@ -130,8 +129,6 @@ def _executor(args: argparse.Namespace, base_policy=None,
     CLI flags override the manifest's declared policy field by field.  The
     parser has already checked every flag, so a bad value exits 2 there.
     """
-    injector = (args.chaos if args.chaos is not None
-                else FaultInjector.from_environment())
     policy = base_policy
     if args.retries is not None or args.timeout is not None:
         base = policy if policy is not None else RetryPolicy()
@@ -144,7 +141,7 @@ def _executor(args: argparse.Namespace, base_policy=None,
         )
     return ParallelExecutor(jobs=args.jobs, retry_policy=policy,
                             keep_going=base_keep_going or args.keep_going,
-                            injector=injector)
+                            injector=args.chaos)
 
 
 def _matcher_config(args: argparse.Namespace,
@@ -292,29 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint_code = subparsers.add_parser(
         "lint-code",
         help="Run the reprolint determinism/spawn-safety analyzer")
-    lint_code.add_argument("paths", nargs="*", default=["src"],
-                           help="Files or directories to lint (default: src)")
-    lint_code.add_argument("--select", action="append", default=None,
-                           metavar="RULE[,RULE...]",
-                           help="Run only these rules (repeatable, "
-                                "comma-separable)")
-    lint_code.add_argument("--ignore", action="append", default=None,
-                           metavar="RULE[,RULE...]",
-                           help="Skip these rules (repeatable, "
-                                "comma-separable)")
+    lint_code.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
+                           help="Files or directories to lint (default: "
+                                f"{' '.join(DEFAULT_PATHS)})")
     lint_code.add_argument("--format", default="human",
                            choices=("human", "json"), dest="output_format",
                            help="Report format (json is the CI artifact "
                                 "document)")
-    lint_code.add_argument("--baseline", default=None, metavar="FILE",
-                           help="Baseline of grandfathered findings "
-                                f"(default: ./{DEFAULT_BASELINE_NAME} when "
-                                "present)")
-    lint_code.add_argument("--no-baseline", action="store_true",
-                           help="Report every finding, ignoring any baseline")
-    lint_code.add_argument("--write-baseline", action="store_true",
-                           help="Rewrite the baseline to cover every current "
-                                "finding, then exit 0")
     lint_code.add_argument("--list-rules", action="store_true",
                            dest="list_rules",
                            help="Print the rule catalog (code, summary, the "
@@ -676,63 +657,23 @@ def _manifest_versions(args: argparse.Namespace) -> int:
     return 1
 
 
-def _split_rule_args(values: list[str] | None) -> list[str] | None:
-    """Flatten repeatable, comma-separable rule options into one list."""
-    if values is None:
-        return None
-    return [code.strip() for value in values for code in value.split(",")
-            if code.strip()]
-
-
 def _command_lint_code(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import lint_paths, rule_catalog, write_baseline
-    from repro.exceptions import ConfigurationError
-
     if args.list_rules:
         rows = rule_catalog()
         print(format_table(rows, title="reprolint rules"))
         return 0
 
-    if args.no_baseline and (args.baseline or args.write_baseline):
-        print("--no-baseline cannot be combined with --baseline/"
-              "--write-baseline", file=sys.stderr)
-        return 2
-
-    baseline_path: Path | None
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        default = Path.cwd() / DEFAULT_BASELINE_NAME
-        baseline_path = default if (default.exists()
-                                    or args.write_baseline) else None
-
     try:
-        report = lint_paths(
-            args.paths,
-            select=_split_rule_args(args.select),
-            ignore=_split_rule_args(args.ignore),
-            baseline_path=None if args.write_baseline else baseline_path,
-        )
+        report = lint_paths(args.paths)
     except ConfigurationError as error:
         print(error, file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        assert baseline_path is not None
-        write_baseline(baseline_path, report.baseline_entries())
-        print(f"wrote {baseline_path} "
-              f"({len(report.baseline_entries())} finding(s) baselined)")
-        return 0
 
     if args.output_format == "json":
         print(report.render_json())
     else:
         print(report.render_human())
-    return 0 if report.ok and not report.stale_baseline else 1
+    return 0 if report.ok else 1
 
 
 _MANIFEST_COMMANDS = {

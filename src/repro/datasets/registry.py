@@ -8,11 +8,9 @@ bench.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 
-from repro._fingerprints import fingerprint_fields
+from repro._fingerprints import content_hash, fingerprint_fields
 from repro._rng import RandomState
 from repro._suggest import unknown_name_message
 from repro.config import ScaleProfile
@@ -225,8 +223,7 @@ def _vocabulary_fingerprint() -> str:
             payload[constant] = list(value)
         elif isinstance(value, dict):
             payload[constant] = dict(sorted(value.items()))
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return content_hash(payload)
 
 
 def benchmark_fingerprint(name: str) -> str:
@@ -274,8 +271,7 @@ def benchmark_fingerprint(name: str) -> str:
             f"benchmark_fingerprint payload drifted from BenchmarkSpec: "
             f"missing {sorted(required - covered)}, "
             f"extra {sorted(covered - required)}")
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return content_hash(payload)
 
 
 def load_benchmark(

@@ -11,10 +11,9 @@ run on a laptop; ``REPRO_SCALE=paper`` restores the paper's numbers.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 
+from repro._fingerprints import content_hash
 from repro.config import ScaleProfile, get_scale
 from repro.datasets.registry import available_benchmarks
 from repro.neural.featurizer import FeaturizerConfig
@@ -86,8 +85,7 @@ def config_fingerprint(config: object) -> str:
     to the component that changed rather than just "the settings hash moved".
     """
     payload = dataclasses.asdict(config)  # type: ignore[call-overload]
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return content_hash(payload)
 
 
 def default_settings(

@@ -25,8 +25,6 @@ convention) → figures/tables/robustness → CLI.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import time
 import warnings
 from collections import deque
@@ -57,7 +55,7 @@ from repro.active.selectors import (
     RandomSelector,
     Selector,
 )
-from repro._fingerprints import fingerprint_fields, fingerprint_payload
+from repro._fingerprints import content_hash, fingerprint_fields, fingerprint_payload
 from repro._suggest import unknown_name_message
 from repro.analysis.sanitizer import (
     DeterminismGuard,
@@ -203,11 +201,6 @@ def clear_feature_cache() -> None:
 # --------------------------------------------------------------------------- #
 # Run specifications and fingerprints
 # --------------------------------------------------------------------------- #
-def _canonical_json(payload: object) -> str:
-    """Deterministic JSON used for fingerprinting."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def settings_fingerprint(settings: ExperimentSettings) -> str:
     """Stable hash of every settings field that influences a single run.
 
@@ -220,7 +213,7 @@ def settings_fingerprint(settings: ExperimentSettings) -> str:
     """
     fields = fingerprint_fields(ExperimentSettings, exclude=GRID_ONLY_FIELDS)
     payload = fingerprint_payload(settings, fields)
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()[:16]
+    return content_hash(payload)
 
 
 @dataclass(frozen=True)
@@ -306,8 +299,7 @@ class RunSpec:
         else:
             payload["scenario_fingerprint"] = (
                 get_scenario(self.scenario).fingerprint())
-        return hashlib.sha256(
-            _canonical_json(payload).encode("utf-8")).hexdigest()[:24]
+        return content_hash(payload, length=24)
 
 
 def run_single(

@@ -12,10 +12,10 @@ pieces the engine builds that guarantee on:
 * :class:`FaultInjector` — a deterministic chaos harness: directives keyed by
   RunSpec fingerprint × attempt raise transient or permanent errors, hard-kill
   the worker (``os._exit``), stall a job, or tear an artifact write.  It is
-  activated only through ``REPRO_CHAOS`` / ``--chaos``, so production sweeps
-  never pay for it; tests and CI use it to exercise the recovery machinery on
-  demand (the PR 9 philosophy: don't trust robustness code you can't break
-  deliberately).
+  activated only through ``--chaos`` (or an executor built with an
+  injector), so production sweeps never pay for it; tests and CI use it to
+  exercise the recovery machinery on demand (robustness code that cannot be
+  broken deliberately cannot be trusted).
 * :class:`FailureLedger` — the persisted record of permanently failed jobs,
   written next to the :class:`~repro.experiments.store.ArtifactStore` so a
   ``--keep-going`` campaign can be resumed and retries exactly the jobs that
@@ -39,9 +39,6 @@ from repro.exceptions import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # avoid a circular import; the engine imports this module
     from repro.experiments.engine import RunSpec
-
-#: Environment variable carrying a chaos spec (same grammar as ``--chaos``).
-CHAOS_ENV_VAR = "REPRO_CHAOS"
 
 #: Exit code an injected worker kill dies with (visible in pool diagnostics).
 KILL_EXIT_CODE = 87
@@ -257,11 +254,6 @@ class FaultInjector:
         directives = tuple(_parse_directive(part.strip())
                            for part in text.split(",") if part.strip())
         return cls(directives=directives) if directives else None
-
-    @classmethod
-    def from_environment(cls) -> "FaultInjector | None":
-        """The injector declared by ``REPRO_CHAOS``, if any."""
-        return cls.from_spec(os.environ.get(CHAOS_ENV_VAR))
 
     def resolve(self, specs: "list[RunSpec] | tuple[RunSpec, ...]",
                 ) -> "FaultInjector":

@@ -13,16 +13,12 @@ stable :meth:`~ManifestDocument.fingerprint` usable as a store-side identity.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
+
+from repro._fingerprints import content_hash
 
 #: Bumped whenever the manifest schema changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1
-
-
-def _canonical_json(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -198,8 +194,7 @@ class ManifestDocument:
 
     def fingerprint(self) -> str:
         """Content hash of :meth:`to_dict` (description included)."""
-        return hashlib.sha256(
-            _canonical_json(self.to_dict()).encode("utf-8")).hexdigest()[:16]
+        return content_hash(self.to_dict())
 
     def manifest_id(self) -> str:
         """Human-readable identity stamped into artifacts: ``name@hash``."""

@@ -27,14 +27,12 @@ the *perfect* scenario is bit-identical to running with no scenario at all.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro._fingerprints import fingerprint_fields, fingerprint_payload
+from repro._fingerprints import content_hash, fingerprint_fields, fingerprint_payload
 from repro.active.oracle import (
     AbstainingOracle,
     ClassConditionalNoisyOracle,
@@ -184,8 +182,7 @@ class Scenario:
         """
         fields = fingerprint_fields(Scenario, exclude=("description",))
         payload = fingerprint_payload(self, fields)
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return content_hash(payload)
 
     def dataset_fingerprint(self) -> str:
         """Hash of only the fields that shape the *dataset* (not the oracle).
@@ -207,8 +204,7 @@ class Scenario:
             "pool_skew": self.pool_skew,
             "skew_scope": self.name if self.pool_skew is not None else None,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return content_hash(payload)
 
     @property
     def is_default(self) -> bool:

@@ -1,4 +1,4 @@
-"""CLI tests for ``repro lint-code``: exit codes, formats, baseline flags."""
+"""CLI tests for ``repro lint-code``: exit codes, formats, path handling."""
 
 from __future__ import annotations
 
@@ -46,45 +46,44 @@ def test_json_format_is_the_artifact_document(project, capsys):
     assert [f["rule"] for f in payload["findings"]] == ["ND001"]
 
 
-def test_unknown_select_rule_exits_two_with_suggestion(project, capsys):
+@pytest.mark.parametrize("path", ["srcc", "x.py", "notes.txt", "empty"],
+                         ids=["typo", "missing-file", "not-python",
+                              "empty-dir"])
+def test_path_without_python_files_exits_two(project, capsys, path):
+    (project / "src").mkdir()
+    (project / "src" / "m.py").write_text(CLEAN, encoding="utf-8")
+    (project / "notes.txt").write_text("not python\n", encoding="utf-8")
+    (project / "empty").mkdir()
+    assert main(["lint-code", "src", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"no Python files to lint under: {path}"
+
+
+def test_every_empty_path_is_named(project, capsys):
     (project / "m.py").write_text(CLEAN, encoding="utf-8")
-    assert main(["lint-code", "m.py", "--select", "ND01"]) == 2
-    err = capsys.readouterr().err
-    assert "did you mean" in err and "ND001" in err
+    assert main(["lint-code", "srcc", "m.py", "x.py"]) == 2
+    assert "no Python files to lint under: srcc, x.py" in capsys.readouterr().err
 
 
-def test_select_and_ignore_narrow_the_rule_set(project, capsys):
-    (project / "m.py").write_text(VIOLATION, encoding="utf-8")
-    assert main(["lint-code", "m.py", "--select", "ND002"]) == 0
-    assert main(["lint-code", "m.py", "--ignore", "ND001"]) == 0
-    assert main(["lint-code", "m.py", "--select", "ND001,ND002"]) == 1
-    capsys.readouterr()
+def test_each_file_is_linted_once(project, capsys):
+    pkg = project / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(VIOLATION, encoding="utf-8")
+    assert main(["lint-code", "pkg/m.py", "pkg/m.py", "pkg",
+                 "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files_checked"] == 1
+    assert [f["rule"] for f in payload["findings"]] == ["ND001"]
 
 
-def test_write_baseline_then_gate_green(project, capsys):
-    (project / "m.py").write_text(VIOLATION, encoding="utf-8")
-    assert main(["lint-code", "m.py", "--write-baseline"]) == 0
-    assert (project / "reprolint-baseline.json").exists()
-    # The default baseline is picked up from the working directory.
-    assert main(["lint-code", "m.py"]) == 0
+def test_help_offers_only_paths_format_and_list_rules(capsys):
+    with pytest.raises(SystemExit):
+        main(["lint-code", "--help"])
     out = capsys.readouterr().out
-    assert "1 baselined" in out
-    # --no-baseline reports the grandfathered finding again.
-    assert main(["lint-code", "m.py", "--no-baseline"]) == 1
-
-
-def test_stale_baseline_fails_the_gate(project, capsys):
-    (project / "m.py").write_text(VIOLATION, encoding="utf-8")
-    assert main(["lint-code", "m.py", "--write-baseline"]) == 0
-    (project / "m.py").write_text(CLEAN, encoding="utf-8")
-    assert main(["lint-code", "m.py"]) == 1
-    assert "stale baseline" in capsys.readouterr().out
-
-
-def test_no_baseline_conflicts_with_write_baseline(project, capsys):
-    (project / "m.py").write_text(CLEAN, encoding="utf-8")
-    assert main(["lint-code", "m.py", "--no-baseline",
-                 "--write-baseline"]) == 2
+    options = sorted({word.rstrip(",") for word in out.split()
+                      if word.startswith("--")})
+    assert options == ["--format", "--help", "--list-rules"]
 
 
 def test_list_rules_prints_the_catalog(project, capsys):

@@ -7,8 +7,8 @@ import textwrap
 from repro.analysis import lint_source
 
 
-def lint(source: str, **kwargs):
-    return lint_source(textwrap.dedent(source), "fixture.py", **kwargs)
+def lint(source: str):
+    return lint_source(textwrap.dedent(source), "fixture.py")
 
 
 def test_reasoned_noqa_suppresses_the_named_rule():
@@ -75,17 +75,13 @@ def test_empty_rule_list_is_a_finding():
     assert [f.rule for f in kept] == ["RL002"]
 
 
-def test_unused_noqa_is_flagged_only_under_the_full_rule_set():
-    source = """
-    def clean():
-        return 1  # repro: noqa[ND001] nothing here actually trips it
-    """
-    kept_full, _ = lint(source)
-    assert [f.rule for f in kept_full] == ["RL003"]
-    # Under --select ND002 the ND001 suppression *looks* unused only because
-    # the rule did not run; RL003 must stay quiet.
-    kept_narrow, _ = lint(source, rules=["ND002"])
-    assert kept_narrow == []
+def test_unused_noqa_is_a_finding():
+    kept, _ = lint(
+        """
+        def clean():
+            return 1  # repro: noqa[ND001] nothing here actually trips it
+        """)
+    assert [f.rule for f in kept] == ["RL003"]
 
 
 def test_multiple_rules_in_one_directive():

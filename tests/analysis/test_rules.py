@@ -1,9 +1,10 @@
 """Per-rule fixture tests: each rule fires on its positive fixture and stays
 silent on the matching negative fixture.
 
-Every fixture is an in-memory module run through :func:`lint_source` with the
-rule under test selected, so the assertions pin rule *and* location — a rule
-that fires on the wrong line is as broken as one that does not fire.
+Every fixture is an in-memory module run through :func:`lint_source` with
+every rule active; the assertions keep the rule under test's findings and pin
+rule *and* location — a rule that fires on the wrong line is as broken as one
+that does not fire.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from repro.analysis import lint_source
 
 
 def findings_for(source: str, rule: str):
-    kept, _ = lint_source(textwrap.dedent(source), "fixture.py",
-                          rules=[rule])
+    kept, _ = lint_source(textwrap.dedent(source), "fixture.py")
     return [finding for finding in kept if finding.rule == rule]
 
 
@@ -98,7 +98,7 @@ class TestND003GlobalRng:
             def seed_everything(seed):
                 np.random.seed(seed)
             """)
-        kept, _ = lint_source(source, "_rng.py", rules=["ND003"])
+        kept, _ = lint_source(source, "_rng.py")
         assert kept == []
 
 
@@ -291,6 +291,16 @@ class TestFP002NonCanonicalHash:
                 return json.dumps({"alpha": config.alpha}, sort_keys=True)
             """, "FP002")
         assert findings == []
+
+    def test_flags_repr_in_content_hash_callers(self):
+        findings = findings_for(
+            """
+            from repro._fingerprints import content_hash
+
+            def digest(config):
+                return content_hash({"alpha": repr(config.alpha)})
+            """, "FP002")
+        assert [f.line for f in findings] == [5]
 
     def test_ignores_repr_in_error_messages(self):
         findings = findings_for(

@@ -1,11 +1,11 @@
 """Self-lint: the repository's own code must gate green.
 
 This is the test CI's ``static-analysis`` job mirrors, over the same trees:
-``src/``, ``examples/``, ``benchmarks/`` and the reference oracles in
-``tests/reference/``.  Every finding there is either fixed, suppressed with a
-reasoned ``# repro: noqa[RULE] reason``, or consciously grandfathered in the
-committed baseline.  A new violation anywhere in those trees fails this test
-with the exact ``file:line:col`` to look at.
+``repro lint-code``'s default paths (``src/``, ``examples/``, ``benchmarks/``
+and the reference oracles in ``tests/reference/``).  Every finding there is
+either fixed or suppressed with a reasoned ``# repro: noqa[RULE] reason``.  A
+new violation anywhere in those trees fails this test with the exact
+``file:line:col`` to look at.
 """
 
 from __future__ import annotations
@@ -14,41 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import DEFAULT_BASELINE_NAME, lint_paths, read_baseline
+from repro.analysis import DEFAULT_PATHS, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-#: The trees CI's reprolint gate checks.
-LINTED_TREES = ("src", "examples", "benchmarks", "tests/reference")
 
 
 @pytest.fixture(scope="module")
 def self_report():
-    baseline = REPO_ROOT / DEFAULT_BASELINE_NAME
-    return lint_paths([REPO_ROOT / tree for tree in LINTED_TREES], root=REPO_ROOT,
-                      baseline_path=baseline if baseline.exists() else None)
+    return lint_paths(DEFAULT_PATHS, root=REPO_ROOT)
 
 
 def test_src_tree_is_lint_clean(self_report):
     rendered = "\n".join(f.render() for f in self_report.findings)
-    assert self_report.ok, f"new lint findings in {', '.join(LINTED_TREES)}:\n{rendered}"
-
-
-def test_committed_baseline_has_no_stale_entries(self_report):
-    assert self_report.stale_baseline == []
-
-
-def test_committed_baseline_is_empty():
-    """The shipped baseline carries no grandfathered findings.
-
-    Every real finding of the initial sweep was fixed or suppressed inline
-    with a justification; if this test starts failing someone grew the
-    baseline — which is allowed, but must be a reviewed decision (update
-    this test alongside the baseline).
-    """
-    baseline = REPO_ROOT / DEFAULT_BASELINE_NAME
-    assert baseline.exists(), "reprolint-baseline.json must be committed"
-    assert read_baseline(baseline) == []
+    assert self_report.ok, f"new lint findings in {', '.join(DEFAULT_PATHS)}:\n{rendered}"
 
 
 def test_every_suppression_in_src_is_reasoned(self_report):

@@ -229,14 +229,6 @@ class TestFaultInjector:
         assert injector.tear_next_write(fingerprint)
         assert not injector.tear_next_write(fingerprint)
 
-    def test_environment_spec_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "raise@0,kill@1")
-        injector = FaultInjector.from_environment()
-        assert injector is not None
-        assert len(injector.directives) == 2
-        monkeypatch.delenv("REPRO_CHAOS")
-        assert FaultInjector.from_environment() is None
-
     def test_process_injector_install_and_clear(self, fast_settings):
         specs = _specs(fast_settings)
         injector = FaultInjector.from_spec("raise@0").resolve(specs)

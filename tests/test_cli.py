@@ -206,6 +206,17 @@ class TestCommands:
         assert "Table 5" not in out
         assert not (store.exists() and list(store.glob("*.json")))
 
+    def test_chaos_comes_only_from_the_flag(self, monkeypatch, capsys):
+        # --chaos is the one way to inject faults; an environment variable
+        # of the same shape must not switch chaos on behind the flag's back.
+        monkeypatch.setenv("REPRO_CHAOS", "permanent@0")
+        assert main(["experiments", "--scale", "tiny", "--jobs", "1",
+                     "--table", "5", "--datasets", "amazon_google",
+                     "--methods", "random"]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(
+            "engine: 1 runs executed, 0 loaded from store")
+
     def test_scenarios_list_command(self, capsys):
         assert main(["scenarios", "--list"]) == 0
         output = capsys.readouterr().out
