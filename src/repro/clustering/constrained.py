@@ -112,17 +112,21 @@ class ConstrainedKMeans:
         Each deficit cluster walks its distance order once: its centroid is
         fixed during the walk and donors only shrink, so a point passed over
         (a member already, or its cluster could not spare it) stays passed
-        over.
+        over.  A donor keeps at least ``min_size`` points, so the clusters
+        short on entry are the only ones ever short; ``2.0 * points`` is
+        computed once for all of them.
         """
         min_size = self.constraints.min_size
         if min_size <= 0:
             return labels
         assigned = labels.tolist()
         sizes = np.bincount(labels, minlength=self.num_clusters).tolist()
-        for cluster in range(self.num_clusters):
-            if sizes[cluster] >= min_size:
-                continue
-            distances = _squared_distances(points, point_norms,
+        short = [cluster for cluster, size in enumerate(sizes) if size < min_size]
+        if not short:
+            return labels
+        doubled_points = 2.0 * points
+        for cluster in short:
+            distances = _squared_distances(doubled_points, point_norms,
                                            centroids[cluster:cluster + 1]).reshape(-1)
             for candidate in np.argsort(distances).tolist():
                 source = assigned[candidate]
@@ -157,12 +161,13 @@ class ConstrainedKMeans:
 
         rng = ensure_rng(self.random_state)
         point_norms = _squared_norms(points)
+        doubled_points = 2.0 * points
         centroids = kmeans_plus_plus_init(points, self.num_clusters, rng)
         labels = np.zeros(n, dtype=np.int64)
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
-            distances = _squared_distances(points, point_norms, centroids)
+            distances = _squared_distances(doubled_points, point_norms, centroids)
             new_labels = self._capacity_assign(distances)
             new_labels = self._enforce_min_sizes(points, point_norms, new_labels, centroids)
             for cluster in range(self.num_clusters):
@@ -175,7 +180,7 @@ class ConstrainedKMeans:
                 break
             labels = new_labels
 
-        distances = _squared_distances(points, point_norms, centroids)
+        distances = _squared_distances(doubled_points, point_norms, centroids)
         inertia = float(distances[np.arange(n), labels].sum())
         return KMeansResult(labels=labels, centroids=centroids, inertia=inertia,
                             num_iterations=iteration, converged=converged)

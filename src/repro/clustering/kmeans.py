@@ -50,15 +50,17 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
     return np.sum(points * points, axis=1, keepdims=True)
 
 
-def _squared_distances(points: np.ndarray, point_norms: np.ndarray,
+def _squared_distances(doubled_points: np.ndarray, point_norms: np.ndarray,
                        centroids: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every point and every centroid.
 
-    ``point_norms`` is :func:`_squared_norms` of ``points``.
+    ``doubled_points`` is ``2.0 * points`` and ``point_norms`` is
+    :func:`_squared_norms` of ``points``: callers compute both once and
+    reuse them across calls, so no call rescales all n x d points.
     """
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
     centroid_norms = np.sum(centroids * centroids, axis=1)
-    distances = point_norms - 2.0 * points @ centroids.T + centroid_norms
+    distances = point_norms - doubled_points @ centroids.T + centroid_norms
     np.maximum(distances, 0.0, out=distances)
     return distances
 
@@ -68,10 +70,11 @@ def kmeans_plus_plus_init(points: np.ndarray, num_clusters: int,
     """k-means++ seeding: spread initial centroids proportionally to distance."""
     n = len(points)
     point_norms = _squared_norms(points)
+    doubled_points = 2.0 * points
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(0, n))
     centroids[0] = points[first]
-    closest = _squared_distances(points, point_norms, centroids[:1]).reshape(-1)
+    closest = _squared_distances(doubled_points, point_norms, centroids[:1]).reshape(-1)
     for index in range(1, num_clusters):
         total = closest.sum()
         if total <= 0:
@@ -81,7 +84,7 @@ def kmeans_plus_plus_init(points: np.ndarray, num_clusters: int,
             probabilities = closest / total
             choice = int(rng.choice(n, p=probabilities))
         centroids[index] = points[choice]
-        distances = _squared_distances(points, point_norms,
+        distances = _squared_distances(doubled_points, point_norms,
                                        centroids[index:index + 1]).reshape(-1)
         np.minimum(closest, distances, out=closest)
     return centroids
@@ -118,13 +121,13 @@ class KMeans:
         self.random_state = random_state
 
     def _single_run(self, points: np.ndarray, point_norms: np.ndarray,
-                    rng: np.random.Generator) -> KMeansResult:
+                    doubled_points: np.ndarray, rng: np.random.Generator) -> KMeansResult:
         centroids = kmeans_plus_plus_init(points, self.num_clusters, rng)
         labels = np.zeros(len(points), dtype=np.int64)
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iterations + 1):
-            distances = _squared_distances(points, point_norms, centroids)
+            distances = _squared_distances(doubled_points, point_norms, centroids)
             new_labels = np.argmin(distances, axis=1)
             new_centroids = centroids.copy()
             for cluster in range(self.num_clusters):
@@ -140,7 +143,7 @@ class KMeans:
                 break
             labels = new_labels
 
-        distances = _squared_distances(points, point_norms, centroids)
+        distances = _squared_distances(doubled_points, point_norms, centroids)
         inertia = float(distances[np.arange(len(points)), labels].sum())
         return KMeansResult(labels=labels, centroids=centroids, inertia=inertia,
                             num_iterations=iteration, converged=converged)
@@ -156,9 +159,10 @@ class KMeans:
             )
         rng = ensure_rng(self.random_state)
         point_norms = _squared_norms(points)
+        doubled_points = 2.0 * points
         best: KMeansResult | None = None
         for _ in range(self.num_init):
-            result = self._single_run(points, point_norms, rng)
+            result = self._single_run(points, point_norms, doubled_points, rng)
             if best is None or result.inertia < best.inertia:
                 best = result
         assert best is not None

@@ -72,7 +72,15 @@ class MatcherConfig:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch training diagnostics."""
+    """Per-epoch training diagnostics of one :meth:`NeuralMatcher.fit`.
+
+    ``train_loss`` and ``validation_f1`` hold one value per epoch run
+    (``validation_f1`` is NaN without validation data), and ``best_epoch`` is
+    the epoch whose parameters were restored.  A fit with validation data
+    stops after its first epoch with validation F1 = 1.0, so ``num_epochs``
+    is then that epoch + 1 (and that epoch is ``best_epoch``); otherwise it
+    is ``MatcherConfig.epochs``.
+    """
 
     train_loss: list[float] = field(default_factory=list)
     validation_f1: list[float] = field(default_factory=list)
@@ -139,7 +147,12 @@ class NeuralMatcher:
         The paper re-initializes DITTO in every active-learning iteration
         rather than warm-starting from the previous model; ``fit`` therefore
         always rebuilds the network.  When validation data is supplied the
-        epoch with the best validation F1 is restored at the end.
+        epoch with the best validation F1 is restored at the end.  Only a
+        strictly higher F1 replaces the best epoch, so training stops after
+        the first epoch that scores F1 = 1.0: no later epoch could be
+        restored, and the parameters, predictions and representations are
+        those of the full epoch budget.  Without validation data every epoch
+        runs and the last one is kept.
         """
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -193,6 +206,9 @@ class NeuralMatcher:
                     best_f1 = f1
                     best_snapshot = self._snapshot_parameters(network)
                     history.best_epoch = epoch
+                if f1 == 1.0:
+                    # F1 never exceeds 1.0, so no later epoch can be restored.
+                    break
             else:
                 history.validation_f1.append(float("nan"))
                 best_snapshot = self._snapshot_parameters(network)

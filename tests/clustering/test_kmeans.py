@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from reference.constrained import _squared_distances as reference_squared_distances
 from repro.clustering.constrained import ConstrainedKMeans, SizeConstraints
-from repro.clustering.kmeans import KMeans, average_cluster_sse, kmeans_plus_plus_init
+from repro.clustering.kmeans import (
+    KMeans,
+    _squared_distances,
+    _squared_norms,
+    average_cluster_sse,
+    kmeans_plus_plus_init,
+)
 from repro.exceptions import ConfigurationError, ConvergenceError
 
 
@@ -57,6 +64,24 @@ class TestKMeans:
         distances = np.linalg.norm(centroids[:, None] - centroids[None, :], axis=-1)
         off_diagonal = distances[~np.eye(3, dtype=bool)]
         assert off_diagonal.min() > 3.0
+
+    @pytest.mark.parametrize("num_clusters", [1, 20])
+    @pytest.mark.parametrize("layout", ["gaussian", "grid", "fortran"])
+    def test_hoisted_distances_match_reference_bit_for_bit(self, rng, num_clusters, layout):
+        # 2 * points is computed once per fit instead of inside every call;
+        # the distances must not move by a bit.  The grid has ties and
+        # duplicate points; the Fortran-ordered points keep their layout.
+        if layout == "grid":
+            points = rng.integers(-3, 4, size=(300, 3)).astype(np.float64)
+        else:
+            points = rng.normal(size=(800, 128))
+        if layout == "fortran":
+            points = np.asfortranarray(points)
+        centroids = points[rng.choice(len(points), size=num_clusters, replace=False)]
+        got = _squared_distances(2.0 * points, _squared_norms(points), centroids)
+        want = reference_squared_distances(points, centroids)
+        assert got.shape == (len(points), num_clusters)
+        assert got.tobytes() == want.tobytes()
 
     def test_average_cluster_sse(self, blobs):
         result = KMeans(3, random_state=0).fit(blobs)

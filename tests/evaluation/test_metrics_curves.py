@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation.curves import LearningCurve, average_curves
@@ -71,6 +71,24 @@ class TestMetrics:
         else:
             assert f1 == 0.0
         assert 0.0 <= f1 <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(true_positive=st.integers(0, 3000), false_positive=st.integers(0, 3000),
+           false_negative=st.integers(0, 3000), true_negative=st.integers(0, 20))
+    @example(true_positive=3000, false_positive=1, false_negative=0, true_negative=0)
+    @example(true_positive=3000, false_positive=0, false_negative=1, true_negative=0)
+    @example(true_positive=1, false_positive=0, false_negative=0, true_negative=0)
+    @example(true_positive=0, false_positive=0, false_negative=0, true_negative=5)
+    def test_property_f1_is_one_exactly_when_perfect(self, true_positive, false_positive,
+                                                      false_negative, true_negative):
+        # NeuralMatcher.fit stops at the first epoch with F1 == 1.0, which is
+        # exact only because no imperfect prediction rounds up to 1.0.
+        counts = (true_positive, false_positive, false_negative, true_negative)
+        y_true = np.repeat([1, 0, 1, 0], counts)
+        y_pred = np.repeat([1, 1, 0, 0], counts)
+        f1 = f1_score(y_true, y_pred)
+        assert f1 <= 1.0
+        assert (f1 == 1.0) == (false_positive == false_negative == 0 < true_positive)
 
 
 class TestLearningCurve:

@@ -169,10 +169,15 @@ class TestNeuralMatcher:
         assert np.all(probabilities <= 1.0)
 
     def test_history_records_validation_f1(self, fitted_matcher, fast_matcher_config):
+        # Every epoch runs unless one scores a perfect validation F1; the fit
+        # then stops after the first such epoch.
         history = fitted_matcher.history
         assert history is not None
-        assert history.num_epochs == fast_matcher_config.epochs
-        assert 0 <= history.best_epoch < fast_matcher_config.epochs
+        assert len(history.validation_f1) == history.num_epochs
+        perfect = [epoch for epoch, f1 in enumerate(history.validation_f1) if f1 == 1.0]
+        expected_epochs = perfect[0] + 1 if perfect else fast_matcher_config.epochs
+        assert history.num_epochs == expected_epochs
+        assert 0 <= history.best_epoch < history.num_epochs
 
     def test_representations_separate_classes(self, fitted_matcher, tiny_dataset,
                                                tiny_features):
