@@ -47,12 +47,3 @@ def spawn_rng(rng: np.random.Generator, n: int = 1) -> list[np.random.Generator]
     seeds = rng.integers(0, 2**31 - 1, size=n)
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
-
-def seed_everything(seed: int) -> np.random.Generator:
-    """Return a generator seeded with ``seed`` and seed the legacy NumPy RNG.
-
-    The legacy global RNG is seeded as well because a few third-party helpers
-    (and user code in examples) may still rely on ``np.random``.
-    """
-    np.random.seed(seed)
-    return np.random.default_rng(seed)

@@ -78,9 +78,3 @@ class ExactNearestNeighbors:
 
         top = top[:, :k]
         return top, similarities[row_index[:, :1], top]
-
-    def pairwise_similarities(self) -> np.ndarray:
-        """Full cosine similarity matrix of the indexed vectors."""
-        if self._vectors is None:
-            raise NotFittedError("ExactNearestNeighbors.build must be called first")
-        return self._vectors @ self._vectors.T

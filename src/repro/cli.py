@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     datasets = subparsers.add_parser("datasets", help="List the available benchmarks")
     datasets.add_argument("--scale", default="tiny", choices=available_scales())
-    datasets.add_argument("--seed", type=int, default=7)
+    datasets.add_argument("--seed", type=_int_at_least(0), default=7)
 
     run = subparsers.add_parser("run", help="Run one active-learning campaign")
     run.add_argument("--dataset", required=True, choices=available_benchmarks())
@@ -184,20 +184,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epochs", type=_int_at_least(1), default=None,
                      help="Matcher training epochs (default: the harness setting)")
     run.add_argument("--no-weak-supervision", action="store_true")
-    run.add_argument("--seed", type=int, default=7)
+    run.add_argument("--seed", type=_int_at_least(0), default=7)
 
     full = subparsers.add_parser("full", help="Train the Full D reference model")
     full.add_argument("--dataset", required=True, choices=available_benchmarks())
     full.add_argument("--scale", default="tiny", choices=available_scales())
     full.add_argument("--epochs", type=_int_at_least(1), default=None,
                       help="Matcher training epochs (default: the harness setting)")
-    full.add_argument("--seed", type=int, default=7)
+    full.add_argument("--seed", type=_int_at_least(0), default=7)
 
     export = subparsers.add_parser("export", help="Export a benchmark as CSV files")
     export.add_argument("--dataset", required=True, choices=available_benchmarks())
     export.add_argument("--scale", default="tiny", choices=available_scales())
     export.add_argument("--output", required=True)
-    export.add_argument("--seed", type=int, default=7)
+    export.add_argument("--seed", type=_int_at_least(0), default=7)
 
     experiments = subparsers.add_parser(
         "experiments",
@@ -599,8 +599,7 @@ def _manifest_build(args: argparse.Namespace) -> int:
                          base_keep_going=manifest_keep_going)
     store = ArtifactStore(args.store) if args.store else None
     engine = ExperimentEngine(settings, executor=executor, store=store,
-                              plan_only=args.dry_run,
-                              manifest_id=document.manifest_id())
+                              plan_only=args.dry_run)
     results = engine.run(specs)
     if args.dry_run:
         print(_dry_run_summary(engine, args.store))

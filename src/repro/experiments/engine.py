@@ -799,10 +799,6 @@ class ExperimentEngine:
         with a placeholder result shaped like a real one, so the figure and
         table builders enumerate their full grids without side effects.  The
         specs that *would* have executed accumulate in :meth:`planned_specs`.
-    manifest_id:
-        Optional manifest identity (``name@hash``) stamped into every
-        artifact this engine persists, tying stored runs back to the
-        manifest that declared them.
 
     Results are additionally cached in memory for the engine's lifetime, so
     figure/table builders sharing RunSpecs within one invocation (e.g.
@@ -817,13 +813,11 @@ class ExperimentEngine:
         executor: ParallelExecutor | None = None,
         store: ArtifactStore | None = None,
         plan_only: bool = False,
-        manifest_id: str | None = None,
     ) -> None:
         self.settings = settings
         self.executor = executor or ParallelExecutor(jobs=1)
         self.store = store
         self.plan_only = plan_only
-        self.manifest_id = manifest_id
         self.last_report = EngineReport()
         self.total_report = EngineReport()
         self._memory: dict[RunSpec, ActiveLearningResult] = {}
@@ -853,7 +847,7 @@ class ExperimentEngine:
                     f"was produced under settings {spec.settings_hash}, but "
                     f"this engine runs {expected_hash}")
             if self.store is not None:
-                self.store.put(spec, result, manifest=self.manifest_id)
+                self.store.put(spec, result)
             self._memory[spec] = result
 
     def planned_specs(self) -> tuple[RunSpec, ...]:
@@ -973,7 +967,7 @@ class ExperimentEngine:
         failed = 0
         while True:
             try:
-                self.store.put(spec, result, manifest=self.manifest_id)
+                self.store.put(spec, result)
                 return fingerprint
             except Exception as error:
                 failed += 1

@@ -456,6 +456,11 @@ class FailureLedger:
                 f"({format_error(error)}); starting a fresh ledger",
                 stacklevel=3)
             return
+        if not isinstance(payload, dict):
+            warnings.warn(
+                f"Ignoring corrupt failure ledger {self.path} (not a JSON "
+                "object); starting a fresh ledger", stacklevel=3)
+            return
         version = payload.get("format_version")
         if version != LEDGER_FORMAT_VERSION:
             raise ConfigurationError(

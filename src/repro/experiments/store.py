@@ -136,23 +136,14 @@ class ArtifactStore:
         loaded = self._load(path)
         return loaded[1] if loaded is not None else None
 
-    def put(self, spec: "RunSpec", result: ActiveLearningResult,
-            manifest: str | None = None) -> Path:
-        """Persist ``result`` under ``spec``'s fingerprint (atomically).
-
-        ``manifest`` optionally records which experiment manifest produced
-        the run (its ``name@hash`` identity) — purely provenance, additive
-        to the payload, so manifest-stamped and plain artifacts interoperate
-        within one format version.
-        """
+    def put(self, spec: "RunSpec", result: ActiveLearningResult) -> Path:
+        """Persist ``result`` under ``spec``'s fingerprint (atomically)."""
         path = self.path_for(spec)
         payload: dict[str, object] = {
             "format_version": FORMAT_VERSION,
             "spec": spec.to_dict(),
             "result": result.to_dict(),
         }
-        if manifest is not None:
-            payload["manifest"] = manifest
         # Serialize before touching the filesystem: a result that cannot be
         # serialized must not leave a partial temp file behind.
         text = json.dumps(payload, indent=1, sort_keys=True)

@@ -1,8 +1,8 @@
 """Declarative experiment manifests: lint, build, and version a campaign.
 
-A manifest is a TOML (or JSON) file declaring a full labeling campaign — the
-datasets, methods, scenarios, seeds, and settings of a RunSpec grid — that
-the three staged commands operate on::
+A manifest is a TOML file declaring a full labeling campaign — the
+datasets, methods, scenarios, seeds, and settings of its ``[[grid]]``
+statements — that the three staged commands operate on::
 
     repro manifest lint     campaign.toml   # every error, with locations
     repro manifest build    campaign.toml   # expand + execute (resumable)
@@ -45,8 +45,6 @@ from repro.manifests.schema import (
     GridStatement,
     ManifestDocument,
     ManifestSettings,
-    RunStatement,
-    SeedRange,
 )
 
 __all__ = [
@@ -59,8 +57,6 @@ __all__ = [
     "ManifestDocument",
     "ManifestSettings",
     "ManifestSource",
-    "RunStatement",
-    "SeedRange",
     "SourceMap",
     "build_manifest",
     "build_retry_policy",

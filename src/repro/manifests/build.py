@@ -1,11 +1,10 @@
 """Expand a linted manifest into its RunSpec grid.
 
-The expansion is pure and order-deterministic: statements expand in manifest
-order (grids before explicit runs, each grid as dataset × method × scenario
-× seed × α), and duplicate jobs are dropped by store fingerprint keeping the
-first occurrence.  Linting the same file twice therefore yields a
-byte-identical fingerprint list — the property the round-trip tests and the
-lockfile's grid hash rely on.
+The expansion is pure and order-deterministic: grids expand in manifest
+order, each as dataset × method × scenario × seed × α, and duplicate jobs
+are dropped by store fingerprint keeping the first occurrence.  Linting the
+same file twice therefore yields a byte-identical fingerprint list — the
+property the round-trip tests and the lockfile's grid hash rely on.
 """
 
 from __future__ import annotations
@@ -82,15 +81,7 @@ def expand_run_specs(
     """The deduplicated RunSpec grid of ``document``, in manifest order."""
     settings = settings if settings is not None else build_settings(document)
     base_seed = settings.base_random_seed
-    specs: list[RunSpec] = []
-    seen: set[str] = set()
-
-    def emit(spec: RunSpec) -> None:
-        fingerprint = spec.fingerprint()
-        if fingerprint not in seen:
-            seen.add(fingerprint)
-            specs.append(spec)
-
+    specs: dict[str, RunSpec] = {}  # by fingerprint, first occurrence kept
     for grid in document.grids:
         for dataset in grid.datasets:
             for method in grid.methods:
@@ -101,17 +92,12 @@ def expand_run_specs(
                 for scenario in grid.scenarios:
                     for seed in grid.seed_values(base_seed):
                         for alpha in alphas:
-                            emit(RunSpec.create(
+                            spec = RunSpec.create(
                                 dataset, method, seed, alpha, grid.beta,
                                 grid.weak_supervision, settings,
-                                scenario=scenario))
-    for run in document.runs:
-        emit(RunSpec.create(
-            run.dataset, run.method,
-            run.seed if run.seed is not None else base_seed,
-            run.alpha, run.beta, run.weak_supervision, settings,
-            scenario=run.scenario))
-    return specs
+                                scenario=scenario)
+                            specs.setdefault(spec.fingerprint(), spec)
+    return list(specs.values())
 
 
 def grid_fingerprint(specs: list[RunSpec]) -> str:

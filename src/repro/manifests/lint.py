@@ -5,9 +5,9 @@ types, registry membership (benchmarks, scenarios, methods, scales,
 weak-supervision modes), value ranges, config-override names, and
 cross-field constraints — accumulating :class:`LintIssue` records instead of
 raising on the first problem.  Each issue carries the dotted field path and
-(for TOML) the source line, so a campaign author fixes a whole manifest in
-one edit cycle.  When no *errors* remain (warnings are fine), the report
-carries the fully typed :class:`~repro.manifests.schema.ManifestDocument`.
+the source line, so a campaign author fixes a whole manifest in one edit
+cycle.  When no *errors* remain (warnings are fine), the report carries the
+fully typed :class:`~repro.manifests.schema.ManifestDocument`.
 
 Linting never touches datasets or artifact stores: name checks go through
 the registries' name lists only, so ``repro manifest lint`` is safe to run
@@ -30,21 +30,16 @@ from repro.manifests.schema import (
     GridStatement,
     ManifestDocument,
     ManifestSettings,
-    RunStatement,
-    SeedRange,
 )
 from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
 from repro.scenarios import available_scenarios
 
-_TOP_LEVEL_KEYS = ("manifest", "settings", "execution", "grid", "run")
+_TOP_LEVEL_KEYS = ("manifest", "settings", "execution", "grid")
 _SETTINGS_KEYS = ("scale", "iterations", "budget_per_iteration", "seed_size",
                   "base_random_seed", "matcher", "featurizer")
 _GRID_KEYS = ("datasets", "methods", "scenarios", "seeds", "alphas", "beta",
               "weak_supervision")
-_RUN_KEYS = ("dataset", "method", "scenario", "seed", "alpha", "beta",
-             "weak_supervision")
-_SEED_RANGE_KEYS = ("start", "count", "stride")
 
 
 def render_field_path(path: FieldPath) -> str:
@@ -313,42 +308,30 @@ class _Linter:
             keep_going=self.read_bool(table, "keep_going", path, False),
         )
 
-    def lint_seeds(self, table: dict, path: FieldPath,
-                   ) -> tuple[tuple[int, ...] | None, SeedRange | None]:
+    def lint_seeds(self, table: dict,
+                   path: FieldPath) -> tuple[int, ...] | None:
         if "seeds" not in table:
-            return None, None
+            return None
         value = table["seeds"]
         seeds_path = path + ("seeds",)
-        if isinstance(value, list):
-            seeds: list[int] = []
-            if not value:
-                self.error(seeds_path, "must not be empty")
-            for index, entry in enumerate(value):
-                if isinstance(entry, bool) or not isinstance(entry, int):
-                    self.error(seeds_path + (index,),
-                               f"expected an integer seed, got "
-                               f"{type(entry).__name__}")
-                    continue
+        if not isinstance(value, list):
+            self.error(seeds_path,
+                       f"expected a list of seeds, got {type(value).__name__}")
+            return None
+        if not value:
+            self.error(seeds_path, "must not be empty")
+        seeds: list[int] = []
+        for index, entry in enumerate(value):
+            if isinstance(entry, bool) or not isinstance(entry, int):
+                self.error(seeds_path + (index,),
+                           f"expected an integer seed, got "
+                           f"{type(entry).__name__}")
+            elif entry < 0:
+                self.error(seeds_path + (index,),
+                           f"must be >= 0, got {entry}")
+            else:
                 seeds.append(entry)
-            return tuple(seeds), None
-        if isinstance(value, dict):
-            self.check_unknown_keys(value, _SEED_RANGE_KEYS, seeds_path,
-                                    "seed range")
-            start = self.read_int(value, "start", seeds_path, None, minimum=0)
-            count = self.read_int(value, "count", seeds_path, None)
-            stride = self.read_int(value, "stride", seeds_path, 13)
-            if start is None and "start" not in value:
-                self.error(seeds_path, "seed range needs a 'start'")
-            if count is None and "count" not in value:
-                self.error(seeds_path, "seed range needs a 'count'")
-            if start is None or count is None:
-                return None, None
-            return None, SeedRange(start=start, count=count,
-                                   stride=stride or 13)
-        self.error(seeds_path,
-                   "expected a list of seeds or a {start, count, stride} "
-                   f"range, got {type(value).__name__}")
-        return None, None
+        return tuple(seeds)
 
     def lint_alphas(self, table: dict, path: FieldPath,
                     methods: tuple[str, ...]) -> tuple[float, ...] | None:
@@ -408,51 +391,12 @@ class _Linter:
                                       ACTIVE_LEARNING_METHODS, required=True)
         scenarios = self.read_name_list(table, "scenarios", path, "scenario",
                                         available_scenarios(), required=False)
-        seeds, seed_range = self.lint_seeds(table, path)
         return GridStatement(
             datasets=datasets,
             methods=methods,
             scenarios=scenarios or ("perfect",),
-            seeds=seeds,
-            seed_range=seed_range,
+            seeds=self.lint_seeds(table, path),
             alphas=self.lint_alphas(table, path, methods),
-            beta=self.read_unit_float(table, "beta", path, 0.5),
-            weak_supervision=self.lint_weak_supervision(table, path),
-        )
-
-    def lint_run(self, table: object, index: int) -> RunStatement | None:
-        path: FieldPath = ("run", index)
-        if not isinstance(table, dict):
-            self.error(path, f"expected a table, got {type(table).__name__}")
-            return None
-        self.check_unknown_keys(table, _RUN_KEYS, path, "run")
-        dataset = self.read_str(table, "dataset", path)
-        if "dataset" not in table:
-            self.error(path, "missing required key 'dataset'")
-        elif dataset and dataset not in available_benchmarks():
-            self.error(path + ("dataset",),
-                       unknown_name_message("benchmark", dataset,
-                                            available_benchmarks()))
-        method = self.read_str(table, "method", path)
-        if "method" not in table:
-            self.error(path, "missing required key 'method'")
-        elif method and method not in ACTIVE_LEARNING_METHODS:
-            self.error(path + ("method",),
-                       unknown_name_message("method", method,
-                                            ACTIVE_LEARNING_METHODS))
-        scenario = self.read_str(table, "scenario", path, default="perfect") \
-            or "perfect"
-        if scenario not in available_scenarios():
-            self.error(path + ("scenario",),
-                       unknown_name_message("scenario", scenario,
-                                            available_scenarios()))
-            scenario = "perfect"
-        return RunStatement(
-            dataset=dataset,
-            method=method,
-            scenario=scenario,
-            seed=self.read_int(table, "seed", path, None, minimum=0),
-            alpha=self.read_unit_float(table, "alpha", path, 0.5),
             beta=self.read_unit_float(table, "beta", path, 0.5),
             weak_supervision=self.lint_weak_supervision(table, path),
         )
@@ -470,17 +414,8 @@ class _Linter:
             raw_grids = []
         grids = [self.lint_grid(table, index)
                  for index, table in enumerate(raw_grids)]
-
-        raw_runs = self.source.data.get("run", [])
-        if not isinstance(raw_runs, list):
-            self.error(("run",), "expected an array of [[run]] tables")
-            raw_runs = []
-        runs = [self.lint_run(table, index)
-                for index, table in enumerate(raw_runs)]
-
-        if not raw_grids and not raw_runs:
-            self.error((), "a manifest needs at least one [[grid]] or "
-                           "[[run]] section")
+        if not raw_grids:
+            self.error((), "a manifest needs at least one [[grid]] section")
 
         report = LintReport(issues=self.issues)
         if report.ok:
@@ -489,7 +424,6 @@ class _Linter:
                 description=description,
                 settings=settings,
                 grids=tuple(grid for grid in grids if grid is not None),
-                runs=tuple(run for run in runs if run is not None),
                 execution=execution,
             )
         return report

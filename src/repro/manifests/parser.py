@@ -1,4 +1,4 @@
-"""Manifest file loading: TOML/JSON parsing plus a line-number source map.
+"""Manifest file loading: TOML parsing plus a line-number source map.
 
 Parsing is deliberately dumb: it produces the raw nested dictionaries of the
 file and a :class:`SourceMap` from field paths to line numbers, and raises
@@ -10,7 +10,6 @@ which reports every problem in one pass instead of stopping at the first.
 
 from __future__ import annotations
 
-import json
 import re
 import tomllib
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ class SourceMap:
     tables resolve to the line of their enclosing assignment —
     :meth:`line_for` drops trailing path components until something matches,
     so a lint issue at ``grid[0].datasets[2]`` points at the ``datasets``
-    line.  JSON manifests get an empty map (issues render without lines).
+    line.
     """
 
     lines: dict[FieldPath, int] = field(default_factory=dict)
@@ -80,57 +79,30 @@ class ManifestSource:
     data: dict[str, object]
     source_map: SourceMap
     path: Path | None = None
-    format: str = "toml"
 
     @property
     def display_path(self) -> str:
         return str(self.path) if self.path is not None else "<manifest>"
 
 
-def parse_manifest_text(
-    text: str,
-    format: str = "toml",
-    path: Path | None = None,
-) -> ManifestSource:
-    """Parse manifest ``text``; raises :class:`ManifestError` on syntax errors."""
-    if format == "toml":
-        try:
-            data = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
-            raise ManifestError(
-                f"{path or '<manifest>'}: invalid TOML: {error}") from error
-        source_map = _scan_toml_lines(text)
-    elif format == "json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ManifestError(
-                f"{path or '<manifest>'}: invalid JSON: {error}") from error
-        source_map = SourceMap()
-    else:
+def parse_manifest_text(text: str, path: Path | None = None) -> ManifestSource:
+    """Parse TOML ``text``; raises :class:`ManifestError` on syntax errors."""
+    try:
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as error:
         raise ManifestError(
-            f"Unsupported manifest format {format!r}; use 'toml' or 'json'")
-    if not isinstance(data, dict):
-        raise ManifestError(
-            f"{path or '<manifest>'}: a manifest must be a table/object at "
-            f"the top level, not {type(data).__name__}")
-    return ManifestSource(data=data, source_map=source_map, path=path,
-                          format=format)
+            f"{path or '<manifest>'}: invalid TOML: {error}") from error
+    return ManifestSource(data=data, source_map=_scan_toml_lines(text),
+                          path=path)
 
 
 def load_manifest(path: str | Path) -> ManifestSource:
-    """Read and parse the manifest file at ``path`` (format from its suffix)."""
+    """Read and parse the ``.toml`` manifest file at ``path``."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"Manifest file not found: {path}")
     suffix = path.suffix.lower()
-    if suffix == ".toml":
-        format = "toml"
-    elif suffix == ".json":
-        format = "json"
-    else:
+    if suffix != ".toml":
         raise ManifestError(
-            f"{path}: unsupported manifest extension {suffix!r}; "
-            "use .toml or .json")
-    return parse_manifest_text(path.read_text(encoding="utf-8"),
-                               format=format, path=path)
+            f"{path}: unsupported manifest extension {suffix!r}; use .toml")
+    return parse_manifest_text(path.read_text(encoding="utf-8"), path=path)

@@ -1,8 +1,8 @@
 """Typed statements of a linted experiment manifest.
 
-A manifest file (TOML or JSON) declares a labeling campaign: which benchmarks
-to run, which selectors, under which scenarios, over which seeds and α
-values, and which settings overrides apply to every run.  The parser
+A manifest file (TOML) declares a labeling campaign: which benchmarks to run,
+which selectors, under which scenarios, over which seeds and α values, and
+which settings overrides apply to every run.  The parser
 (:mod:`repro.manifests.parser`) turns the file into raw dictionaries, the
 linter (:mod:`repro.manifests.lint`) validates those into the frozen
 statement types below, and the builder (:mod:`repro.manifests.build`)
@@ -22,23 +22,6 @@ MANIFEST_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SeedRange:
-    """Arithmetic seed progression, mirroring ``ExperimentSettings.seeds()``.
-
-    ``{start = 7, count = 3}`` expands to ``(7, 20, 33)`` with the default
-    stride of 13 — the same progression the settings layer uses, so a
-    manifest range and a ``num_seeds`` sweep enumerate identical RunSpecs.
-    """
-
-    start: int
-    count: int
-    stride: int = 13
-
-    def expand(self) -> tuple[int, ...]:
-        return tuple(self.start + self.stride * i for i in range(self.count))
-
-
-@dataclass(frozen=True)
 class GridStatement:
     """One ``[[grid]]`` section: the cross product of its axes."""
 
@@ -46,18 +29,13 @@ class GridStatement:
     methods: tuple[str, ...]
     scenarios: tuple[str, ...] = ("perfect",)
     seeds: tuple[int, ...] | None = None
-    seed_range: SeedRange | None = None
     alphas: tuple[float, ...] | None = None
     beta: float = 0.5
     weak_supervision: str = "selector"
 
     def seed_values(self, default_seed: int) -> tuple[int, ...]:
-        """The seeds this grid runs over (explicit list > range > default)."""
-        if self.seeds is not None:
-            return self.seeds
-        if self.seed_range is not None:
-            return self.seed_range.expand()
-        return (default_seed,)
+        """The seeds this grid runs over (its list, else the default)."""
+        return self.seeds if self.seeds is not None else (default_seed,)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -65,34 +43,8 @@ class GridStatement:
             "methods": list(self.methods),
             "scenarios": list(self.scenarios),
             "seeds": list(self.seeds) if self.seeds is not None else None,
-            "seed_range": ([self.seed_range.start, self.seed_range.count,
-                            self.seed_range.stride]
-                           if self.seed_range is not None else None),
+            "seed_range": None,  # see ManifestDocument.to_dict
             "alphas": list(self.alphas) if self.alphas is not None else None,
-            "beta": self.beta,
-            "weak_supervision": self.weak_supervision,
-        }
-
-
-@dataclass(frozen=True)
-class RunStatement:
-    """One ``[[run]]`` section: a single explicit run."""
-
-    dataset: str
-    method: str
-    scenario: str = "perfect"
-    seed: int | None = None
-    alpha: float = 0.5
-    beta: float = 0.5
-    weak_supervision: str = "selector"
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "dataset": self.dataset,
-            "method": self.method,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "alpha": self.alpha,
             "beta": self.beta,
             "weak_supervision": self.weak_supervision,
         }
@@ -147,13 +99,12 @@ class ExecutionPolicy:
 
 @dataclass(frozen=True)
 class ManifestDocument:
-    """A fully linted manifest: name, settings, and its grid/run statements."""
+    """A fully linted manifest: name, settings, and its grid statements."""
 
     name: str
     description: str = ""
     settings: ManifestSettings = field(default_factory=ManifestSettings)
     grids: tuple[GridStatement, ...] = ()
-    runs: tuple[RunStatement, ...] = ()
     execution: ExecutionPolicy | None = None
 
     def referenced_datasets(self) -> tuple[str, ...]:
@@ -162,8 +113,6 @@ class ManifestDocument:
         for grid in self.grids:
             for dataset in grid.datasets:
                 ordered[dataset] = None
-        for run in self.runs:
-            ordered[run.dataset] = None
         return tuple(ordered)
 
     def referenced_scenarios(self) -> tuple[str, ...]:
@@ -172,8 +121,6 @@ class ManifestDocument:
         for grid in self.grids:
             for scenario in grid.scenarios:
                 ordered[scenario] = None
-        for run in self.runs:
-            ordered[run.scenario] = None
         return tuple(ordered)
 
     def to_dict(self) -> dict[str, object]:
@@ -189,7 +136,10 @@ class ManifestDocument:
             "description": self.description,
             "settings": self.settings.to_dict(),
             "grids": [grid.to_dict() for grid in self.grids],
-            "runs": [run.to_dict() for run in self.runs],
+            # The schema no longer has [[run]]s or seed ranges, but their
+            # keys stay, always empty, so every manifest that still lints
+            # keeps the fingerprint and the lockfile it had.
+            "runs": [],
         }
 
     def fingerprint(self) -> str:
@@ -197,5 +147,5 @@ class ManifestDocument:
         return content_hash(self.to_dict())
 
     def manifest_id(self) -> str:
-        """Human-readable identity stamped into artifacts: ``name@hash``."""
+        """Human-readable identity, ``name@hash``, for report titles."""
         return f"{self.name}@{self.fingerprint()[:12]}"

@@ -110,11 +110,6 @@ class NeuralMatcher:
         """Whether :meth:`fit` has completed at least once."""
         return self._network is not None
 
-    @property
-    def representation_dim(self) -> int:
-        """Dimensionality of the pair representation."""
-        return self.config.hidden_dims[-1]
-
     def _positive_weight(self, y: np.ndarray) -> float:
         if self.config.positive_weight is not None:
             return self.config.positive_weight

@@ -141,12 +141,3 @@ class TSNE:
             embedding = embedding - embedding.mean(axis=0, keepdims=True)
         return embedding
 
-
-def kl_divergence(data: np.ndarray, embedding: np.ndarray, perplexity: float = 30.0) -> float:
-    """KL divergence between the high- and low-dimensional affinities."""
-    joint = _joint_probabilities(np.asarray(data, dtype=np.float64), perplexity)
-    distances = _pairwise_squared_distances(np.asarray(embedding, dtype=np.float64))
-    student = 1.0 / (1.0 + distances)
-    np.fill_diagonal(student, 0.0)
-    q = np.maximum(student / student.sum(), _EPSILON)
-    return float(np.sum(joint * np.log(joint / q)))

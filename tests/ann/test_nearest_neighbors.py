@@ -62,9 +62,3 @@ class TestExactNearestNeighbors:
         indices, _ = index.query(vectors, k=10)
         assert indices.shape == (4, 4)
 
-    def test_pairwise_similarities_symmetric(self, clustered_vectors):
-        index = ExactNearestNeighbors().build(clustered_vectors)
-        sims = index.pairwise_similarities()
-        assert np.allclose(sims, sims.T)
-        assert np.allclose(np.diag(sims), 1.0)
-

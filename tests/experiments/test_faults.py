@@ -303,9 +303,11 @@ class TestFailureLedger:
         with pytest.raises(ConfigurationError):
             FailureLedger(path)
 
-    def test_corrupt_ledger_warns_and_starts_fresh(self, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", "[]", "null", "3"],
+                             ids=["syntax", "list", "null", "number"])
+    def test_corrupt_ledger_warns_and_starts_fresh(self, tmp_path, text):
         path = tmp_path / "store.failures.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.warns(UserWarning, match="corrupt failure ledger"):
             ledger = FailureLedger(path)
         assert len(ledger) == 0

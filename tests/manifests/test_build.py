@@ -1,5 +1,8 @@
 """Expansion: pure, order-deterministic, fingerprint-deduplicated."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ManifestError
@@ -10,8 +13,11 @@ from repro.manifests import (
     expand_run_specs,
     grid_fingerprint,
     lint_manifest,
+    load_manifest,
     parse_manifest_text,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "campaign.toml"
 
 MANIFEST = """
 [manifest]
@@ -39,13 +45,13 @@ scenarios = ["perfect", "noisy-0.1"]
 datasets = ["amazon_google"]
 methods = ["battleship"]
 alphas = [0.25, 0.75]
-seeds = { start = 7, count = 2 }
+seeds = [7, 20]
 
-[[run]]
-dataset = "amazon_google"
-method = "dal"
-scenario = "abstaining"
-seed = 11
+[[grid]]
+datasets = ["amazon_google"]
+methods = ["dal"]
+scenarios = ["abstaining"]
+seeds = [11]
 """
 
 
@@ -68,7 +74,7 @@ def test_expansion_is_deterministic():
 def test_expansion_order_and_count():
     _, _, specs = _expand()
     # grid 1: 1 dataset × 2 methods × 2 scenarios = 4; grid 2: 2 seeds × 2 α
-    # = 4; plus one explicit run.
+    # = 4; grid 3: one run.
     assert len(specs) == 9
     assert [(s.method, s.scenario, s.seed, s.alpha) for s in specs[:4]] == [
         ("random", "perfect", 7, 0.5), ("random", "noisy-0.1", 7, 0.5),
@@ -80,20 +86,28 @@ def test_expansion_order_and_count():
 
 def test_duplicate_jobs_are_dropped_keeping_first():
     text = MANIFEST + """
-[[run]]
-dataset = "amazon_google"
-method = "random"
-scenario = "perfect"
-seed = 7
+[[grid]]
+datasets = ["amazon_google"]
+methods = ["random"]
+seeds = [7]
 """
     _, _, specs = _expand(text)
-    assert len(specs) == 9  # the explicit duplicate of grid 1's first job
+    assert len(specs) == 9  # grid 4 repeats grid 1's first job
 
 
-def test_seed_range_matches_harness_stride():
+def test_seed_list_matches_harness_stride():
+    """seeds = [7, 20] names the harness's first two seeds (stride 13)."""
     _, settings, specs = _expand()
     battleship_seeds = sorted({s.seed for s in specs if s.method == "battleship"})
-    assert battleship_seeds == [7, 7 + 13]
+    harness = dataclasses.replace(settings, num_seeds=2)
+    assert battleship_seeds == list(harness.seeds()) == [7, 7 + 13]
+
+
+def test_example_campaign_expansion_is_pinned():
+    """examples/campaign.toml (CI's manifest-smoke) expands to 9 fixed runs."""
+    _, _, specs = build_manifest(load_manifest(EXAMPLE))
+    assert len(specs) == 9
+    assert grid_fingerprint(specs) == "d3a65360e43579bb"
 
 
 def test_settings_mapping():

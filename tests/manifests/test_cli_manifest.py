@@ -69,6 +69,21 @@ def test_lint_reports_every_error_and_exits_nonzero(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.toml"]
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("run.toml", FAST_MANIFEST + '[[run]]\ndataset = "abt_buy"\n'
+     'method = "dal"\n', "error: run: Unknown manifest section key 'run'"),
+    ("range.toml", FAST_MANIFEST + "seeds = { start = 7, count = 2 }\n",
+     "error: grid[0].seeds: expected a list of seeds, got dict"),
+    ("campaign.json", "{}", "unsupported manifest extension '.json'"),
+], ids=["run", "seed-range", "json"])
+def test_lint_rejects_removed_forms(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["manifest", "lint", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
 def test_build_dry_run_prints_grid_without_executing(manifest_path, tmp_path,
                                                      capsys):
     store = tmp_path / "store"
@@ -90,10 +105,13 @@ def test_build_then_warm_rebuild_executes_zero_runs(manifest_path, tmp_path,
     assert "2 runs executed, 0 loaded from store" in cold
     artifacts = list(store.glob("*.json"))
     assert len(artifacts) == 2
-    # every artifact carries the manifest identity
     for artifact in artifacts:
         payload = json.loads(artifact.read_text(encoding="utf-8"))
-        assert payload["manifest"].startswith("cli-smoke@")
+        assert sorted(payload) == ["format_version", "result", "spec"]
+        # Stores written before artifacts lost their manifest stamp carry
+        # this key; it must not stop them from resuming.
+        payload["manifest"] = "cli-smoke@0123456789ab"
+        artifact.write_text(json.dumps(payload), encoding="utf-8")
 
     assert main(["manifest", "build", str(manifest_path),
                  "--store", str(store)]) == 0

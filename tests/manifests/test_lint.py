@@ -24,10 +24,10 @@ methods = ["random", "battleship"]
 scenarios = ["perfect", "noisy-0.1"]
 alphas = [0.25, 0.75]
 
-[[run]]
-dataset = "abt_buy"
-method = "dal"
-seed = 11
+[[grid]]
+datasets = ["abt_buy"]
+methods = ["dal"]
+seeds = [11]
 """
 
 # Five distinct, independently locatable mistakes.
@@ -43,10 +43,10 @@ datasets = ["amazon_googel"]
 methods = ["battleshp"]
 beta = 2.0
 
-[[run]]
-dataset = "abt_buy"
-method = "dal"
-scenario = "noisy-01"
+[[grid]]
+datasets = ["abt_buy"]
+methods = ["dal"]
+scenarios = ["noisy-01"]
 """
 
 
@@ -69,7 +69,7 @@ def test_all_errors_reported_in_one_pass():
     assert "grid[0].datasets[0]" in fields
     assert "grid[0].methods[0]" in fields
     assert "grid[0].beta" in fields
-    assert "run[0].scenario" in fields
+    assert "grid[1].scenarios[0]" in fields
     assert len(report.errors) >= 5
 
 
@@ -130,13 +130,13 @@ def test_values_a_run_would_crash_on_are_errors(table, setting):
     assert setting.split(" = ")[0] in issue.message
 
 
-def test_seed_range_requires_start_and_count():
-    text = GOOD_MANIFEST + "\n[[grid]]\ndatasets = [\"abt_buy\"]\n" \
-                           "methods = [\"random\"]\nseeds = { stride = 5 }\n"
+def test_negative_seed_is_an_error():
+    """numpy rejects a negative seed, so every job of the grid would fail."""
+    text = GOOD_MANIFEST.replace("seeds = [11]", "seeds = [11, -3]")
     report = lint_manifest(parse_manifest_text(text))
-    messages = [issue.message for issue in report.errors]
-    assert any("'start'" in message for message in messages)
-    assert any("'count'" in message for message in messages)
+    [issue] = report.errors
+    assert issue.render() == "error: grid[1].seeds[1]: must be >= 0, got -3 " \
+                             "(line 23)"
 
 
 def test_blocker_setting_is_an_unknown_key():
@@ -157,7 +157,7 @@ def test_empty_manifest_needs_a_grid_or_run():
 
 def test_missing_manifest_section_is_an_error():
     report = lint_manifest(parse_manifest_text(
-        '[[run]]\ndataset = "abt_buy"\nmethod = "dal"\n'))
+        '[[grid]]\ndatasets = ["abt_buy"]\nmethods = ["dal"]\n'))
     assert any(issue.field == "manifest" for issue in report.errors)
 
 
@@ -167,13 +167,12 @@ def test_unknown_top_level_section_is_an_error():
     assert any(issue.field == "grids" for issue in report.errors)
 
 
-def test_json_manifests_lint_without_line_numbers():
-    report = lint_manifest(parse_manifest_text(
-        '{"manifest": {"name": "j"}, '
-        '"run": [{"dataset": "nope", "method": "dal"}]}',
-        format="json"))
-    issue = next(i for i in report.errors if i.field == "run[0].dataset")
-    assert issue.line is None
+def test_json_manifest_is_an_unsupported_extension(tmp_path):
+    path = tmp_path / "campaign.json"
+    path.write_text('{"manifest": {"name": "j"}}', encoding="utf-8")
+    with pytest.raises(ManifestError,
+                       match="unsupported manifest extension '.json'"):
+        load_manifest(path)
 
 
 def test_toml_syntax_error_raises_manifest_error(tmp_path):
@@ -200,9 +199,9 @@ max_attempts = 4
 timeout = 120.0
 keep_going = true
 
-[[run]]
-dataset = "amazon_google"
-method = "random"
+[[grid]]
+datasets = ["amazon_google"]
+methods = ["random"]
 """
 
 
@@ -250,9 +249,9 @@ backoff_factor = 0.5
 keep_going = "yes"
 bogus = 1
 
-[[run]]
-dataset = "amazon_google"
-method = "random"
+[[grid]]
+datasets = ["amazon_google"]
+methods = ["random"]
 """
     report = lint_manifest(parse_manifest_text(text))
     assert not report.ok

@@ -14,8 +14,10 @@ class TestNetworkConfig:
     """The network's architecture, set by ``input_dim`` and ``MatcherConfig``."""
 
     def test_representation_dim_is_last_hidden(self):
-        matcher = NeuralMatcher(input_dim=10, config=MatcherConfig(hidden_dims=(32, 16)))
-        assert matcher.representation_dim == 16
+        matcher = NeuralMatcher(input_dim=10, config=MatcherConfig(
+            hidden_dims=(32, 16), epochs=1, random_state=0))
+        matcher.fit(np.eye(4, 10), np.array([1, 0, 1, 0]))
+        assert matcher.embed(np.ones((3, 10))).shape == (3, 16)
         network = FeedForwardNetwork(10, hidden_dims=(32, 16), dropout=0.1,
                                      use_layer_norm=True, random_state=0)
         assert network.representation(np.ones((3, 10))).shape == (3, 16)

@@ -87,10 +87,15 @@ class TestParser:
         ("run", "--seed-size", "-3"),
         ("run", "--budget", "ten"),
         ("full", "--epochs", "0"),
+        ("datasets", "--seed", "-1"),
+        ("run", "--seed", "-1"),
+        ("full", "--seed", "-1"),
+        ("export", "--seed", "-1"),
     ])
     def test_out_of_range_count_rejected(self, command, flag, value, capsys):
+        dataset = [] if command == "datasets" else ["--dataset", "amazon_google"]
         with pytest.raises(SystemExit) as raised:
-            main([command, "--dataset", "amazon_google", flag, value])
+            main([command, *dataset, flag, value])
         assert raised.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
 

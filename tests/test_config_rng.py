@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro._rng import ensure_rng, seed_everything, spawn_rng
+from repro._rng import ensure_rng, spawn_rng
 from repro.config import available_scales, get_scale, scaled_size
 from repro.exceptions import ConfigurationError
 
@@ -69,10 +69,3 @@ class TestRngHelpers:
     def test_spawn_rng_invalid(self):
         with pytest.raises(ValueError):
             spawn_rng(ensure_rng(0), 0)
-
-    def test_seed_everything_returns_generator(self):
-        generator = seed_everything(11)
-        assert isinstance(generator, np.random.Generator)
-        first = np.random.random()
-        seed_everything(11)
-        assert np.random.random() == first

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import NotFittedError
 from repro.visualization.projection import PCA
-from repro.visualization.tsne import TSNE, TSNEConfig, kl_divergence
+from repro.visualization.tsne import TSNE, TSNEConfig
 
 
 class TestPCA:
@@ -71,9 +71,3 @@ class TestTSNE:
             TSNEConfig(num_iterations=0)
         with pytest.raises(ValueError):
             TSNEConfig(num_components=0)
-
-    def test_kl_divergence_non_negative(self, rng):
-        data = rng.normal(size=(20, 6))
-        config = TSNEConfig(num_iterations=50, perplexity=5.0)
-        embedding = TSNE(config, random_state=1).fit_transform(data)
-        assert kl_divergence(data, embedding, perplexity=5.0) >= 0.0
