@@ -31,43 +31,49 @@ from repro.neural.matcher import MatcherConfig, NeuralMatcher
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Diagnostics of one active-learning iteration."""
+    """Diagnostics of one active-learning iteration.
+
+    ``train_seconds`` and ``selection_seconds`` are wall-clock measurements
+    of the run that produced the record.  They take no part in equality and
+    stay out of :meth:`to_dict`, so a result depends on its run's inputs
+    alone; a record loaded from an artifact reads 0.0 for both.
+    """
 
     iteration: int
     num_labeled: int
     num_weak: int
     num_labeled_positives: int
     test_metrics: MatchingMetrics
-    train_seconds: float
-    selection_seconds: float
+    train_seconds: float = field(default=0.0, compare=False)
+    selection_seconds: float = field(default=0.0, compare=False)
 
     @property
     def f1(self) -> float:
         return self.test_metrics.f1
 
     def to_dict(self) -> dict[str, object]:
-        """Lossless JSON-ready representation (artifact-store format)."""
+        """JSON-ready representation without the timings (artifact format)."""
         return {
             "iteration": self.iteration,
             "num_labeled": self.num_labeled,
             "num_weak": self.num_weak,
             "num_labeled_positives": self.num_labeled_positives,
             "test_metrics": self.test_metrics.to_dict(),
-            "train_seconds": self.train_seconds,
-            "selection_seconds": self.selection_seconds,
         }
 
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "IterationRecord":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Artifacts written before the timings left the payload still carry
+        ``train_seconds``/``selection_seconds``; those keys are ignored.
+        """
         return cls(
             iteration=int(payload["iteration"]),
             num_labeled=int(payload["num_labeled"]),
             num_weak=int(payload["num_weak"]),
             num_labeled_positives=int(payload["num_labeled_positives"]),
             test_metrics=MatchingMetrics.from_dict(payload["test_metrics"]),
-            train_seconds=float(payload["train_seconds"]),
-            selection_seconds=float(payload["selection_seconds"]),
         )
 
 
@@ -91,12 +97,15 @@ class ActiveLearningResult:
         return curve
 
     def selection_runtimes(self) -> list[float]:
-        """Selection wall-clock seconds per iteration (Figure 6)."""
+        """Selection wall-clock seconds per iteration (Figure 6).
+
+        Empty for a loaded result: artifacts store no timings.
+        """
         return [record.selection_seconds for record in self.records
                 if record.selection_seconds > 0.0]
 
     def to_dict(self) -> dict[str, object]:
-        """Lossless JSON-ready representation (artifact-store format)."""
+        """JSON-ready representation (artifact-store format)."""
         return {
             "dataset_name": self.dataset_name,
             "selector_name": self.selector_name,

@@ -28,7 +28,6 @@ from repro.analysis.sanitizer import (
     DeterminismViolation,
     determinism_guard,
     permuted,
-    sanitizer_enabled,
     shuffled_dict,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "permuted",
     "rule_catalog",
     "rule_class",
-    "sanitizer_enabled",
     "shuffled_dict",
 ]

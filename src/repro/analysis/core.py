@@ -62,12 +62,6 @@ class Rule:
     code: str = ""
     summary: str = ""
     history: str = ""
-    #: File names the rule never applies to (e.g. the module that *owns*
-    #: global RNG state by design).
-    exempt_files: tuple[str, ...] = ()
-
-    def applies(self, ctx: "LintContext") -> bool:
-        return ctx.path.name not in self.exempt_files
 
     def report(self, ctx: "LintContext", node: ast.AST, message: str) -> None:
         ctx.findings.append(Finding(
@@ -185,9 +179,7 @@ class LintWalker:
         self.rules = list(rules)
 
     def walk(self, ctx: LintContext) -> list[Finding]:
-        active = [rule for rule in self.rules if rule.applies(ctx)]
-        if active:
-            self._visit(ctx.tree, ctx, active)
+        self._visit(ctx.tree, ctx, self.rules)
         return ctx.findings
 
     def _visit(self, node: ast.AST, ctx: LintContext, rules: list[Rule]) -> None:

@@ -116,7 +116,6 @@ class GlobalRngRule(Rule):
     history = ("the whole seeding policy: scenario/oracle streams are "
                "spawn_rng-derived; a global-RNG consumer is invisible to "
                "them and breaks serial≡parallel")
-    exempt_files = ("_rng.py",)
 
     def visit_Call(self, node: ast.Call, ctx: LintContext) -> None:
         name = dotted_name(node.func)

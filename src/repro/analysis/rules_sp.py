@@ -3,10 +3,11 @@
 The parallel engine fans work out over ``ProcessPoolExecutor`` with a
 ``spawn``-compatible protocol: task callables must be top-level (picklable)
 and per-worker state travels once through the pool *initializer*
-(:func:`repro.experiments.engine._init_worker` is the pattern).  PR 3 learned
-this the hard way — user-registered scenarios lived in a module-global
-registry that spawn-started workers re-imported empty, so pool jobs failed on
-registry lookups until the definitions were shipped through the initializer.
+(:func:`repro.experiments.faults.init_injector` is the pattern).  The rules
+encode a real failure: scenarios registered at runtime lived in a
+module-global registry that spawn-started workers re-imported empty, so pool
+jobs failed on registry lookups until the definitions were shipped through
+the initializer.
 """
 
 from __future__ import annotations
@@ -102,4 +103,4 @@ class GlobalMutationRule(Rule):
                     f"global {', '.join(node.names)} mutated in "
                     f"{names[-1]!r}: state set this way never reaches "
                     "spawn-started pool workers; ship it through a pool "
-                    "initializer (see engine._init_worker)")
+                    "initializer (see faults.init_injector)")

@@ -10,17 +10,16 @@ for cached arrays (the MU002 class at runtime) and the order helpers the
 hypothesis property suites use to prove outputs are independent of
 abstention/query order and of dict insertion order.
 
-Opt-in surfaces:
+Surfaces:
 
-* tests — the property suites wrap their subjects in ``determinism_guard``;
-* the engine — ``REPRO_SANITIZE=1`` makes
-  :func:`repro.experiments.engine.execute_spec` run every job under a guard
-  and assert the shared feature matrix stayed ``writeable=False``.
+* the engine — :func:`repro.experiments.engine.execute_spec` runs every job
+  under a guard and asserts the shared feature matrix stayed
+  ``writeable=False``;
+* tests — the property suites wrap their subjects in ``determinism_guard``.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping, Sequence, TypeVar
@@ -29,9 +28,6 @@ import numpy as np
 
 _T = TypeVar("_T")
 
-#: Environment switch for the engine-level guard.
-SANITIZE_ENV_VAR = "REPRO_SANITIZE"
-
 #: Seed the guard pins the global RNGs to.  The value is arbitrary; what
 #: matters is that the post-seed state is *known*, so drift is detectable.
 GUARD_SEED = 20230
@@ -39,11 +35,6 @@ GUARD_SEED = 20230
 
 class DeterminismViolation(AssertionError):
     """A guarded block consumed global RNG state or mutated a shared array."""
-
-
-def sanitizer_enabled() -> bool:
-    """Whether the engine should guard every executed run."""
-    return os.environ.get(SANITIZE_ENV_VAR, "").lower() in ("1", "true", "on")
 
 
 def _numpy_state_equal(state_a: tuple, state_b: tuple) -> bool:

@@ -45,7 +45,7 @@ from repro.experiments.faults import FaultInjector, RetryPolicy, ledger_path
 from repro.experiments.store import ArtifactStore
 from repro.exceptions import ConfigurationError, ManifestError
 from repro.neural.matcher import MatcherConfig
-from repro.scenarios import available_scenarios, get_scenario, resolve_scenarios
+from repro.scenarios import available_scenarios, get_scenario
 
 #: Figures/tables the ``experiments`` subcommand can (re)build.
 _EXPERIMENT_FIGURES = (5, 6, 7, 8, 9, 10)
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios",
         help="Sweep a robustness scenario grid through the job engine")
     scenarios.add_argument("--list", action="store_true", dest="list_scenarios",
-                           help="List the registered scenarios and exit")
+                           help="List the built-in scenarios and exit")
     scenarios.add_argument("--scale", default="tiny", choices=available_scales())
     scenarios.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="Worker processes (1 = serial execution)")
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--scenarios", nargs="+", default=None,
                            metavar="NAME[,NAME...]",
                            help="Scenario names (space- or comma-separated; "
-                                "default: every registered scenario)")
+                                "default: every built-in scenario)")
     scenarios.add_argument("--methods", nargs="+", default=None,
                            choices=ACTIVE_LEARNING_METHODS,
                            help="Restrict the sweep to these selectors")
@@ -257,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     manifest_lint = manifest_sub.add_parser(
         "lint",
         help="Validate a manifest, reporting every issue with its location")
-    manifest_lint.add_argument("path", help="Manifest file (.toml or .json)")
+    manifest_lint.add_argument("path", help="Manifest file (.toml)")
 
     manifest_build = manifest_sub.add_parser(
         "build",
         help="Expand a manifest into its RunSpec grid and execute it")
-    manifest_build.add_argument("path", help="Manifest file (.toml or .json)")
+    manifest_build.add_argument("path", help="Manifest file (.toml)")
     manifest_build.add_argument("--jobs", type=_int_at_least(1), default=1,
                                 help="Worker processes (1 = serial execution)")
     manifest_build.add_argument("--store", default=None, metavar="DIR",
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "versions",
         help="Pin the manifest's referenced definitions into a lockfile")
     manifest_versions.add_argument("path",
-                                   help="Manifest file (.toml or .json)")
+                                   help="Manifest file (.toml)")
     manifest_versions.add_argument("--update", action="store_true",
                                    help="Rewrite a drifted lockfile instead "
                                         "of failing")
@@ -523,10 +523,9 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
     if args.list_scenarios:
         rows = [get_scenario(name).as_row() for name in available_scenarios()]
-        print(format_table(rows, title="Registered scenarios"))
+        print(format_table(rows, title="Built-in scenarios"))
         return 0
 
-    scenarios = resolve_scenarios(args.scenarios)
     settings = default_settings(
         args.scale, datasets=tuple(args.datasets) if args.datasets else None)
     executor = _executor(args)
@@ -535,7 +534,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
     methods = tuple(args.methods) if args.methods else ACTIVE_LEARNING_METHODS
 
     curves = robustness.robustness_curves(
-        settings, dataset_names=settings.datasets, scenarios=scenarios,
+        settings, dataset_names=settings.datasets, scenarios=args.scenarios,
         methods=methods, engine=engine)
     print(format_table(robustness.robustness_rows(curves),
                        title="Robustness — F1 per scenario and selector"))

@@ -7,11 +7,15 @@ module turns that grid into explicit jobs:
 * :class:`RunSpec` — a frozen, hashable description of one run, including a
   fingerprint of the :class:`~repro.experiments.configs.ExperimentSettings`
   it is valid under, so results can be stored and looked up by content.
+  A job is a function of its spec: :func:`execute_spec` runs every job
+  under :func:`~repro.analysis.determinism_guard`, and the stored result
+  holds no wall-clock field, so two stores of one sweep are byte-identical.
 * :class:`ParallelExecutor` — the one job scheduler.  ``jobs=1`` runs jobs
   in the calling process; ``jobs>=2`` fans them out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each keep
   their own dataset cache (one benchmark load per worker, not per job).
-  Both go through the same retry-aware scheduling loop.
+  Both go through the same retry-aware scheduling loop.  The pool's only
+  initializer is :func:`~repro.experiments.faults.init_injector`.
 * :class:`ExperimentEngine` — ties an executor to an optional
   :class:`~repro.experiments.store.ArtifactStore`: completed runs are loaded
   from the store instead of re-executed (resume), fresh results are persisted.
@@ -57,11 +61,7 @@ from repro.active.selectors import (
 )
 from repro._fingerprints import content_hash, fingerprint_fields, fingerprint_payload
 from repro._suggest import unknown_name_message
-from repro.analysis.sanitizer import (
-    DeterminismGuard,
-    determinism_guard,
-    sanitizer_enabled,
-)
+from repro.analysis.sanitizer import determinism_guard
 from repro.active.weak_supervision import WeakSupervisionMode, resolve_mode
 from repro.data.dataset import EMDataset
 from repro.datasets.registry import load_benchmark
@@ -342,32 +342,21 @@ def execute_spec(spec: RunSpec, settings: ExperimentSettings) -> ActiveLearningR
     touching a ``(dataset, scenario-dataset, featurizer)`` combination pays
     for featurization and every later run reuses the matrix.
 
-    With ``REPRO_SANITIZE=1`` in the environment, the whole run executes
-    under :func:`repro.analysis.determinism_guard`: any code path consuming
-    the global RNGs fails the run loudly, and the shared feature matrix is
-    asserted to still be read-only afterwards.
+    Every run executes under :func:`repro.analysis.determinism_guard`: a
+    code path consuming the global RNGs fails the run with
+    :class:`~repro.analysis.DeterminismViolation`, and the shared feature
+    matrix is asserted to still be read-only afterwards.
     """
-    if sanitizer_enabled():
-        with determinism_guard(label=f"run {spec.dataset}/{spec.method}"
-                                     f"/seed={spec.seed}") as guard:
-            result = _execute_spec_unguarded(spec, settings, guard)
-        return result
-    return _execute_spec_unguarded(spec, settings)
-
-
-def _execute_spec_unguarded(
-    spec: RunSpec,
-    settings: ExperimentSettings,
-    guard: "DeterminismGuard | None" = None,
-) -> ActiveLearningResult:
-    scenario = get_scenario(spec.scenario)
-    selector = method_factory(spec.method)(spec.alpha, spec.beta)
-    dataset = get_dataset(spec.dataset, settings, scenario)
-    oracle = scenario.build_oracle(dataset, spec.seed)
-    features = get_feature_matrix(spec.dataset, settings, scenario)
-    result = run_single(dataset, selector, settings, spec.seed,
-                        spec.weak_supervision, oracle=oracle, features=features)
-    if guard is not None and features is not None:
+    with determinism_guard(label=f"run {spec.dataset}/{spec.method}"
+                                 f"/seed={spec.seed}") as guard:
+        scenario = get_scenario(spec.scenario)
+        selector = method_factory(spec.method)(spec.alpha, spec.beta)
+        dataset = get_dataset(spec.dataset, settings, scenario)
+        oracle = scenario.build_oracle(dataset, spec.seed)
+        features = get_feature_matrix(spec.dataset, settings, scenario)
+        result = run_single(dataset, selector, settings, spec.seed,
+                            spec.weak_supervision, oracle=oracle,
+                            features=features)
         guard.assert_read_only(
             features, name=f"feature matrix of {spec.dataset}")
     return result
@@ -377,29 +366,6 @@ def _execute_spec_unguarded(
 # Executor
 # --------------------------------------------------------------------------- #
 _T = TypeVar("_T")
-
-
-def _init_worker(scenarios: tuple[Scenario, ...] = (),
-                 injector: FaultInjector | None = None) -> None:
-    """Pool initializer: install the batch's scenarios and chaos injector.
-
-    Workers keep their own dataset cache (``get_dataset`` fills it on the
-    first job touching a benchmark), so loading is amortized per worker, not
-    per job, without eagerly loading benchmarks a worker never sees.
-
-    ``scenarios`` carries the definitions of every scenario the batch
-    references: under a ``spawn``/``forkserver`` start method the worker's
-    registry re-imports with only the built-ins, so user-registered
-    scenarios must travel with the pool (Scenario is frozen and picklable by
-    design).  ``injector`` ships the batch's resolved chaos injector the
-    same way — injection state must travel through the initializer, never
-    through ambient parent globals, to stay spawn-safe.  The settings a job
-    runs under travel with the job itself (:func:`_execute_attempt`).
-    """
-    from repro.scenarios import register_scenario
-    for scenario in scenarios:
-        register_scenario(scenario, replace=True)
-    init_injector(injector)
 
 
 def _execute_attempt(spec: RunSpec, settings: ExperimentSettings,
@@ -484,19 +450,20 @@ class ParallelExecutor:
         self.last_failures: list[FailureRecord] = []
         self.last_retries = 0
 
-    def _new_pool(
-        self,
-        workers: int,
-        batch_scenarios: tuple[Scenario, ...],
-        injector: FaultInjector | None,
-    ) -> Executor:
+    def _new_pool(self, workers: int,
+                  injector: FaultInjector | None) -> Executor:
+        """The batch's pool; workers fill their dataset cache lazily.
+
+        The resolved chaos injector travels through the pool initializer,
+        never through ambient parent globals, so it reaches spawn-started
+        workers too.  Everything else a job needs travels with the job
+        (:func:`_execute_attempt`).
+        """
         if self.jobs == 1:
             return _InProcessPool()
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(batch_scenarios, injector),
-        )
+        return ProcessPoolExecutor(max_workers=workers,
+                                   initializer=init_injector,
+                                   initargs=(injector,))
 
     @staticmethod
     def _terminate_pool(pool: Executor) -> None:
@@ -536,9 +503,6 @@ class ParallelExecutor:
         keep_going = self.keep_going
         injector = (self.injector.resolve(list(specs))
                     if self.injector is not None else None)
-        batch_scenarios = tuple(
-            {spec.scenario: get_scenario(spec.scenario) for spec in specs}
-            .values())
         workers = min(self.jobs, len(specs))
         fingerprints = {spec: spec.fingerprint() for spec in specs}
         failed_attempts = {spec: 0 for spec in specs}
@@ -554,7 +518,7 @@ class ParallelExecutor:
         # process while the engine persists results, and at jobs=1 so does
         # every job.
         init_injector(injector)
-        pool = self._new_pool(workers, batch_scenarios, injector)
+        pool = self._new_pool(workers, injector)
 
         def fail_attempt(spec: RunSpec, error: BaseException,
                          seconds: float) -> bool:
@@ -631,7 +595,7 @@ class ParallelExecutor:
                 else:
                     ready.append(spec)
             self._terminate_pool(pool)
-            pool = self._new_pool(workers, batch_scenarios, injector)
+            pool = self._new_pool(workers, injector)
             return salvaged, fatal
 
         try:
@@ -871,8 +835,7 @@ class ExperimentEngine:
         records = [
             IterationRecord(iteration=iteration, num_labeled=labeled,
                             num_weak=0, num_labeled_positives=0,
-                            test_metrics=zero, train_seconds=0.0,
-                            selection_seconds=0.0)
+                            test_metrics=zero)
             for iteration, labeled in enumerate(self.settings.labeled_checkpoints)
         ]
         return ActiveLearningResult(dataset_name=spec.dataset,
@@ -983,20 +946,17 @@ class ExperimentEngine:
 
         Fresh permanent failures are recorded; fingerprints that executed
         successfully are discarded (a resumed campaign that finally
-        succeeded must not keep reporting the job as failed).  The ledger
-        file is only touched when something changed, and an empty ledger is
-        removed outright.
+        succeeded must not keep reporting the job as failed).  An existing
+        ledger is always rewritten, so a corrupt one warns once and is
+        replaced, and an empty ledger is removed outright.
         """
         assert self.store is not None
         ledger_file = ledger_path(self.store.root)
         if not failures and not ledger_file.exists():
             return
         ledger = FailureLedger(ledger_file)
-        changed = False
         for record in failures:
             ledger.record(record)
-            changed = True
         for fingerprint in executed_fingerprints:
-            changed = ledger.discard(fingerprint) or changed
-        if changed:
-            ledger.save()
+            ledger.discard(fingerprint)
+        ledger.save()

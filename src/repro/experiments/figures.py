@@ -158,8 +158,8 @@ def figure5_learning_curves(
 def _measures_timings_faithfully(engine: ExperimentEngine) -> bool:
     """Whether runs resolved by ``engine`` yield trustworthy wall-clock timings.
 
-    A warm store replays the timings recorded when the artifact was produced,
-    and parallel workers contend for cores — either way the measured
+    Artifacts store no timings, so a run loaded from a store reads zero,
+    and parallel workers contend for cores — either way the
     ``selection_seconds`` no longer describe this machine running one job.
     A plan-only engine never measures anything, so there is nothing to
     re-measure — spawning a real timing engine would defeat the dry run.
@@ -195,8 +195,8 @@ def figure6_runtime(
     The figure reports *measured* runtimes, so given a parallel or
     store-backed engine the runs are re-measured through a dedicated serial,
     store-less engine (with a warning).  The fresh results are then handed
-    back to the caller's engine — serial measurements are valid artifacts;
-    only *replaying* stored timings is not — so overlapping figures don't
+    back to the caller's engine — their learning curves are valid artifacts,
+    and the timings stay out of the store — so overlapping figures don't
     re-execute the same specs.
     """
     engine = resolve_engine(settings, engine)
@@ -206,8 +206,8 @@ def figure6_runtime(
     if not _measures_timings_faithfully(engine):
         warnings.warn(
             "figure 6: re-measuring selection runtimes through a serial, "
-            "store-less engine (timings taken under parallel contention or "
-            "replayed from artifacts would be invalid)",
+            "store-less engine (timings taken under parallel contention "
+            "would be invalid, and artifacts store none)",
             stacklevel=2)
         timing_engine = ExperimentEngine(settings)
     rows: list[dict[str, object]] = []

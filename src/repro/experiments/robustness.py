@@ -18,6 +18,8 @@ aggregate them into:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.evaluation.curves import LearningCurve
 from repro.experiments.configs import ExperimentSettings
 from repro.experiments.engine import ACTIVE_LEARNING_METHODS, DEFAULT_SCENARIO, ExperimentEngine
@@ -52,17 +54,21 @@ def scenario_grid_specs(
 def robustness_curves(
     settings: ExperimentSettings,
     dataset_names: tuple[str, ...] | None = None,
-    scenarios: tuple[Scenario, ...] | str | None = None,
+    scenarios: str | Iterable[str] | None = None,
     methods: tuple[str, ...] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> dict[ScenarioCell, LearningCurve]:
-    """One seed/α-averaged learning curve per scenario-grid cell."""
+    """One seed/α-averaged learning curve per scenario-grid cell.
+
+    ``scenarios`` takes names in any form :func:`resolve_scenarios` accepts;
+    ``None`` sweeps every built-in scenario.
+    """
     engine = resolve_engine(settings, engine)
     settings = engine.settings
     dataset_names = tuple(dataset_names or settings.datasets)
-    scenarios = resolve_scenarios(scenarios)
     methods = tuple(methods or ACTIVE_LEARNING_METHODS)
-    groups = scenario_grid_specs(settings, dataset_names, scenarios, methods)
+    groups = scenario_grid_specs(settings, dataset_names,
+                                 resolve_scenarios(scenarios), methods)
     return run_curve_grid(groups, engine)
 
 

@@ -22,7 +22,6 @@ from repro.scenarios.registry import (
     VERY_DIRTY_REGIME,
     available_scenarios,
     get_scenario,
-    register_scenario,
     resolve_scenarios,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "VERY_DIRTY_REGIME",
     "available_scenarios",
     "get_scenario",
-    "register_scenario",
     "resolve_scenarios",
 ]

@@ -1,12 +1,10 @@
-"""Declarative registry of built-in scenarios.
+"""The fixed set of built-in scenarios.
 
 The built-ins cover the three axes independently (noise-only, corruption-only,
 skew-only scenarios) so a robustness sweep can attribute an F1 drop to one
-cause, plus one compound "worst-case" scenario.  User code can register
-additional scenarios with :func:`register_scenario`; registration is
-name-keyed and collision-checked, and must happen before specs referencing
-the scenario are enumerated or resumed (the engine resolves scenarios by
-name).
+cause, plus one compound "worst-case" scenario.  The set is fixed at import
+time: the engine resolves a spec's scenario by name in whichever process runs
+the job, so every process sees the same definitions without shipping any.
 """
 
 from __future__ import annotations
@@ -81,32 +79,12 @@ _BUILTIN_SCENARIOS: tuple[Scenario, ...] = (
         description="Compound worst case: noise + very dirty + starved pool"),
 )
 
-_SCENARIOS: dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario, replace: bool = False) -> Scenario:
-    """Add ``scenario`` to the registry (name-keyed).
-
-    Re-registering a name raises unless ``replace`` is set — two different
-    definitions behind one name would silently alias distinct runs.
-    """
-    existing = _SCENARIOS.get(scenario.name)
-    if existing is not None and not replace:
-        if existing == scenario:
-            return existing
-        raise ConfigurationError(
-            f"Scenario {scenario.name!r} is already registered with a "
-            "different definition; pass replace=True to overwrite")
-    _SCENARIOS[scenario.name] = scenario
-    return scenario
-
-
-for _scenario in _BUILTIN_SCENARIOS:
-    register_scenario(_scenario)
+_SCENARIOS: dict[str, Scenario] = {
+    scenario.name: scenario for scenario in _BUILTIN_SCENARIOS}
 
 
 def available_scenarios() -> tuple[str, ...]:
-    """Names of every registered scenario (built-ins first)."""
+    """Names of every built-in scenario."""
     return tuple(_SCENARIOS)
 
 
@@ -121,28 +99,21 @@ def get_scenario(name: str) -> Scenario:
 
 
 def resolve_scenarios(
-    names: str | Scenario | Iterable[str | Scenario] | None,
+    names: str | Iterable[str] | None,
 ) -> tuple[Scenario, ...]:
     """Normalize a scenario selection into Scenario objects.
 
     Accepts a single comma-separated string (the CLI form,
-    ``"perfect,noisy-0.1"``), :class:`Scenario` objects (used as given), an
-    iterable mixing both (names themselves possibly comma-separated), or
-    ``None`` for every registered scenario.  Order is preserved and
-    duplicates (by name) are dropped.
+    ``"perfect,noisy-0.1"``), an iterable of names (each possibly
+    comma-separated), or ``None`` for every scenario.  Order is preserved
+    and duplicates are dropped.
     """
     if names is None:
         return tuple(_SCENARIOS.values())
-    if isinstance(names, (str, Scenario)):
+    if isinstance(names, str):
         names = [names]
-    flattened: list[Scenario] = []
-    for entry in names:
-        if isinstance(entry, Scenario):
-            flattened.append(entry)
-            continue
-        flattened.extend(get_scenario(part.strip())
-                         for part in str(entry).split(",") if part.strip())
-    if not flattened:
+    parts = [part.strip() for entry in names
+             for part in str(entry).split(",") if part.strip()]
+    if not parts:
         raise ConfigurationError("No scenario names given")
-    unique = {scenario.name: scenario for scenario in flattened}
-    return tuple(unique.values())
+    return tuple(get_scenario(name) for name in dict.fromkeys(parts))

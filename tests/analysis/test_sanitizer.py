@@ -7,14 +7,19 @@ import random
 import numpy as np
 import pytest
 
+from repro.active.selectors import RandomSelector
 from repro.analysis import (
     DeterminismViolation,
     determinism_guard,
     permuted,
-    sanitizer_enabled,
     shuffled_dict,
 )
-from repro.analysis.sanitizer import SANITIZE_ENV_VAR
+from repro.config import get_scale
+from repro.experiments import engine as engine_module
+from repro.experiments.configs import ExperimentSettings, default_settings
+from repro.experiments.engine import ExperimentEngine, RunSpec, execute_spec
+from repro.neural.featurizer import FeaturizerConfig
+from repro.neural.matcher import MatcherConfig
 
 
 def test_clean_block_passes_and_restores_state():
@@ -78,24 +83,37 @@ def test_shuffled_dict_preserves_mapping():
     assert shuffled_dict(mapping) == shuffled
 
 
-def test_sanitizer_enabled_reads_environment(monkeypatch):
-    monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
-    assert not sanitizer_enabled()
-    for value in ("1", "true", "ON"):
-        monkeypatch.setenv(SANITIZE_ENV_VAR, value)
-        assert sanitizer_enabled()
-    monkeypatch.setenv(SANITIZE_ENV_VAR, "0")
-    assert not sanitizer_enabled()
-
-
-def test_engine_runs_clean_under_the_sanitizer(monkeypatch):
-    """The flagship integration: a real engine run under REPRO_SANITIZE=1."""
-    monkeypatch.setenv(SANITIZE_ENV_VAR, "1")
-    from repro.experiments.configs import default_settings
-    from repro.experiments.engine import RunSpec, execute_spec
-
+def test_engine_runs_clean_under_the_sanitizer():
+    """The flagship integration: every engine job runs under the guard."""
     settings = default_settings("tiny")
     spec = RunSpec.create("amazon_google", "random", seed=7, alpha=0.5,
                           beta=0.5, weak_supervision="off", settings=settings)
     result = execute_spec(spec, settings)
     assert result.records
+
+
+class _GlobalRngSelector(RandomSelector):
+    """A selector with the ND003 bug: it consumes numpy's global RNG."""
+
+    def select(self, context):
+        np.random.rand(1)  # repro: noqa[ND003] the violation under test
+        return super().select(context)
+
+
+def test_engine_job_consuming_the_global_rng_fails(monkeypatch):
+    """No switch turns the guard on: an engine job is always guarded."""
+    monkeypatch.setitem(engine_module._METHOD_FACTORIES, "global-rng",
+                        lambda alpha, beta: _GlobalRngSelector())
+    settings = ExperimentSettings(
+        scale=get_scale("tiny"), datasets=("amazon_google",), iterations=1,
+        budget_per_iteration=8, seed_size=8, num_seeds=1, alphas=(0.5,),
+        beta=0.5,
+        matcher_config=MatcherConfig(hidden_dims=(24,), epochs=2,
+                                     batch_size=16, random_state=0),
+        featurizer_config=FeaturizerConfig(hash_dim=32), base_random_seed=7)
+    spec = RunSpec.create("amazon_google", "global-rng", 7, 0.5, 0.5,
+                          "selector", settings)
+    engine = ExperimentEngine(settings)
+    with pytest.raises(DeterminismViolation, match="legacy global RNG"):
+        engine.run([spec])
+    assert engine.last_report.failed == 1

@@ -83,14 +83,16 @@ class TestSerialization:
         assert restored.records[0].test_metrics == result.records[0].test_metrics
 
     def test_round_trip_preserves_curves_and_runtimes(self):
+        """Curves survive the round trip; runtimes stay in memory only."""
         result = _sample_result()
-        restored = ActiveLearningResult.from_dict(
-            json.loads(json.dumps(result.to_dict())))
-        original_curve = result.learning_curve()
-        restored_curve = restored.learning_curve()
-        assert restored_curve.labeled_counts == original_curve.labeled_counts
-        assert restored_curve.f1_scores == original_curve.f1_scores
-        assert restored.selection_runtimes() == result.selection_runtimes()
+        payload = json.loads(json.dumps(result.to_dict()))
+        for record in payload["records"]:
+            assert "train_seconds" not in record
+            assert "selection_seconds" not in record
+        restored = ActiveLearningResult.from_dict(payload)
+        assert restored == result
+        assert result.selection_runtimes() == [0.0625]
+        assert restored.selection_runtimes() == []
 
     def test_metrics_round_trip_is_lossless(self):
         metrics = MatchingMetrics(precision=1.0 / 3.0, recall=2.0 / 7.0,
@@ -234,6 +236,25 @@ class TestEngine:
         assert second_engine.last_report.from_memory == 0
         for spec in specs:
             assert second_results[spec] == first_results[spec]
+
+    def test_store_with_timing_fields_resumes(self, tmp_path, fast_settings):
+        """Artifacts that still carry wall-clock fields load as before."""
+        store_path = tmp_path / "store"
+        specs = enumerate_run_specs("amazon_google", "random", fast_settings)
+        fresh = ExperimentEngine(
+            fast_settings, store=ArtifactStore(store_path)).run(specs)
+        for artifact in store_path.glob("*.json"):
+            payload = json.loads(artifact.read_text())
+            for record in payload["result"]["records"]:
+                record["train_seconds"] = 1.5
+                record["selection_seconds"] = 0.25
+            artifact.write_text(json.dumps(payload, indent=1, sort_keys=True))
+
+        resumed = ExperimentEngine(fast_settings,
+                                   store=ArtifactStore(store_path))
+        assert resumed.run(specs) == fresh
+        assert resumed.last_report.executed == 0
+        assert resumed.last_report.from_store == len(specs)
 
     def test_memory_cache_avoids_reexecution_without_store(self, fast_settings):
         engine = ExperimentEngine(fast_settings)
@@ -381,27 +402,9 @@ class TestEngine:
 FAST_RETRY = RetryPolicy(max_attempts=3)
 
 
-def _assert_same_curves(actual, expected, specs):
-    """Learning curves and metrics bit-identical (timings legitimately vary)."""
-    for spec in specs:
-        actual_curve = actual[spec].learning_curve()
-        expected_curve = expected[spec].learning_curve()
-        assert actual_curve.labeled_counts == expected_curve.labeled_counts
-        assert actual_curve.f1_scores == expected_curve.f1_scores
-        assert ([r.test_metrics for r in actual[spec].records]
-                == [r.test_metrics for r in expected[spec].records])
-
-
-def _normalized_store_payloads(root) -> dict[str, dict]:
-    """Store artifacts keyed by file name, with wall-clock fields zeroed."""
-    payloads = {}
-    for path in sorted(root.glob("*.json")):
-        payload = json.loads(path.read_text())
-        for record in payload["result"]["records"]:
-            record["train_seconds"] = 0.0
-            record["selection_seconds"] = 0.0
-        payloads[path.name] = payload
-    return payloads
+def _store_files(root) -> dict[str, bytes]:
+    """Every file of a store directory, by name."""
+    return {path.name: path.read_bytes() for path in root.iterdir()}
 
 
 class TestFaultTolerance:
@@ -421,7 +424,7 @@ class TestFaultTolerance:
         assert engine.last_report.executed == len(specs)
         assert engine.last_report.retried == len(specs)
         assert engine.last_report.failed == 0
-        _assert_same_curves(chaotic, clean, specs)
+        assert chaotic == clean
 
     def test_parallel_kill_and_raise_recover_bit_identically(
             self, tmp_path, fast_settings):
@@ -444,9 +447,8 @@ class TestFaultTolerance:
         assert engine.last_report.executed == len(specs)
         assert engine.last_report.retried == len(specs)
         assert engine.last_report.failed == 0
-        _assert_same_curves(chaotic, clean, specs)
-        assert (_normalized_store_payloads(chaos_store)
-                == _normalized_store_payloads(clean_store))
+        assert chaotic == clean
+        assert _store_files(chaos_store) == _store_files(clean_store)
 
     def test_parallel_hang_is_cancelled_by_timeout_and_retried(
             self, fast_settings):
@@ -467,7 +469,7 @@ class TestFaultTolerance:
         assert engine.last_report.executed == len(specs)
         assert engine.last_report.retried >= 1
         assert engine.last_report.failed == 0
-        _assert_same_curves(chaotic, clean, specs)
+        assert chaotic == clean
 
     def test_keep_going_records_ledger_and_resume_retries_exactly_it(
             self, tmp_path, fast_settings):

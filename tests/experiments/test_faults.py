@@ -7,13 +7,14 @@ backoffs, directive resolutions, and ledger bytes.
 """
 
 import json
+import warnings
 
 import pytest
 
 from repro.config import get_scale
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ExperimentSettings
-from repro.experiments.engine import RunSpec
+from repro.experiments.engine import ExperimentEngine, RunSpec
 from repro.experiments.faults import (
     LEDGER_FORMAT_VERSION,
     FailureLedger,
@@ -32,6 +33,7 @@ from repro.experiments.faults import (
     ledger_path,
     record_traceback,
 )
+from repro.experiments.store import ArtifactStore
 from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
 
@@ -305,12 +307,27 @@ class TestFailureLedger:
 
     @pytest.mark.parametrize("text", ["{not json", "[]", "null", "3"],
                              ids=["syntax", "list", "null", "number"])
-    def test_corrupt_ledger_warns_and_starts_fresh(self, tmp_path, text):
+    def test_corrupt_ledger_warns_and_starts_fresh(self, tmp_path, text,
+                                                   fast_settings):
         path = tmp_path / "store.failures.json"
         path.write_text(text)
         with pytest.warns(UserWarning, match="corrupt failure ledger"):
             ledger = FailureLedger(path)
         assert len(ledger) == 0
+
+        # One successful store-backed run replaces the corrupt file...
+        spec = _specs(fast_settings)[0]
+        with pytest.warns(UserWarning, match="corrupt failure ledger"):
+            ExperimentEngine(fast_settings,
+                             store=ArtifactStore(tmp_path / "store")).run([spec])
+        assert not path.exists()
+        # ...so the next run, served from the store, warns nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = ExperimentEngine(fast_settings,
+                                      store=ArtifactStore(tmp_path / "store"))
+            engine.run([spec])
+        assert engine.last_report.from_store == 1
 
     def test_corrupt_entry_skipped_with_warning(self, tmp_path, fast_settings):
         spec = _specs(fast_settings)[0]

@@ -41,14 +41,6 @@ def _fresh_caches():
     clear_dataset_cache()
 
 
-def _strip_timings(result) -> dict:
-    payload = result.to_dict()
-    for record in payload["records"]:
-        record.pop("train_seconds")
-        record.pop("selection_seconds")
-    return payload
-
-
 def test_engine_grid_featurizes_each_dataset_exactly_once(tiny_settings, monkeypatch):
     calls: list[str] = []
     original = PairFeaturizer.transform
@@ -81,7 +73,7 @@ def test_cached_grid_curves_match_per_run_featurization(tiny_settings):
     per_run_result = run_single(
         dataset, method_factory("battleship")(0.5, 0.5), tiny_settings, 7,
         "selector", oracle=scenario.build_oracle(dataset, 7))
-    assert _strip_timings(cached_result) == _strip_timings(per_run_result)
+    assert cached_result == per_run_result
 
 
 def test_feature_matrix_cached_and_read_only(tiny_settings):

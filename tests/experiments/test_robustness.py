@@ -73,21 +73,17 @@ class TestScenarioSpecs:
         del payload["scenario"]  # a PR-2-era artifact has no scenario field
         assert RunSpec.from_dict(payload) == spec
 
-    def test_fingerprint_tracks_scenario_definition(self, fast_settings):
-        from repro.scenarios import Scenario, OracleModel, register_scenario
-        register_scenario(Scenario(name="_fingerprint_probe",
-                                   oracle=OracleModel(kind="noisy",
-                                                      flip_probability=0.1)),
-                          replace=True)
+    def test_fingerprint_tracks_scenario_definition(self, fast_settings,
+                                                    monkeypatch):
+        from repro.scenarios import OracleModel, Scenario, registry
         spec = RunSpec.create("amazon_google", "random", 7, 0.5, 0.5,
-                              "selector", fast_settings,
-                              scenario="_fingerprint_probe")
+                              "selector", fast_settings, scenario="noisy-0.1")
         first = spec.fingerprint()
         # Redefine the scenario between fingerprint calls.
-        register_scenario(Scenario(name="_fingerprint_probe",
-                                   oracle=OracleModel(kind="noisy",
-                                                      flip_probability=0.2)),
-                          replace=True)
+        monkeypatch.setitem(
+            registry._SCENARIOS, "noisy-0.1",
+            Scenario(name="noisy-0.1",
+                     oracle=OracleModel(kind="noisy", flip_probability=0.2)))
         assert spec.fingerprint() != first
 
     def test_enumerate_passes_scenario_through(self, fast_settings):
@@ -118,8 +114,8 @@ class TestScenarioDatasetCache:
 
 class TestScenarioSweeps:
     def test_fixture_probe_not_registered(self, fast_settings):
-        # _fingerprint_probe above must not leak into name-less sweeps: the
-        # sweeps in this class always name their scenarios explicitly.
+        # The redefinition above must not leak into these sweeps: the sweeps
+        # in this class always name their scenarios explicitly.
         assert "perfect" in SCENARIO_NAMES
 
     def test_serial_parallel_bit_identical_per_scenario(self, fast_settings):
@@ -162,28 +158,6 @@ class TestScenarioSweeps:
                                    engine=ExperimentEngine(multi_seed))
         (curve,) = curves.values()
         assert len(curve.labeled_counts) == fast_settings.iterations + 1
-
-    def test_parallel_sweep_with_user_registered_scenario(self, fast_settings):
-        # Worker processes must receive user-registered scenario definitions
-        # (a spawn-started pool re-imports the registry with built-ins only).
-        from repro.scenarios import Scenario, OracleModel, register_scenario
-        register_scenario(Scenario(name="_custom_parallel",
-                                   oracle=OracleModel(kind="noisy",
-                                                      flip_probability=0.05)),
-                          replace=True)
-        engine = ExperimentEngine(fast_settings,
-                                  executor=ParallelExecutor(jobs=2))
-        specs = (enumerate_run_specs("amazon_google", "random", fast_settings,
-                                     scenario="_custom_parallel")
-                 + enumerate_run_specs("amazon_google", "random",
-                                       fast_settings))
-        results = engine.run(specs)
-        assert len(results) == len(specs)
-
-    def test_resolve_accepts_scenario_objects_in_lists(self):
-        curves_input = [get_scenario("perfect"), "noisy-0.1"]
-        resolved = resolve_scenarios(curves_input)
-        assert [s.name for s in resolved] == ["perfect", "noisy-0.1"]
 
     def test_default_scenario_keeps_legacy_fingerprint(self, fast_settings):
         # PR-2-era stores must resume: a perfect-scenario spec hashes the

@@ -84,6 +84,16 @@ def test_lint_rejects_removed_forms(tmp_path, capsys, name, text, message):
     assert message in captured.out + captured.err
 
 
+@pytest.mark.parametrize("command", ["lint", "build", "versions"])
+def test_help_names_only_toml_manifests(command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["manifest", command, "--help"])
+    assert raised.value.code == 0
+    out = capsys.readouterr().out
+    assert "Manifest file (.toml)" in out
+    assert ".json" not in out
+
+
 def test_build_dry_run_prints_grid_without_executing(manifest_path, tmp_path,
                                                      capsys):
     store = tmp_path / "store"

@@ -16,9 +16,9 @@ from repro.scenarios import (
     Scenario,
     available_scenarios,
     get_scenario,
-    register_scenario,
     resolve_scenarios,
 )
+from repro.scenarios.registry import _BUILTIN_SCENARIOS
 
 
 def _pair_values(dataset, indices):
@@ -52,16 +52,8 @@ class TestRegistry:
     def test_resolve_none_returns_everything(self):
         assert len(resolve_scenarios(None)) == len(available_scenarios())
 
-    def test_reregistering_same_definition_is_idempotent(self):
-        scenario = get_scenario("perfect")
-        assert register_scenario(scenario) is scenario
-
-    def test_conflicting_registration_rejected(self):
-        conflicting = Scenario(
-            name="perfect",
-            oracle=OracleModel(kind="noisy", flip_probability=0.5))
-        with pytest.raises(ConfigurationError):
-            register_scenario(conflicting)
+    def test_builtin_names_are_unique(self):
+        assert len(available_scenarios()) == len(_BUILTIN_SCENARIOS)
 
 
 class TestDefinitions:
