@@ -45,7 +45,7 @@ from repro.experiments.faults import FaultInjector, RetryPolicy, ledger_path
 from repro.experiments.store import ArtifactStore
 from repro.exceptions import ConfigurationError, ManifestError
 from repro.neural.matcher import MatcherConfig
-from repro.scenarios import available_scenarios, get_scenario
+from repro.scenarios import available_scenarios, get_scenario, resolve_scenarios
 
 #: Figures/tables the ``experiments`` subcommand can (re)build.
 _EXPERIMENT_FIGURES = (5, 6, 7, 8, 9, 10)
@@ -97,6 +97,19 @@ def _chaos_spec(text: str) -> FaultInjector | None:
         return FaultInjector.from_spec(text)
     except ConfigurationError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _scenario_names(text: str) -> str:
+    """argparse type of ``--scenarios``: comma-separated built-in names.
+
+    Checked here so an unknown name exits 2 before any store directory is
+    created; the registry's message lists the valid names.
+    """
+    try:
+        resolve_scenarios(text)
+    except ConfigurationError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -240,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=available_benchmarks(),
                            help="Restrict the sweep to these benchmarks")
     scenarios.add_argument("--scenarios", nargs="+", default=None,
-                           metavar="NAME[,NAME...]",
+                           type=_scenario_names, metavar="NAME[,NAME...]",
                            help="Scenario names (space- or comma-separated; "
                                 "default: every built-in scenario)")
     scenarios.add_argument("--methods", nargs="+", default=None,

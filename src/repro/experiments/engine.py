@@ -10,12 +10,15 @@ module turns that grid into explicit jobs:
   A job is a function of its spec: :func:`execute_spec` runs every job
   under :func:`~repro.analysis.determinism_guard`, and the stored result
   holds no wall-clock field, so two stores of one sweep are byte-identical.
-* :class:`ParallelExecutor` — the one job scheduler.  ``jobs=1`` runs jobs
-  in the calling process; ``jobs>=2`` fans them out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each keep
-  their own dataset cache (one benchmark load per worker, not per job).
-  Both go through the same retry-aware scheduling loop.  The pool's only
-  initializer is :func:`~repro.experiments.faults.init_injector`.
+* :class:`ParallelExecutor` — the one job scheduler.  It runs one job at a
+  time on each of ``jobs`` lanes: the calling process at ``jobs=1``, a
+  single-worker :class:`~concurrent.futures.ProcessPoolExecutor` per lane at
+  ``jobs>=2``.  A free lane takes the first ready job whose dataset no other
+  lane holds, and a worker drops every cached dataset that no unfinished job
+  of the batch still uses, so a benchmark is generated and featurized by one
+  worker, not by every worker.  Both job counts go through the same
+  retry-aware scheduling loop.  The lanes' only pool initializer is
+  :func:`~repro.experiments.faults.init_injector`.
 * :class:`ExperimentEngine` — ties an executor to an optional
   :class:`~repro.experiments.store.ArtifactStore`: completed runs are loaded
   from the store instead of re-executed (resume), fresh results are persisted.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import time
 import warnings
-from collections import deque
+from collections import Counter
 from concurrent.futures import (
     FIRST_COMPLETED,
     Executor,
@@ -123,7 +126,9 @@ def get_dataset(name: str, settings: ExperimentSettings,
     corruption regime and pool skew.  The cache is keyed by the scenario's
     *dataset* fingerprint, so scenarios differing only in their oracle model
     share one cached benchmark, and the default scenario shares the cache
-    entry of scenario-less callers.
+    entry of scenario-less callers.  The cache is per process and unbounded;
+    in a pool worker, :class:`ParallelExecutor` bounds it instead: each job
+    first drops the benchmarks no unfinished job of its batch still uses.
     """
     variant = scenario.dataset_fingerprint() if scenario is not None else ""
     key = (name, settings.scale.name, settings.base_random_seed, variant)
@@ -162,11 +167,14 @@ def get_feature_matrix(name: str, settings: ExperimentSettings,
     fingerprint — ``(dataset, scale, base seed, scenario dataset-hash)`` —
     extended by the settings' :class:`FeaturizerConfig`, the only other input
     that changes the matrix (the featurizer is stateless).  A whole figure
-    grid therefore featurizes each dataset once per worker process instead
-    of once per run.  The cached matrix is marked read-only; consumers index
-    into it, which copies, so sharing is safe across runs.  The cache is a
-    bounded LRU (:data:`FEATURE_CACHE_MAX_ENTRIES`), so sweeps over many
-    dataset variants do not accumulate dense matrices without limit.
+    grid therefore featurizes each dataset once per process instead of once
+    per run, and :class:`ParallelExecutor` runs each dataset's jobs on one
+    worker where it can.  The cached matrix is marked read-only; consumers
+    index into it, which copies, so sharing is safe across runs.  The cache
+    is a bounded LRU (:data:`FEATURE_CACHE_MAX_ENTRIES`), so sweeps over
+    many dataset variants do not accumulate dense matrices without limit; a
+    pool worker also drops a matrix, with its dataset, once its batch no
+    longer needs it.
     """
     variant = scenario.dataset_fingerprint() if scenario is not None else ""
     key = (name, settings.scale.name, settings.base_random_seed, variant,
@@ -367,22 +375,62 @@ def execute_spec(spec: RunSpec, settings: ExperimentSettings) -> ActiveLearningR
 # --------------------------------------------------------------------------- #
 _T = TypeVar("_T")
 
+#: What a batch's cache entries differ in: the benchmark name and the
+#: scenario's dataset fingerprint (the batch shares one scale, base seed and
+#: featurizer).  :func:`get_dataset` and :func:`get_feature_matrix` key their
+#: entries by these two plus the settings.
+DatasetKey = tuple[str, str]
+
+
+def _release_datasets(keep: frozenset[DatasetKey] | None) -> None:
+    """Drop each cached dataset and feature matrix whose key is not in ``keep``.
+
+    ``None`` drops nothing: the in-process lane's caches belong to the
+    calling process.
+    """
+    if keep is None:
+        return
+    for key in [key for key in _DATASET_CACHE if (key[0], key[3]) not in keep]:
+        del _DATASET_CACHE[key]
+    for feature_key in [entry for entry in _FEATURE_CACHE
+                        if (entry[0], entry[3]) not in keep]:
+        del _FEATURE_CACHE[feature_key]
+
 
 def _execute_attempt(spec: RunSpec, settings: ExperimentSettings,
-                     attempt: int) -> ActiveLearningResult:
-    """Top-level (picklable) job body: one attempt at one spec."""
+                     attempt: int, keep: frozenset[DatasetKey] | None,
+                     ) -> ActiveLearningResult:
+    """Top-level (picklable) job body: one attempt at one spec.
+
+    It first releases every cached dataset outside ``keep``, the keys the
+    batch's unfinished specs still use.
+    """
+    _release_datasets(keep)
     if active_injector() is not None:
         fault_injection_point(spec.fingerprint(), attempt)
     return execute_spec(spec, settings)
 
 
-class _InProcessPool(Executor):
-    """The ``jobs=1`` stand-in for a process pool.
+def _place(ready: Iterable[DatasetKey],
+           held_elsewhere: set[DatasetKey]) -> int:
+    """The placement rule: the index of the ready job a free lane takes.
 
-    ``submit`` runs the job in the calling process and returns an
-    already-finished future, so one scheduling loop serves every job count;
-    ``shutdown`` (inherited) does nothing.  Only an ``Exception`` lands in
-    the future — a ``KeyboardInterrupt`` propagates out of ``submit``.
+    That is the first job whose dataset no other lane holds, so one worker
+    generates and featurizes each benchmark, or else the queue head, so no
+    lane idles while work is ready.  A lone lane takes jobs in submission
+    order.
+    """
+    return next((index for index, key in enumerate(ready)
+                 if key not in held_elsewhere), 0)
+
+
+class _InProcessPool(Executor):
+    """The one lane at ``jobs=1``: jobs run in the calling process.
+
+    ``submit`` runs the job and returns an already-finished future, so one
+    scheduling loop serves every job count; ``shutdown`` (inherited) does
+    nothing.  Only an ``Exception`` lands in the future — a
+    ``KeyboardInterrupt`` propagates out of ``submit``.
     """
 
     def submit(self, fn: Callable[..., _T], /, *args: Any,
@@ -396,7 +444,17 @@ class _InProcessPool(Executor):
 
 
 class ParallelExecutor:
-    """Run jobs in-process (``jobs=1``) or over a :class:`ProcessPoolExecutor`.
+    """Run jobs on ``jobs`` lanes, each lane one job at a time.
+
+    The one lane at ``jobs=1`` is the calling process.  At ``jobs>=2`` each
+    lane is a single-worker :class:`ProcessPoolExecutor`, so the executor
+    chooses the worker each job runs on.  A free lane takes the first ready
+    job whose dataset no other lane holds, or else the queue head
+    (:func:`_place`).  Each pool job carries the dataset keys of the batch's
+    unfinished jobs (ready, backing off or running), and the worker drops
+    every other cached dataset and feature matrix before it runs.  So a
+    benchmark is generated and featurized by one worker, unless work runs
+    out elsewhere, and no worker keeps a dataset its batch has finished.
 
     ``execute`` yields ``(spec, result)`` pairs in *completion* order, so the
     engine persists every finished run immediately — an interrupted sweep
@@ -406,8 +464,8 @@ class ParallelExecutor:
     persistence; only a failure raised by the *consumer* while it handles a
     result (which closes the generator) can drop completed-but-unyielded
     siblings.  Curves are bit-identical at every job count because results
-    are keyed by spec and every run is seeded independently of the order in
-    which its siblings finish.
+    are keyed by spec and every run is seeded independently of where and in
+    which order its siblings run.
 
     Every batch runs under a :class:`~repro.experiments.faults.RetryPolicy`.
     Without one it is ``RetryPolicy(max_attempts=1)`` — one attempt per job,
@@ -417,12 +475,13 @@ class ParallelExecutor:
     failures are resubmitted with deterministic backoff and ``keep_going``
     turns permanent failures into ``last_failures`` records instead of
     aborting the sweep.  Two guarantees need process isolation, hence
-    ``jobs>=2``: jobs exceeding ``policy.timeout`` are cancelled by tearing
-    down (and rebuilding) the worker pool — a :class:`ProcessPoolExecutor`
-    cannot preempt a single running task — and a :class:`BrokenProcessPool`
-    (worker OOM-killed or crashed) rebuilds the pool and resubmits the
-    in-flight specs, quarantining any spec that kills the pool
-    :data:`~repro.experiments.faults.POOL_KILL_QUARANTINE` times.  With
+    ``jobs>=2``: a job exceeding ``policy.timeout`` is cancelled by
+    terminating its lane's worker (a :class:`ProcessPoolExecutor` cannot
+    preempt a running task), and a :class:`BrokenProcessPool` (worker
+    OOM-killed or crashed) is charged to the one job its lane was running,
+    quarantining a spec whose worker dies
+    :data:`~repro.experiments.faults.POOL_KILL_QUARANTINE` times.  Either way
+    only that lane gets a new worker; the other lanes' jobs run on.  With
     ``jobs=1`` a timeout only draws a warning.
     """
 
@@ -450,9 +509,8 @@ class ParallelExecutor:
         self.last_failures: list[FailureRecord] = []
         self.last_retries = 0
 
-    def _new_pool(self, workers: int,
-                  injector: FaultInjector | None) -> Executor:
-        """The batch's pool; workers fill their dataset cache lazily.
+    def _new_pool(self, injector: FaultInjector | None) -> Executor:
+        """A lane's pool; its worker fills its dataset cache lazily.
 
         The resolved chaos injector travels through the pool initializer,
         never through ambient parent globals, so it reaches spawn-started
@@ -461,24 +519,24 @@ class ParallelExecutor:
         """
         if self.jobs == 1:
             return _InProcessPool()
-        return ProcessPoolExecutor(max_workers=workers,
-                                   initializer=init_injector,
+        return ProcessPoolExecutor(max_workers=1, initializer=init_injector,
                                    initargs=(injector,))
 
     @staticmethod
     def _terminate_pool(pool: Executor) -> None:
-        """Hard-stop a pool whose workers may be hung, dead, or healthy.
+        """Hard-stop a pool whose worker may be hung, dead, or healthy.
 
-        ``shutdown`` alone would join the workers, which blocks forever on a
-        hung job — so the worker processes are terminated outright.  The
-        process table is a private attribute; if a future interpreter hides
-        it, the fallback is a plain (potentially blocking) shutdown.
+        ``shutdown`` alone would join the worker, which blocks forever on a
+        hung job — so the worker process is terminated outright.  The
+        process table is a private attribute that ``shutdown`` clears, so it
+        is read first; if a future interpreter hides it, the fallback is a
+        plain shutdown that leaves a hung worker running.
         """
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
+        for process in processes:
             process.terminate()
-        for process in list(processes.values()):
+        for process in processes:
             process.join(timeout=5.0)
             if process.is_alive():
                 process.kill()
@@ -488,12 +546,12 @@ class ParallelExecutor:
     ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
         """The scheduling loop: run ``specs``, yield results as they finish.
 
-        A sliding window of at most ``workers`` jobs is kept in flight, so a
-        job's submit time approximates its start time and the per-job
-        timeout can be enforced from the parent.  Completion, failure, and
-        retry are all driven off :func:`concurrent.futures.wait`; retries
-        re-enter the window after their deterministic backoff without ever
-        blocking jobs that are ready to run.
+        A lane runs one job at a time, so a job's submit time is its start
+        time and the per-job timeout is enforced from the parent.
+        Completion, failure, and retry are all driven off
+        :func:`concurrent.futures.wait`; retries re-enter the ready queue
+        after their deterministic backoff without ever blocking jobs that
+        are ready to run.
         """
         self.last_failures = []
         self.last_retries = 0
@@ -503,22 +561,31 @@ class ParallelExecutor:
         keep_going = self.keep_going
         injector = (self.injector.resolve(list(specs))
                     if self.injector is not None else None)
-        workers = min(self.jobs, len(specs))
         fingerprints = {spec: spec.fingerprint() for spec in specs}
+        keys: dict[RunSpec, DatasetKey] = {
+            spec: (spec.dataset,
+                   get_scenario(spec.scenario).dataset_fingerprint())
+            for spec in specs}
+        # Specs per dataset key that are ready, backing off or running.
+        unfinished = Counter(keys.values())
         failed_attempts = {spec: 0 for spec in specs}
         pool_kills = {spec: 0 for spec in specs}
         tracebacks: dict[RunSpec, list[str]] = {spec: [] for spec in specs}
         elapsed: dict[RunSpec, list[float]] = {spec: [] for spec in specs}
-        ready: deque[RunSpec] = deque(specs)
+        ready: list[RunSpec] = list(specs)
         waiting: list[tuple[float, RunSpec]] = []
+        # Future -> (lane, spec, start time) of every job in flight.
         running: dict[Future[ActiveLearningResult],
-                      tuple[RunSpec, float]] = {}
+                      tuple[int, RunSpec, float]] = {}
         abort: BaseException | None = None
         # Parent-side injector: the store's torn-write hook fires in this
         # process while the engine persists results, and at jobs=1 so does
         # every job.
         init_injector(injector)
-        pool = self._new_pool(workers, injector)
+        lanes = range(min(self.jobs, len(specs)))
+        pools = [self._new_pool(injector) for _ in lanes]
+        # The dataset keys each lane's worker holds, as far as jobs tell.
+        held: list[set[DatasetKey]] = [set() for _ in lanes]
 
         def fail_attempt(spec: RunSpec, error: BaseException,
                          seconds: float) -> bool:
@@ -534,69 +601,18 @@ class ParallelExecutor:
                 waiting.append((time.monotonic() + delay, spec))
                 self.last_retries += 1
                 return True
+            unfinished[keys[spec]] -= 1
             self.last_failures.append(FailureRecord.from_failure(
                 spec, fingerprints[spec], error, failed_attempts[spec],
                 tuple(tracebacks[spec]), tuple(elapsed[spec]),
                 quarantined=quarantined))
             return False
 
-        def recover(victims: dict[RunSpec, BaseException] | None,
-                    ) -> tuple[list[tuple[RunSpec, ActiveLearningResult]],
-                               BaseException | None]:
-            """Tear the pool down, classify in-flight specs, rebuild.
-
-            ``victims`` maps the specs blamed for the teardown to their
-            synthetic errors (timeouts); ``None`` means a worker crash, in
-            which case the blame goes to the spec a chaos ``kill`` directive
-            targeted — or, for real crashes, conservatively to every
-            in-flight spec.  Innocent in-flight specs are resubmitted
-            without consuming a retry.  Returns salvageable finished
-            results and the error to abort with (if any).
-            """
-            nonlocal pool
-            salvaged: list[tuple[RunSpec, ActiveLearningResult]] = []
-            fatal: BaseException | None = None
-            inflight: list[tuple[RunSpec, float]] = []
-            now = time.monotonic()
-            for future, (spec, started) in running.items():
-                finished = future.done() and not future.cancelled()
-                error = future.exception() if finished else None
-                if finished and error is None:
-                    salvaged.append((spec, future.result()))
-                elif error is not None and not isinstance(error,
-                                                          BrokenProcessPool):
-                    # A plain failure that completed just as the pool broke.
-                    if (not fail_attempt(spec, error, now - started)
-                            and not keep_going and fatal is None):
-                        fatal = error
-                else:
-                    inflight.append((spec, started))
-            running.clear()
-            if victims is None:
-                blamed = []
-                if injector is not None:
-                    blamed = [spec for spec, _ in inflight
-                              if injector.kills(fingerprints[spec],
-                                                failed_attempts[spec])]
-                if not blamed:
-                    blamed = [spec for spec, _ in inflight]
-                victims = {
-                    spec: WorkerCrashError(
-                        f"worker pool broke while job "
-                        f"{fingerprints[spec][:8]} was in flight")
-                    for spec in blamed}
-                for spec in victims:
-                    pool_kills[spec] += 1
-            for spec, started in inflight:
-                if spec in victims:
-                    if (not fail_attempt(spec, victims[spec], now - started)
-                            and not keep_going and fatal is None):
-                        fatal = victims[spec]
-                else:
-                    ready.append(spec)
-            self._terminate_pool(pool)
-            pool = self._new_pool(workers, injector)
-            return salvaged, fatal
+        def restart(lane: int) -> None:
+            """Give a lane a new worker (its old one hung or died)."""
+            self._terminate_pool(pools[lane])
+            pools[lane] = self._new_pool(injector)
+            held[lane] = set()
 
         try:
             while ready or waiting or running:
@@ -609,27 +625,31 @@ class ParallelExecutor:
                         for _, spec in sorted(
                                 due, key=lambda entry: fingerprints[entry[1]]):
                             ready.append(spec)
-                broken_on_submit = False
-                while ready and len(running) < workers:
-                    spec = ready.popleft()
+                busy = {entry[0] for entry in running.values()}
+                for lane in lanes:
+                    if lane in busy or not ready:
+                        continue
+                    held_elsewhere = set().union(
+                        *(held[other] for other in lanes if other != lane))
+                    index = _place((keys[spec] for spec in ready),
+                                   held_elsewhere)
+                    spec = ready.pop(index)
+                    live = frozenset(key for key, count in unfinished.items()
+                                     if count)
                     # Taken before submit: at jobs=1, submit runs the job.
                     started = time.monotonic()
                     try:
-                        future = pool.submit(_execute_attempt, spec, settings,
-                                             failed_attempts[spec])
+                        future = pools[lane].submit(
+                            _execute_attempt, spec, settings,
+                            failed_attempts[spec],
+                            None if self.jobs == 1 else live)
                     except BrokenProcessPool:
-                        ready.appendleft(spec)
-                        broken_on_submit = True
-                        break
-                    running[future] = (spec, started)
-                if broken_on_submit:
-                    salvaged, fatal = recover(None)
-                    for item in salvaged:
-                        yield item
-                    if fatal is not None:
-                        abort = fatal
-                        break
-                    continue
+                        # The lane's idle worker died; no job ran on it.
+                        ready.insert(index, spec)
+                        restart(lane)
+                        continue
+                    held[lane] = (held[lane] & live) | {keys[spec]}
+                    running[future] = (lane, spec, started)
                 if not running:
                     if waiting:
                         next_ready = min(entry[0] for entry in waiting)
@@ -637,8 +657,8 @@ class ParallelExecutor:
                     continue
                 deadlines: list[float] = []
                 if policy.timeout is not None:
-                    deadlines.extend(started + policy.timeout - now
-                                     for _, started in running.values())
+                    deadlines.extend(entry[2] + policy.timeout - now
+                                     for entry in running.values())
                 deadlines.extend(entry[0] - now for entry in waiting)
                 timeout = max(0.0, min(deadlines)) if deadlines else None
                 try:
@@ -649,61 +669,59 @@ class ParallelExecutor:
                     # ones persisted, so a resume skips them.
                     abort = interrupt
                     break
-                pool_broken = False
                 for future in sorted(
-                        done, key=lambda f: fingerprints[running[f][0]]):
-                    spec, started = running.pop(future)
+                        done, key=lambda f: fingerprints[running[f][1]]):
+                    lane, spec, started = running.pop(future)
                     seconds = time.monotonic() - started
                     error = future.exception()
                     if error is None:
+                        unfinished[keys[spec]] -= 1
                         yield spec, future.result()
-                    elif isinstance(error, BrokenProcessPool):
-                        running[future] = (spec, started)
-                        pool_broken = True
-                        break
-                    elif not fail_attempt(spec, error, seconds) \
+                        continue
+                    if isinstance(error, BrokenProcessPool):
+                        # The lane's one worker died, so this job is the
+                        # victim.
+                        pool_kills[spec] += 1
+                        error = WorkerCrashError(
+                            f"the worker running job {fingerprints[spec][:8]}"
+                            " died")
+                        restart(lane)
+                    if not fail_attempt(spec, error, seconds) \
                             and not keep_going:
                         abort = error
                         break
-                if abort is not None:
-                    break
-                if pool_broken:
-                    salvaged, fatal = recover(None)
-                    for item in salvaged:
-                        yield item
-                    if fatal is not None:
-                        abort = fatal
-                        break
-                    continue
-                if policy.timeout is not None:
+                if abort is None and policy.timeout is not None:
                     now = time.monotonic()
-                    overdue = {
-                        spec: JobTimeoutError(
+                    for future, (lane, spec, started) in list(running.items()):
+                        if future.done() or now - started < policy.timeout:
+                            continue
+                        del running[future]
+                        restart(lane)
+                        error = JobTimeoutError(
                             f"job {fingerprints[spec][:8]} exceeded the "
                             f"{policy.timeout:g}s per-job timeout")
-                        for _, (spec, started) in running.items()
-                        if now - started >= policy.timeout}
-                    if overdue:
-                        salvaged, fatal = recover(overdue)
-                        for item in salvaged:
-                            yield item
-                        if fatal is not None:
-                            abort = fatal
+                        if not fail_attempt(spec, error, now - started) \
+                                and not keep_going:
+                            abort = error
                             break
+                if abort is not None:
+                    break
             if abort is not None:
                 # Fail-fast abort or interrupt: wait out still-running
                 # siblings (on SIGINT the workers are interrupted too, so
                 # this is short), hand every salvageable finished run to the
                 # engine for persistence, then propagate.
-                pool.shutdown(wait=True, cancel_futures=True)
-                for future, (spec, _started) in running.items():
+                for pool in pools:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                for future, (_lane, spec, _started) in running.items():
                     if (future.done() and not future.cancelled()
                             and future.exception() is None):
                         yield spec, future.result()
                 raise abort
         finally:
             init_injector(None)
-            self._terminate_pool(pool)
+            for pool in pools:
+                self._terminate_pool(pool)
 
 
 # --------------------------------------------------------------------------- #

@@ -47,10 +47,10 @@ KILL_EXIT_CODE = 87
 #: that forgets a ``--timeout`` eventually completes instead of deadlocking.
 DEFAULT_HANG_SECONDS = 300.0
 
-#: A spec whose in-flight attempt broke the worker pool this many times is
-#: quarantined (recorded as a permanent failure) instead of resubmitted —
-#: a job that reliably OOM-kills its worker must not take the sweep down
-#: with it on every retry.
+#: A spec whose attempts killed their worker this many times is quarantined
+#: (recorded as a permanent failure) instead of resubmitted — a job that
+#: reliably OOM-kills its worker must not take the sweep down with it on
+#: every retry.
 POOL_KILL_QUARANTINE = 2
 
 #: Bumped whenever the failure-ledger layout changes incompatibly.
@@ -235,9 +235,17 @@ class FaultInjector:
     Built from a chaos spec — a comma-separated list of
     ``KIND[=VALUE][@RANK][:ATTEMPT]`` directives — and resolved against the
     submitted batch so every directive is bound to a concrete fingerprint.
-    The injector is picklable and travels to pool workers through the spawn
-    initializer (the same route as scenario definitions), so injection is
-    identical under every start method.
+    The injector is picklable and travels to pool workers through the pool
+    initializer, so injection is identical under every start method.
+
+    The kinds: ``raise`` and ``permanent`` raise a transient or a permanent
+    error, ``hang=SECONDS`` stalls the job, and ``torn`` truncates an
+    artifact write.  ``kill`` ends the job's worker with ``os._exit`` — no
+    exception, no cleanup, as the OOM killer would.  At ``jobs>=2`` each
+    worker runs one job at a time, so the executor charges exactly the
+    killed job one attempt (a :class:`WorkerCrashError`) and gives only
+    that lane a new worker.  At ``jobs=1`` the job runs in the calling
+    process, so a ``kill`` ends that process.
     """
 
     directives: tuple[FaultDirective, ...] = ()
@@ -297,16 +305,6 @@ class FaultInjector:
             if directive.kind == "hang":
                 time.sleep(directive.value if directive.value is not None
                            else DEFAULT_HANG_SECONDS)
-
-    def kills(self, fingerprint: str, attempt: int) -> bool:
-        """Whether a ``kill`` directive fires for this (fingerprint, attempt).
-
-        The parent uses this after a :class:`BrokenProcessPool` to attribute
-        the crash to the spec that was *directed* to die, so innocent
-        in-flight siblings are resubmitted without consuming a retry.
-        """
-        return any(d.kind == "kill" and d.matches(fingerprint, attempt)
-                   for d in self.directives)
 
     # -- store-side hook ---------------------------------------------------- #
     def tear_next_write(self, fingerprint: str) -> bool:

@@ -188,11 +188,11 @@ class Scenario:
         """Hash of only the fields that shape the *dataset* (not the oracle).
 
         Scenarios differing solely in their oracle model share this value,
-        so the engine's dataset cache builds each benchmark variant once per
-        worker instead of once per scenario.  The empty string marks the
-        untouched benchmark (shared with scenario-less callers).  The
-        scenario name is included only when a pool skew is active, because
-        the skew's random stream is derived from it.
+        so the engine's dataset cache builds each benchmark variant once,
+        not once per scenario.  The empty string marks the untouched
+        benchmark (shared with scenario-less callers).  The scenario name is
+        included only when a pool skew is active, because the skew's random
+        stream is derived from it.
         """
         if self.is_default:
             return ""

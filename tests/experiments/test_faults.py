@@ -206,13 +206,6 @@ class TestFaultInjector:
         with pytest.raises(InjectedPermanentError):
             injector.fire(specs[0].fingerprint(), 0)
 
-    def test_kills_identifies_the_directed_victim(self, fast_settings):
-        specs = _specs(fast_settings)
-        injector = FaultInjector.from_spec("kill@0").resolve(specs)
-        assert injector.kills(specs[0].fingerprint(), 0)
-        assert not injector.kills(specs[0].fingerprint(), 1)
-        assert not injector.kills(specs[1].fingerprint(), 0)
-
     def test_torn_write_counts_per_fingerprint(self, fast_settings):
         specs = _specs(fast_settings)
         injector = FaultInjector.from_spec("torn@0").resolve(specs)

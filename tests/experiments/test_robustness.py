@@ -27,7 +27,7 @@ from repro.experiments.runner import enumerate_run_specs
 from repro.experiments.store import ArtifactStore
 from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
-from repro.scenarios import get_scenario, resolve_scenarios
+from repro.scenarios import available_scenarios, get_scenario, resolve_scenarios
 
 SCENARIO_NAMES = ("perfect", "noisy-0.1", "abstaining")
 
@@ -113,10 +113,10 @@ class TestScenarioDatasetCache:
 
 
 class TestScenarioSweeps:
-    def test_fixture_probe_not_registered(self, fast_settings):
-        # The redefinition above must not leak into these sweeps: the sweeps
-        # in this class always name their scenarios explicitly.
-        assert "perfect" in SCENARIO_NAMES
+    def test_sweep_scenarios_are_built_in(self):
+        assert set(SCENARIO_NAMES) <= set(available_scenarios())
+        assert ([scenario.name for scenario in resolve_scenarios(SCENARIO_NAMES)]
+                == list(SCENARIO_NAMES))
 
     def test_serial_parallel_bit_identical_per_scenario(self, fast_settings):
         """Acceptance: scenario grids run identically at jobs=1 and jobs=2."""

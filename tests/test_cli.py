@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.exceptions import ConfigurationError
 
 
 class TestParser:
@@ -142,10 +141,15 @@ class TestParser:
         assert args.scenarios is None
         assert not args.list_scenarios
 
-    def test_scenarios_unknown_scenario_rejected(self):
-        with pytest.raises(ConfigurationError):
-            main(["scenarios", "--datasets", "amazon_google",
-                  "--scenarios", "mystery", "--methods", "random"])
+    def test_scenarios_unknown_scenario_rejected(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenarios", "--store", str(store), "--datasets",
+                  "amazon_google", "--scenarios", "perfect,mystery",
+                  "--methods", "random"])
+        assert exit_info.value.code == 2
+        assert "Unknown scenario 'mystery'" in capsys.readouterr().err
+        assert not store.exists()
 
 
 class TestCommands:
