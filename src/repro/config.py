@@ -6,11 +6,15 @@ so full-scale runs are possible but slow on a laptop.  The ``REPRO_SCALE``
 environment variable selects how large the synthetic benchmarks and experiment
 sweeps are:
 
+``tiny``
+    4% of the paper's sizes (at least 200 training pairs) and 3 iterations.
+    The CLI's default ``--scale``, the benchmark harness's default
+    (``benchmarks/conftest.py``), and the scale most tests generate.
 ``small``  (default)
-    Reduced dataset sizes and fewer active-learning iterations.  The whole
-    benchmark harness finishes in minutes; used by CI and ``pytest``.
+    12% of the paper's sizes and 4 iterations; what ``REPRO_SCALE`` resolves
+    to when unset.  The ``small`` workloads of ``perfbench`` run at it.
 ``medium``
-    Roughly a quarter of the paper's sizes.
+    30% of the paper's sizes and 6 iterations.
 ``paper``
     Full Table 3 sizes and the paper's iteration counts.
 """

@@ -11,8 +11,9 @@ The pipeline is:
     entity's values with source-specific :class:`CorruptionConfig` profiles,
     then creates candidate pairs: every entity present in both tables yields a
     match pair, and non-match pairs are drawn preferentially *within* families
-    (hard negatives) and topped up with random cross-family pairs until the
-    target positive rate of the paper's Table 3 is met.
+    (hard negatives) and topped up with random pairs of any two distinct
+    entities, whatever their families, until the target positive rate of the
+    paper's Table 3 is met.
 3.  The pair set is split 3:1:1 (train/validation/test), stratified by label.
 """
 
@@ -133,13 +134,119 @@ def _materialize_record(
     return Record(record_id=record_id, values=values, entity_id=entity.entity_id)
 
 
+#: Within-family attempts drawn per bulk call.  An attempt takes four draws,
+#: so the buffers stay a few hundred KB at any scale.
+_ATTEMPT_CHUNK = 4096
+
+
+def _guess_families(
+    family_sizes: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Guess the family each of the next ``count`` attempts draws.
+
+    The guess assumes that no draw is rejected, so that every draw with a
+    bound above 1 takes the next value of the stream.  It walks one bulk draw
+    of family indices, in which an attempt on a family of ``m`` members takes
+    ``[F > 1] + [m > 2] + 2`` values.  ``rng`` is left as it was.
+    """
+    state = rng.bit_generator.state
+    draws = rng.integers(0, len(family_sizes), size=4 * count).tolist()
+    rng.bit_generator.state = state
+    steps = (int(len(family_sizes) > 1) + (family_sizes > 2) + 2).tolist()
+    guess = []
+    position = 0
+    for _ in range(count):
+        family = draws[position]
+        guess.append(family)
+        position += steps[family]
+    return np.array(guess, dtype=np.int64)
+
+
+def _add_within_family_keys(
+    chosen: set[tuple[int, int]],
+    family_groups: list[list[int]],
+    hard_target: int,
+    max_attempts: int,
+    rng: np.random.Generator,
+) -> None:
+    """Add the keys of the within-family attempts to ``chosen``, in order."""
+    sizes = np.array([len(group) for group in family_groups])
+    members = np.concatenate(family_groups)
+    starts = np.cumsum(sizes) - sizes
+    attempts = 0
+    while len(chosen) < hard_target and attempts < max_attempts:
+        count = min(_ATTEMPT_CHUNK, max_attempts - attempts)
+        guess = _guess_families(sizes, count, rng)
+        guessed_sizes = sizes[guess]
+        bounds = np.stack([np.full(count, len(sizes)), guessed_sizes - 1,
+                           guessed_sizes, np.full(count, 2)], axis=1).ravel()
+        state = rng.bit_generator.state
+        draws = rng.integers(0, bounds).reshape(count, 4)
+        disagreements = np.flatnonzero(draws[:, 0] != guess)
+        kept = int(disagreements[0]) if len(disagreements) else count
+
+        family, first, second, swap = draws[:kept].T
+        second = np.where(second == first, sizes[family] - 1, second)
+        left = starts[family] + np.where(swap == 0, second, first)
+        right = starts[family] + np.where(swap == 0, first, second)
+        # One key at a time, in attempt order: the returned list follows the
+        # set's iteration order, which depends on the order of insertion.
+        keys = zip(members[left].tolist(), members[right].tolist())
+        for attempt, key in enumerate(keys):
+            chosen.add(key)
+            if len(chosen) == hard_target:
+                kept = attempt + 1
+                break
+
+        if kept < count:
+            # Redraw the kept attempts alone, so the stream ends where the
+            # loop's does.
+            rng.bit_generator.state = state
+            rng.integers(0, bounds[:4 * kept])
+        attempts += kept
+
+
 def _sample_negative_keys(
     entities: Sequence[EntityProfile],
     num_negatives: int,
     hard_fraction: float,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
-    """Sample index pairs of *distinct* entities to serve as non-match pairs."""
+    """Sample index pairs of *distinct* entities to serve as non-match pairs.
+
+    Hard negatives come first.  Each attempt draws one of the ``F`` families
+    with at least two members (``rng.integers(0, F)``) and two of its ``m``
+    members (``rng.choice(m, 2, replace=False)``), and adds the ordered pair
+    to a set.  Attempts go on until the set holds
+    ``round(num_negatives * hard_fraction)`` pairs or
+    ``max(20 * num_negatives, 1000)`` attempts are spent.  Most catalogs hold
+    fewer within-family pairs than that, so they spend the whole budget.
+    Random pairs of any two distinct entities then fill the remainder.
+
+    The attempts are drawn thousands per call, and the result is the list,
+    order included, and the generator state that one call per draw gives
+    (the oracle ``tests/reference/datasets.py``).  This rests on two facts
+    about numpy's ``Generator``:
+
+    (a) ``rng.integers(0, bounds)`` over an integer array draws element by
+        element, exactly as scalar calls would (Lemire's bounded method); a
+        bound of 1 consumes no random number.
+    (b) ``rng.choice(m, 2, replace=False)`` is Floyd's algorithm and a
+        shuffle: a draw with bound ``m - 1``, a draw with bound ``m`` that
+        becomes ``m - 1`` if it repeats the first, and a draw with bound 2
+        that swaps the pair when it is 0.
+
+    So an attempt is the draws ``[F, m - 1, m, 2]``, but ``m`` is known only
+    once the family is drawn.  Each pass guesses the families
+    (:func:`_guess_families`), draws with the bounds the guess implies, and
+    keeps the attempts before the first one whose family draw disagrees with
+    the guess.  By induction their bounds, and so their draws, are the
+    loop's.  The first attempt always agrees, so every pass makes progress.
+    A pass that keeps fewer attempts than it drew, because of a disagreement
+    or because it met the target, redraws the kept ones from its start state.
+    """
     families: dict[str, list[int]] = {}
     for index, entity in enumerate(entities):
         families.setdefault(entity.family, []).append(index)
@@ -149,16 +256,9 @@ def _sample_negative_keys(
 
     # Hard negatives: pairs within a family.
     family_groups = [members for members in families.values() if len(members) >= 2]
-    attempts = 0
     max_attempts = max(20 * num_negatives, 1000)
-    while family_groups and len(chosen) < hard_target and attempts < max_attempts:
-        attempts += 1
-        group = family_groups[int(rng.integers(0, len(family_groups)))]
-        i, j = rng.choice(len(group), size=2, replace=False)
-        key = (group[int(i)], group[int(j)])
-        if key[0] == key[1]:
-            continue
-        chosen.add(key)
+    if family_groups:
+        _add_within_family_keys(chosen, family_groups, hard_target, max_attempts, rng)
 
     # Random negatives fill the remainder.
     attempts = 0
