@@ -13,11 +13,13 @@ module turns that grid into explicit jobs:
 * :class:`ParallelExecutor` — the one job scheduler.  It runs one job at a
   time on each of ``jobs`` lanes: the calling process at ``jobs=1``, a
   single-worker :class:`~concurrent.futures.ProcessPoolExecutor` per lane at
-  ``jobs>=2``.  A free lane takes the first ready job whose dataset no other
-  lane holds, and a worker drops every cached dataset that no unfinished job
-  of the batch still uses, so a benchmark is generated and featurized by one
-  worker, not by every worker.  Both job counts go through the same
-  retry-aware scheduling loop.  The lanes' only pool initializer is
+  ``jobs>=2``.  It queues each batch largest benchmark first (Table 3
+  training size).  A free lane takes the first ready job whose dataset no
+  other lane holds, and a worker drops every cached dataset that no
+  unfinished job of the batch still uses, so a benchmark is generated and
+  featurized by one worker, not by every worker, and the largest one is
+  dropped early rather than held to the end.  Both job counts go through
+  the same retry-aware scheduling loop.  The lanes' only pool initializer is
   :func:`~repro.experiments.faults.init_injector`.
 * :class:`ExperimentEngine` — ties an executor to an optional
   :class:`~repro.experiments.store.ArtifactStore`: completed runs are loaded
@@ -67,9 +69,9 @@ from repro._suggest import unknown_name_message
 from repro.analysis.sanitizer import determinism_guard
 from repro.active.weak_supervision import WeakSupervisionMode, resolve_mode
 from repro.data.dataset import EMDataset
-from repro.datasets.registry import load_benchmark
+from repro.datasets.registry import benchmark_spec, load_benchmark
 from repro.evaluation.metrics import MatchingMetrics
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DatasetError
 from repro.experiments.configs import GRID_ONLY_FIELDS, ExperimentSettings
 from repro.experiments.faults import (
     POOL_KILL_QUARANTINE,
@@ -198,11 +200,6 @@ def clear_dataset_cache() -> None:
     benchmark would be silently wrong.
     """
     _DATASET_CACHE.clear()
-    _FEATURE_CACHE.clear()
-
-
-def clear_feature_cache() -> None:
-    """Drop only the cached feature matrices (used by tests)."""
     _FEATURE_CACHE.clear()
 
 
@@ -411,14 +408,31 @@ def _execute_attempt(spec: RunSpec, settings: ExperimentSettings,
     return execute_spec(spec, settings)
 
 
+def _largest_first(specs: Sequence[RunSpec]) -> list[RunSpec]:
+    """A batch's queue: its specs by Table 3 training size, largest first.
+
+    The size is the registry's ``paper_train_size``.  The sort is stable, so
+    a benchmark's jobs (scenario variants included) and benchmarks of equal
+    size keep submission order.  A name the registry does not know sorts
+    last, and its job fails on its own when it runs.
+    """
+    def size(spec: RunSpec) -> int:
+        try:
+            return benchmark_spec(spec.dataset).paper_train_size
+        except DatasetError:
+            return 0  # every known size is positive
+
+    return sorted(specs, key=size, reverse=True)
+
+
 def _place(ready: Iterable[DatasetKey],
            held_elsewhere: set[DatasetKey]) -> int:
     """The placement rule: the index of the ready job a free lane takes.
 
     That is the first job whose dataset no other lane holds, so one worker
     generates and featurizes each benchmark, or else the queue head, so no
-    lane idles while work is ready.  A lone lane takes jobs in submission
-    order.
+    lane idles while work is ready.  A lone lane takes the queue head, so it
+    runs the queue in order (:func:`_largest_first`, then retries).
     """
     return next((index for index, key in enumerate(ready)
                  if key not in held_elsewhere), 0)
@@ -448,13 +462,18 @@ class ParallelExecutor:
 
     The one lane at ``jobs=1`` is the calling process.  At ``jobs>=2`` each
     lane is a single-worker :class:`ProcessPoolExecutor`, so the executor
-    chooses the worker each job runs on.  A free lane takes the first ready
-    job whose dataset no other lane holds, or else the queue head
-    (:func:`_place`).  Each pool job carries the dataset keys of the batch's
-    unfinished jobs (ready, backing off or running), and the worker drops
-    every other cached dataset and feature matrix before it runs.  So a
-    benchmark is generated and featurized by one worker, unless work runs
-    out elsewhere, and no worker keeps a dataset its batch has finished.
+    chooses the worker each job runs on.  A batch is queued largest
+    benchmark first (:func:`_largest_first`), at every job count; retries
+    join the tail.  A free lane takes the first ready job whose dataset no
+    other lane holds, or else the queue head (:func:`_place`).  Each pool
+    job carries the dataset keys of the batch's unfinished jobs (ready,
+    backing off or running), and the worker drops every other cached dataset
+    and feature matrix before it runs.  So a benchmark is generated and
+    featurized by one worker, unless work runs out elsewhere, and no worker
+    keeps a dataset its batch has finished.  The largest benchmark starts
+    first, on one lane, and is dropped once its jobs end; only the smallest
+    are left for the queue-head fallback at the tail.  Chaos directives
+    still address jobs by their submission rank.
 
     ``execute`` yields ``(spec, result)`` pairs in *completion* order, so the
     engine persists every finished run immediately — an interrupted sweep
@@ -572,7 +591,7 @@ class ParallelExecutor:
         pool_kills = {spec: 0 for spec in specs}
         tracebacks: dict[RunSpec, list[str]] = {spec: [] for spec in specs}
         elapsed: dict[RunSpec, list[float]] = {spec: [] for spec in specs}
-        ready: list[RunSpec] = list(specs)
+        ready = _largest_first(specs)
         waiting: list[tuple[float, RunSpec]] = []
         # Future -> (lane, spec, start time) of every job in flight.
         running: dict[Future[ActiveLearningResult],

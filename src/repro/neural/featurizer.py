@@ -20,14 +20,18 @@ once per dataset.
 :meth:`PairFeaturizer.transform` is batched.  Records are deduplicated
 (every record typically participates in many candidate pairs), each unique
 record text is vectorized exactly once through the bulk
-:meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, the raw and
-interaction blocks are assembled by fancy-indexing the per-record matrix, and
+:meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, and
 per-attribute similarity features are computed once per unique
 ``(left_value, right_value)`` pair with token/q-gram sets cached per unique
-value.  The output is bit-identical to the seed's per-pair loop, which
-re-hashed both records and recomputed every measure from the raw strings for
-each pair.  That loop is kept as the oracle of the test suite's reference
-package, and artifact stores and curves recorded with it stay valid.
+value of one attribute at a time.  The output matrix is allocated once and
+every feature family is written into its own columns: the raw blocks are
+gathered from the per-record matrix, the interactions are computed from them
+in place, and the similarities fill the last columns, so no second
+matrix-sized array is ever alive.  The output is bit-identical to the seed's
+per-pair loop, which re-hashed both records and recomputed every measure from
+the raw strings for each pair.  That loop is kept as the oracle of the test
+suite's reference package, and artifact stores and curves recorded with it
+stay valid.
 """
 
 from __future__ import annotations
@@ -97,11 +101,12 @@ class FeaturizerConfig:
 class _ValueEntry:
     """Cached per-value artifacts feeding the set-based similarity measures.
 
-    One entry per unique attribute value per :meth:`PairFeaturizer.transform`
-    call; the token set/counts, q-gram set, count-vector norm, and normalized
-    string are computed once (single tokenize pass, single normalize pass)
-    and reused by every pair the value appears in.  All cached artifacts are
-    exactly what :func:`~repro.text.tokenization.token_set` /
+    One entry per unique value of the attribute being featurized, per
+    :meth:`PairFeaturizer.transform` call; the token set/counts, q-gram set,
+    count-vector norm, and normalized string are computed once (single
+    tokenize pass, single normalize pass) and reused by every pair the value
+    appears in.  All cached artifacts are exactly what
+    :func:`~repro.text.tokenization.token_set` /
     :func:`~repro.text.tokenization.token_counts` /
     :func:`~repro.text.tokenization.qgram_set` would rebuild from the string.
     """
@@ -273,42 +278,60 @@ class PairFeaturizer:
            (first by record identity, then by record text, so duplicated
            records collapse too) and each unique text is vectorized once via
            the bulk hashing path;
-        2. the raw and interaction blocks are assembled by fancy-indexing the
-           per-record matrix;
+        2. the output matrix is allocated once, and every feature family is
+           written into its own columns: the raw blocks are gathered from
+           the per-record matrix with ``np.take(..., out=)``, and the
+           interactions are computed from them with ``np.multiply`` and
+           ``np.subtract`` + ``np.abs`` into their slices;
         3. per-attribute similarity features are computed once per unique
            ``(left_value, right_value)`` combination, with token/q-gram
-           sets and count norms cached per unique value.
+           sets and count norms cached per unique value of one attribute at
+           a time, straight into the last columns.
+
+        No second matrix-sized array is alive at any point.  ``np.take``
+        buffers a non-contiguous ``out``, so each raw block costs one
+        transient block-sized buffer.
         """
         if indices is None:
             indices = range(len(dataset.pairs))
         index_list = [int(i) for i in indices]
-        num_pairs = len(index_list)
-        if num_pairs == 0:
-            return np.zeros((0, self.feature_dim(dataset)), dtype=np.float64)
+        output = np.empty((len(index_list), self.feature_dim(dataset)),
+                          dtype=np.float64)
+        if not index_list:
+            return output
         attributes = self._serialized_attributes(dataset)
-        schema = dataset.left.schema
         pairs = [dataset.pairs[i] for i in index_list]
         left_records = [dataset.left[pair.left_id] for pair in pairs]
         right_records = [dataset.right[pair.right_id] for pair in pairs]
 
-        blocks: list[np.ndarray] = []
-        if self.config.include_raw or self.config.include_interactions:
+        config = self.config
+        width = config.hash_dim
+        column = 0
+        if config.include_raw or config.include_interactions:
             left_rows, right_rows, unique_texts = self._record_rows(
                 pairs, left_records, right_records, attributes)
             record_matrix = self._hasher.transform(unique_texts)
-            left_block = record_matrix[left_rows]
-            right_block = record_matrix[right_rows]
-            if self.config.include_raw:
-                blocks.extend((left_block, right_block))
-            if self.config.include_interactions:
-                blocks.append(left_block * right_block)
-                blocks.append(np.abs(left_block - right_block))
+            if config.include_raw:
+                left = np.take(record_matrix, left_rows, axis=0,
+                               out=output[:, :width])
+                right = np.take(record_matrix, right_rows, axis=0,
+                                out=output[:, width:2 * width])
+                column = 2 * width
+            else:
+                left = record_matrix[left_rows]
+                right = record_matrix[right_rows]
+            if config.include_interactions:
+                np.multiply(left, right, out=output[:, column:column + width])
+                column += width
+                difference = np.subtract(left, right,
+                                         out=output[:, column:column + width])
+                np.abs(difference, out=difference)
+                column += width
 
-        if self.config.include_similarities:
-            blocks.append(self._similarity_block(
-                left_records, right_records, attributes, schema))
-
-        return np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
+        if config.include_similarities:
+            self._similarity_block(left_records, right_records, attributes,
+                                   dataset.left.schema, output[:, column:])
+        return output
 
     def _record_rows(
         self,
@@ -356,12 +379,15 @@ class PairFeaturizer:
         right_records: Sequence[Record],
         attributes: Sequence[str],
         schema: Schema,
-    ) -> np.ndarray:
-        """Per-attribute similarity features for every pair, value-pair cached."""
-        num_pairs = len(left_records)
+        block: np.ndarray,
+    ) -> None:
+        """Fill ``block`` with every pair's per-attribute similarity features.
+
+        ``block`` is the output's similarity slice, one row per pair and
+        :attr:`SIMILARITIES_PER_ATTRIBUTE` columns per attribute; each
+        value pair's features are computed once.
+        """
         per_attribute = self.SIMILARITIES_PER_ATTRIBUTE
-        block = np.empty((num_pairs, per_attribute * len(attributes)),
-                         dtype=np.float64)
         qgram_size = self.config.qgram_size
         value_entries: dict[str, _ValueEntry] = {}
 
@@ -373,6 +399,10 @@ class PairFeaturizer:
             return entry
 
         for attribute_index, name in enumerate(attributes):
+            # Values rarely repeat across attributes, and their token and
+            # q-gram sets are the largest transient of a transform, so the
+            # cache holds one attribute's values at a time.
+            value_entries.clear()
             kind = schema.attribute(name).kind
             start = attribute_index * per_attribute
             keys = [(left.value(name), right.value(name))
@@ -386,4 +416,3 @@ class PairFeaturizer:
             # assignment per pair.
             block[:, start:start + per_attribute] = [pair_cache[key]
                                                      for key in keys]
-        return block

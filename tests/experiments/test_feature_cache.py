@@ -18,7 +18,6 @@ from repro.experiments.engine import (
     ParallelExecutor,
     RunSpec,
     clear_dataset_cache,
-    clear_feature_cache,
     execute_spec,
     get_dataset,
     get_feature_matrix,
@@ -116,14 +115,6 @@ def test_clear_dataset_cache_drops_feature_matrices(tiny_settings):
     assert engine_module._FEATURE_CACHE
     clear_dataset_cache()
     assert not engine_module._FEATURE_CACHE
-
-
-def test_clear_feature_cache_keeps_datasets(tiny_settings):
-    get_feature_matrix("amazon_google", tiny_settings)
-    assert engine_module._DATASET_CACHE
-    clear_feature_cache()
-    assert not engine_module._FEATURE_CACHE
-    assert engine_module._DATASET_CACHE
 
 
 def test_loop_rejects_mismatched_feature_matrix(tiny_settings):

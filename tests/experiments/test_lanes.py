@@ -1,9 +1,11 @@
 """Dataset-affine lanes: where the executor runs each job and what it keeps.
 
-``ParallelExecutor`` runs one job at a time per lane.  A free lane takes the
-first ready job whose dataset no other lane holds, so each benchmark is
-generated and featurized by one worker, and a worker drops the datasets no
-unfinished job of its batch still uses.  The process tests count
+``ParallelExecutor`` queues a batch largest benchmark first (Table 3 training
+size, a stable sort) and runs one job at a time per lane.  A free lane takes
+the first ready job whose dataset no other lane holds, so each benchmark is
+generated and featurized by one worker, the largest one early, and a worker
+drops the datasets no unfinished job of its batch still uses.  Chaos ranks
+still address jobs in submission order.  The process tests count
 ``PairFeaturizer.transform`` calls in forked workers through a log file.
 """
 
@@ -21,6 +23,7 @@ from repro.experiments.engine import (
     ExperimentEngine,
     ParallelExecutor,
     RunSpec,
+    _largest_first,
     _place,
     _release_datasets,
     clear_dataset_cache,
@@ -31,6 +34,9 @@ from repro.neural.featurizer import FeaturizerConfig, PairFeaturizer
 from repro.neural.matcher import MatcherConfig
 
 DATASETS = ("amazon_google", "walmart_amazon")
+#: Larger than both DATASETS in Table 3 (17,223 training pairs against
+#: 6,874 and 6,144).
+LARGEST = "dblp_scholar"
 
 #: The transform log reaches the test only from workers that inherit the
 #: patched class, i.e. forked ones.
@@ -65,9 +71,10 @@ def _fresh_caches():
     clear_dataset_cache()
 
 
-def _spec(settings, dataset: str, seed: int) -> RunSpec:
+def _spec(settings, dataset: str, seed: int,
+          scenario: str = "perfect") -> RunSpec:
     return RunSpec.create(dataset, "random", seed, 0.5, 0.5, "selector",
-                          settings)
+                          settings, scenario=scenario)
 
 
 def _log_transforms(monkeypatch, log) -> None:
@@ -104,6 +111,61 @@ class TestPlacement:
         assert _place([self.B, self.A], {self.A, self.B}) == 0
 
 
+class TestQueue:
+    def test_largest_benchmark_first(self, settings):
+        # Table 3 sizes: dblp_scholar 17,223, amazon_google 6,874,
+        # walmart_amazon 6,144, wdc_cameras 4,081.
+        specs = [_spec(settings, name, 7) for name in (
+            "wdc_cameras", "walmart_amazon", LARGEST, "amazon_google")]
+        assert _largest_first(specs) == [specs[2], specs[3], specs[1],
+                                         specs[0]]
+
+    def test_the_sort_is_stable(self, settings):
+        # Seeds and scenario variants of one benchmark ("dirty" and "clean"
+        # regenerate its data), two spellings the registry maps to one
+        # benchmark (equal sizes), and unknown names, each in submission
+        # order; the unknown names go last.
+        google = [_spec(settings, "amazon_google", 7),
+                  _spec(settings, "amazon_google", 7, scenario="dirty"),
+                  _spec(settings, "amazon_google", 20),
+                  _spec(settings, "amazon_google", 7, scenario="clean")]
+        respelled = _spec(settings, "Amazon-Google", 7)
+        unknown = [_spec(settings, "no_such_benchmark", 7),
+                   _spec(settings, "another_unknown", 7)]
+        walmart = _spec(settings, "walmart_amazon", 7)
+        specs = [unknown[0], walmart, google[0], google[1], respelled,
+                 unknown[1], google[2], google[3]]
+        assert _largest_first(specs) == [google[0], google[1], respelled,
+                                         google[2], google[3], walmart,
+                                         unknown[0], unknown[1]]
+
+    def test_chaos_ranks_follow_submission_order(self, settings, monkeypatch):
+        """``raise@0`` fails the first submitted job, which now runs second."""
+        attempts: list[tuple[str, int]] = []
+        original = engine_module.fault_injection_point
+
+        def logging_point(fingerprint: str, attempt: int) -> None:
+            attempts.append((fingerprint, attempt))
+            original(fingerprint, attempt)
+
+        monkeypatch.setattr(engine_module, "fault_injection_point",
+                            logging_point)
+        monkeypatch.setattr(engine_module, "execute_spec",
+                            lambda spec, settings: spec.dataset)
+        smaller = _spec(settings, "walmart_amazon", 7)
+        larger = _spec(settings, "amazon_google", 7)
+        executor = ParallelExecutor(
+            jobs=1, injector=FaultInjector.from_spec("raise@0"))
+        finished = [spec for spec, _ in executor.execute([smaller, larger],
+                                                         settings)]
+        assert attempts == [(larger.fingerprint(), 0),
+                            (smaller.fingerprint(), 0),
+                            (smaller.fingerprint(), 1)]
+        assert finished == [larger, smaller]
+        assert executor.last_retries == 1
+        assert not executor.last_failures
+
+
 class TestRelease:
     def test_only_kept_datasets_and_matrices_stay(self, settings):
         for name in DATASETS:
@@ -124,16 +186,28 @@ class TestRelease:
 class TestLanes:
     def test_each_dataset_is_featurized_by_one_worker(self, settings, tmp_path,
                                                       monkeypatch):
+        """The largest benchmark, submitted last, runs first on one lane.
+
+        Every job first sleeps 0.6 s (a ``hang`` that no timeout cuts), so
+        job lengths are even and the other lane is still busy with the
+        smaller benchmarks when the first of the largest's jobs ends.  In
+        submission order both lanes would reach the largest at the tail.
+        """
         log = tmp_path / "transforms.log"
         _log_transforms(monkeypatch, log)
+        datasets = DATASETS + (LARGEST,)
         specs = [_spec(settings, dataset, seed)
-                 for dataset in DATASETS for seed in (7, 20)]
-        engine = ExperimentEngine(settings, executor=ParallelExecutor(jobs=2))
+                 for dataset in datasets for seed in (7, 20)]
+        executor = ParallelExecutor(jobs=2, injector=FaultInjector.from_spec(
+            ",".join(f"hang=0.6@{rank}" for rank in range(len(specs)))))
+        engine = ExperimentEngine(settings, executor=executor)
         assert len(engine.run(specs)) == len(specs)
 
         logged = _logged(log)
-        assert len(set(logged)) == len(logged) <= 3
-        assert {dataset for _, dataset in logged} == set(DATASETS)
+        # Each dataset once, plus at most the one both lanes ran at the tail.
+        assert len(set(logged)) == len(logged) <= len(datasets) + 1
+        assert {dataset for _, dataset in logged} == set(datasets)
+        assert [dataset for _, dataset in logged].count(LARGEST) == 1
 
     def test_a_timeout_restarts_only_the_overdue_lane(self, settings, tmp_path,
                                                       monkeypatch):

@@ -7,10 +7,13 @@ the per-pair loop ``reference.featurizer.transform_reference``.  The
 hypothesis suite drives the comparison across the edge cases that exercise
 every cache level: empty values, missing attributes, numeric attributes
 (including non-numeric strings hitting the levenshtein fallback), duplicated
-records, and values longer than the edit-distance cutoff.
+records, and values longer than the edit-distance cutoff.  A ``tracemalloc``
+bound checks that the output is the only matrix-sized array it allocates.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.featurizer import transform_reference
+from repro.config import get_scale
 from repro.data.dataset import EMDataset
 from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
 from repro.data.schema import Attribute, AttributeType, Schema
+from repro.datasets.registry import load_benchmark
 from repro.neural.featurizer import FeaturizerConfig, PairFeaturizer
 
 _SCHEMA = Schema(
@@ -148,3 +153,23 @@ def test_serialization_attribute_subset_respected(tiny_dataset):
     assert dropped > 0
     assert (featurizer.feature_dim(tiny_dataset) - featurizer.feature_dim(title_only)
             == PairFeaturizer.SIMILARITIES_PER_ATTRIBUTE * dropped)
+
+
+def test_transform_allocates_one_output_matrix():
+    """The feature families are written into one preallocated matrix.
+
+    Building each family as its own block and concatenating them peaked at
+    2.12x the output's bytes on this dataset; the bound leaves room for the
+    per-record hashing matrix, ``np.take``'s block-sized buffer and the
+    similarity caches, but not for a second matrix-sized array.
+    """
+    dataset = load_benchmark("amazon_google", scale=get_scale("small"),
+                             random_state=7)
+    featurizer = PairFeaturizer()
+    tracemalloc.start()
+    try:
+        matrix = featurizer.transform(dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * matrix.nbytes
