@@ -22,22 +22,23 @@ once per dataset.
 record text is vectorized exactly once through the bulk
 :meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, and
 per-attribute similarity features are computed once per unique
-``(left_value, right_value)`` pair with token/q-gram sets cached per unique
-value of one attribute at a time.  The output matrix is allocated once and
-every feature family is written into its own columns: the raw blocks are
-gathered from the per-record matrix, the interactions are computed from them
-in place, and the similarities fill the last columns, so no second
+``(left_value, right_value)`` pair by the batched kernels of
+:mod:`repro.text.similarity`: integer-coded token and q-gram sets for the
+set measures, Myers' recurrence on ``uint64`` lanes for Levenshtein and
+boolean lanes for Jaro-Winkler; only the numeric measure runs one pair at a
+time.  The output matrix is allocated once and every feature family is
+written into its own columns: the raw blocks are gathered from the
+per-record matrix in row chunks, the interactions are computed from them in
+place, and the similarities fill the last columns, so no second
 matrix-sized array is ever alive.  The output is bit-identical to the seed's
-per-pair loop, which re-hashed both records and recomputed every measure from
-the raw strings for each pair.  That loop is kept as the oracle of the test
-suite's reference package, and artifact stores and curves recorded with it
-stay valid.
+per-pair loop, which re-hashed both records and recomputed every measure
+from the raw strings for each pair.  That loop is kept as the oracle of the
+test suite's reference package, and artifact stores and curves recorded
+with it stay valid.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,17 +49,19 @@ from repro.data.pair import CandidatePair
 from repro.data.record import Record
 from repro.data.schema import AttributeType, Schema
 from repro.text.similarity import (
-    bitparallel_levenshtein,
-    character_positions,
-    jaro_winkler_similarity,
-    levenshtein_distance,
+    jaro_winkler_similarities,
+    levenshtein_similarities,
     numeric_similarity,
+    qgram_jaccard_similarities,
+    token_set_similarities,
 )
-from repro.text.tokenization import normalize, tokenize
 from repro.text.vectorizers import HashingVectorizer, HashingVectorizerConfig
 
 #: Values longer than this fall back from edit distance to Jaccard (cost control).
 _EDIT_DISTANCE_MAX_LENGTH = 48
+
+#: Pair rows per gather of the hashed record vectors.
+_GATHER_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -96,141 +99,6 @@ class FeaturizerConfig:
             raise ValueError(f"qgram_size must be at least 1, got {self.qgram_size}")
         if not (self.include_raw or self.include_interactions or self.include_similarities):
             raise ValueError("At least one feature family must be enabled")
-
-
-class _ValueEntry:
-    """Cached per-value artifacts feeding the set-based similarity measures.
-
-    One entry per unique value of the attribute being featurized, per
-    :meth:`PairFeaturizer.transform` call; the token set/counts, q-gram set,
-    count-vector norm, and normalized string are computed once (single
-    tokenize pass, single normalize pass) and reused by every pair the value
-    appears in.  All cached artifacts are exactly what
-    :func:`~repro.text.tokenization.token_set` /
-    :func:`~repro.text.tokenization.token_counts` /
-    :func:`~repro.text.tokenization.qgram_set` would rebuild from the string.
-    """
-
-    __slots__ = ("value", "tokens", "qgrams", "counts", "norm", "blank",
-                 "normalized", "positions")
-
-    def __init__(self, value: str, qgram_size: int) -> None:
-        self.value = value
-        token_list = tokenize(value)
-        self.tokens = set(token_list)
-        self.counts = Counter(token_list)
-        normalized = normalize(value)
-        self.normalized = normalized
-        # Inline qgram_set(value, q=qgram_size): same padding construction
-        # on the already-normalized string.
-        if not normalized:
-            self.qgrams: set[str] = set()
-        else:
-            if qgram_size > 1:
-                padding = "#" * (qgram_size - 1)
-                padded = f"{padding}{normalized}{padding}"
-            else:
-                padded = normalized
-            if len(padded) < qgram_size:
-                self.qgrams = {padded}
-            else:
-                self.qgrams = {padded[i:i + qgram_size]
-                               for i in range(len(padded) - qgram_size + 1)}
-        # Same expression cosine_token_similarity evaluates per call; the
-        # counts are ints, so the sum (and therefore the sqrt) is exact.
-        self.norm = math.sqrt(sum(count * count for count in self.counts.values()))
-        self.blank = not value.strip()
-        #: Lazily built Myers bitmask table of ``normalized`` (edit path).
-        self.positions: dict[str, int] | None = None
-
-    def character_positions(self) -> dict[str, int]:
-        """The value's Myers table, built once and shared across comparisons."""
-        if self.positions is None:
-            self.positions = character_positions(self.normalized)
-        return self.positions
-
-
-def _normalized_levenshtein(left: _ValueEntry, right: _ValueEntry) -> float:
-    """``levenshtein_similarity`` on cached normalized strings.
-
-    Uses the bit-parallel core directly with the shorter value's cached
-    Myers table (``levenshtein_distance`` would rebuild it per call); the
-    distance is the same integer, so the similarity float is identical.
-    """
-    a, b = left.normalized, right.normalized
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    if a == b:
-        return 1.0
-    longest = max(len(a), len(b))
-    if len(a) <= len(b):
-        pattern, text = left, right
-    else:
-        pattern, text = right, left
-    if len(pattern.normalized) > 64:
-        # Unicode lowercasing can lengthen strings past one bit-parallel
-        # word even under the featurizer's 48-char raw cutoff.
-        distance = levenshtein_distance(a, b)
-    else:
-        distance = bitparallel_levenshtein(
-            pattern.character_positions(), len(pattern.normalized),
-            text.normalized)
-    return 1.0 - distance / longest
-
-
-def _cached_similarities(left: _ValueEntry, right: _ValueEntry,
-                         kind: AttributeType, qgram_size: int) -> list[float]:
-    """Similarity features from cached value entries.
-
-    Per attribute: token Jaccard, q-gram Jaccard, overlap coefficient, token
-    cosine, then a numeric measure (numeric attributes), Levenshtein (values
-    up to ``_EDIT_DISTANCE_MAX_LENGTH`` characters) or Jaro-Winkler on the
-    truncated values, and finally a missing-value flag.  Every formula
-    operates on the same sets/counts the string-based measures of
-    :mod:`repro.text.similarity` would rebuild (the token intersection is
-    computed once and shared by Jaccard, overlap, and cosine; ``len(a | b)``
-    becomes the equal integer ``len(a) + len(b) - len(a & b)``), so the
-    resulting floats are bit-identical to calling those measures.
-    """
-    left_value, right_value = left.value, right.value
-    tokens_l, tokens_r = left.tokens, right.tokens
-    if not tokens_l and not tokens_r:
-        token_jaccard = overlap = cosine = 1.0
-    elif not tokens_l or not tokens_r:
-        token_jaccard = overlap = cosine = 0.0
-    else:
-        shared_tokens = tokens_l & tokens_r
-        num_shared = len(shared_tokens)
-        union = len(tokens_l) + len(tokens_r) - num_shared
-        token_jaccard = num_shared / union
-        overlap = num_shared / min(len(tokens_l), len(tokens_r))
-        if num_shared:
-            counts_l, counts_r = left.counts, right.counts
-            dot = sum(counts_l[token] * counts_r[token]
-                      for token in shared_tokens)
-            cosine = dot / (left.norm * right.norm)
-        else:
-            # An integer dot of 0 divided by the positive norms is exactly 0.
-            cosine = 0.0
-    qgrams_l, qgrams_r = left.qgrams, right.qgrams
-    if not qgrams_l and not qgrams_r:
-        qgram_jaccard = 1.0
-    else:
-        num_shared_q = len(qgrams_l & qgrams_r)
-        union_q = len(qgrams_l) + len(qgrams_r) - num_shared_q
-        qgram_jaccard = num_shared_q / union_q if union_q else 0.0
-    features = [token_jaccard, qgram_jaccard, overlap, cosine]
-    if kind is AttributeType.NUMERIC:
-        features.append(numeric_similarity(left_value, right_value))
-    elif max(len(left_value), len(right_value)) <= _EDIT_DISTANCE_MAX_LENGTH:
-        features.append(_normalized_levenshtein(left, right))
-    else:
-        features.append(jaro_winkler_similarity(left_value[:_EDIT_DISTANCE_MAX_LENGTH],
-                                                right_value[:_EDIT_DISTANCE_MAX_LENGTH]))
-    features.append(float(left.blank or right.blank))
-    return features
 
 
 class PairFeaturizer:
@@ -277,20 +145,21 @@ class PairFeaturizer:
         1. the records referenced by the requested pairs are deduplicated
            (first by record identity, then by record text, so duplicated
            records collapse too) and each unique text is vectorized once via
-           the bulk hashing path;
+           the bulk hashing path, a bounded chunk of texts at a time;
         2. the output matrix is allocated once, and every feature family is
            written into its own columns: the raw blocks are gathered from
-           the per-record matrix with ``np.take(..., out=)``, and the
-           interactions are computed from them with ``np.multiply`` and
-           ``np.subtract`` + ``np.abs`` into their slices;
-        3. per-attribute similarity features are computed once per unique
-           ``(left_value, right_value)`` combination, with token/q-gram
-           sets and count norms cached per unique value of one attribute at
-           a time, straight into the last columns.
+           the per-record matrix :data:`_GATHER_ROWS` rows at a time with
+           ``np.take(..., out=)``, and the interactions are computed from
+           each chunk with ``np.multiply`` and ``np.subtract`` + ``np.abs``
+           into their slices; the per-record matrix is then released;
+        3. per attribute, the unique ``(left_value, right_value)`` pairs are
+           numbered in one dict pass, the batched similarity kernels fill
+           one row per unique pair, and one ``np.take`` scatters the rows
+           into the last columns.
 
-        No second matrix-sized array is alive at any point.  ``np.take``
-        buffers a non-contiguous ``out``, so each raw block costs one
-        transient block-sized buffer.
+        No second matrix-sized array is alive at any point: the hashing,
+        gather and kernel transients are bounded by a chunk, and the
+        similarity ones by one attribute's unique value pairs.
         """
         if indices is None:
             indices = range(len(dataset.pairs))
@@ -305,33 +174,52 @@ class PairFeaturizer:
         right_records = [dataset.right[pair.right_id] for pair in pairs]
 
         config = self.config
-        width = config.hash_dim
-        column = 0
-        if config.include_raw or config.include_interactions:
-            left_rows, right_rows, unique_texts = self._record_rows(
-                pairs, left_records, right_records, attributes)
-            record_matrix = self._hasher.transform(unique_texts)
-            if config.include_raw:
-                left = np.take(record_matrix, left_rows, axis=0,
-                               out=output[:, :width])
-                right = np.take(record_matrix, right_rows, axis=0,
-                                out=output[:, width:2 * width])
-                column = 2 * width
-            else:
-                left = record_matrix[left_rows]
-                right = record_matrix[right_rows]
-            if config.include_interactions:
-                np.multiply(left, right, out=output[:, column:column + width])
-                column += width
-                difference = np.subtract(left, right,
-                                         out=output[:, column:column + width])
-                np.abs(difference, out=difference)
-                column += width
-
+        hashed = 2 * config.hash_dim * (config.include_raw + config.include_interactions)
+        if hashed:
+            self._hashed_block(pairs, left_records, right_records, attributes,
+                               output[:, :hashed])
         if config.include_similarities:
             self._similarity_block(left_records, right_records, attributes,
-                                   dataset.left.schema, output[:, column:])
+                                   dataset.left.schema, output[:, hashed:])
         return output
+
+    def _hashed_block(
+        self,
+        pairs: Sequence[CandidatePair],
+        left_records: Sequence[Record],
+        right_records: Sequence[Record],
+        attributes: Sequence[str],
+        block: np.ndarray,
+    ) -> None:
+        """Fill ``block`` with every pair's raw and interaction columns.
+
+        The per-record matrix is gathered :data:`_GATHER_ROWS` rows at a
+        time: ``np.take`` buffers a non-contiguous ``out`` whole, so a
+        gather costs one chunk-sized buffer, not one block.  The matrix is
+        released when this returns, before the similarity block runs.
+        """
+        width = self.config.hash_dim
+        left_rows, right_rows, unique_texts = self._record_rows(
+            pairs, left_records, right_records, attributes)
+        record_matrix = self._hasher.transform(unique_texts)
+        for start in range(0, len(pairs), _GATHER_ROWS):
+            rows = slice(start, start + _GATHER_ROWS)
+            chunk = block[rows]
+            column = 0
+            if self.config.include_raw:
+                left = np.take(record_matrix, left_rows[rows], axis=0,
+                               out=chunk[:, :width])
+                right = np.take(record_matrix, right_rows[rows], axis=0,
+                                out=chunk[:, width:2 * width])
+                column = 2 * width
+            else:
+                left = record_matrix[left_rows[rows]]
+                right = record_matrix[right_rows[rows]]
+            if self.config.include_interactions:
+                np.multiply(left, right, out=chunk[:, column:column + width])
+                difference = np.subtract(
+                    left, right, out=chunk[:, column + width:column + 2 * width])
+                np.abs(difference, out=difference)
 
     def _record_rows(
         self,
@@ -384,35 +272,58 @@ class PairFeaturizer:
         """Fill ``block`` with every pair's per-attribute similarity features.
 
         ``block`` is the output's similarity slice, one row per pair and
-        :attr:`SIMILARITIES_PER_ATTRIBUTE` columns per attribute; each
-        value pair's features are computed once.
+        :attr:`SIMILARITIES_PER_ATTRIBUTE` columns per attribute.  Per
+        attribute, one dict pass numbers the unique ``(left_value,
+        right_value)`` pairs, :func:`_value_pair_features` fills a ``(unique,
+        6)`` array with the batched kernels, and one ``np.take`` scatters it
+        to the rows.
         """
         per_attribute = self.SIMILARITIES_PER_ATTRIBUTE
-        qgram_size = self.config.qgram_size
-        value_entries: dict[str, _ValueEntry] = {}
-
-        def entry_of(value: str) -> _ValueEntry:
-            entry = value_entries.get(value)
-            if entry is None:
-                entry = _ValueEntry(value, qgram_size)
-                value_entries[value] = entry
-            return entry
-
         for attribute_index, name in enumerate(attributes):
-            # Values rarely repeat across attributes, and their token and
-            # q-gram sets are the largest transient of a transform, so the
-            # cache holds one attribute's values at a time.
-            value_entries.clear()
-            kind = schema.attribute(name).kind
+            codes: dict[tuple[str, str], int] = {}
+            rows = np.fromiter(
+                (codes.setdefault((left.value(name), right.value(name)), len(codes))
+                 for left, right in zip(left_records, right_records)),
+                dtype=np.int64, count=len(left_records))
+            features = _value_pair_features(
+                list(codes), schema.attribute(name).kind, self.config.qgram_size)
             start = attribute_index * per_attribute
-            keys = [(left.value(name), right.value(name))
-                    for left, right in zip(left_records, right_records)]
-            pair_cache: dict[tuple[str, str], list[float]] = {}
-            for key in keys:
-                if key not in pair_cache:
-                    pair_cache[key] = _cached_similarities(
-                        entry_of(key[0]), entry_of(key[1]), kind, qgram_size)
-            # One vectorized conversion per attribute instead of one slice
-            # assignment per pair.
-            block[:, start:start + per_attribute] = [pair_cache[key]
-                                                     for key in keys]
+            np.take(features, rows, axis=0,
+                    out=block[:, start:start + per_attribute])
+
+
+def _value_pair_features(keys: list[tuple[str, str]], kind: AttributeType,
+                         qgram_size: int) -> np.ndarray:
+    """The similarity features of each unique value pair of one attribute.
+
+    Columns: token Jaccard, q-gram Jaccard, overlap coefficient, token
+    cosine, then a numeric measure (numeric attributes, one pair at a
+    time), Levenshtein (values up to ``_EDIT_DISTANCE_MAX_LENGTH``
+    characters) or Jaro-Winkler on the truncated values, and finally a
+    missing-value flag.  Each column comes from the batched form of its
+    measure in :mod:`repro.text.similarity`, which equals the measure bit
+    for bit.
+    """
+    index: dict[str, int] = {}
+    left = np.fromiter((index.setdefault(value, len(index)) for value, _ in keys),
+                       dtype=np.int64, count=len(keys))
+    right = np.fromiter((index.setdefault(value, len(index)) for _, value in keys),
+                        dtype=np.int64, count=len(keys))
+    values = list(index)
+    features = np.empty((len(keys), PairFeaturizer.SIMILARITIES_PER_ATTRIBUTE))
+    features[:, [0, 2, 3]] = token_set_similarities(values, left, right)
+    features[:, 1] = qgram_jaccard_similarities(values, left, right, q=qgram_size)
+    if kind is AttributeType.NUMERIC:
+        features[:, 4] = [numeric_similarity(a, b) for a, b in keys]
+    else:
+        lengths = np.fromiter(map(len, values), dtype=np.int64, count=len(values))
+        too_long = np.maximum(lengths[left], lengths[right]) > _EDIT_DISTANCE_MAX_LENGTH
+        edit, jaro = np.flatnonzero(~too_long), np.flatnonzero(too_long)
+        features[edit, 4] = levenshtein_similarities(values, left[edit], right[edit])
+        truncated = [value[:_EDIT_DISTANCE_MAX_LENGTH] for value in values]
+        features[jaro, 4] = jaro_winkler_similarities(truncated, left[jaro],
+                                                      right[jaro])
+    blank = np.fromiter((not value.strip() for value in values), dtype=bool,
+                        count=len(values))
+    features[:, 5] = blank[left] | blank[right]
+    return features

@@ -7,21 +7,65 @@ hashed text features.  This module implements the measures it uses from
 scratch: Levenshtein, Jaro, Jaro-Winkler, Jaccard (token and q-gram), the
 overlap coefficient, cosine similarity over token counts, and a numeric
 measure.  All measures return values in ``[0, 1]`` with 1 meaning identical.
+
+The scalar measures are the definitions.  The featurizer compares many value
+pairs at once through their batched forms (the ``*_similarities`` kernels
+next to each definition): every kernel takes a list of unique ``values`` and
+two integer arrays ``left``/``right`` indexing it, and its element ``i``
+equals the scalar measure on ``(values[left[i]], values[right[i]])`` bit for
+bit.  The set measures count intersections of integer-coded sets in bulk,
+Levenshtein runs Myers' recurrence on ``uint64`` lanes and Jaro-Winkler runs
+its greedy matching on boolean lanes, one lane per pair, at most
+:data:`_LANE_CHUNK` pairs per pass.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Iterable, Sequence
 
-from repro.text.tokenization import normalize, qgram_set, token_counts, token_set
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.text.tokenization import (
+    normalize,
+    qgram_set,
+    token_counts,
+    token_set,
+    tokenize,
+)
+
+#: Pairs per pass of the batched kernels; bounds every per-pass array (a
+#: Levenshtein pass holds a ``(pairs, text length, 64)`` boolean table).
+_LANE_CHUNK = 512
+
+
+def _chunks(count: int) -> Iterable[slice]:
+    return (slice(start, min(start + _LANE_CHUNK, count))
+            for start in range(0, count, _LANE_CHUNK))
+
+
+def _normalized(values: Sequence[str], left: np.ndarray,
+                right: np.ndarray) -> list[str]:
+    """:func:`normalize` of every value a pair refers to, ``""`` for the rest."""
+    referenced = np.zeros(len(values), dtype=bool)
+    referenced[left] = True
+    referenced[right] = True
+    return [normalize(value) if keep else ""
+            for value, keep in zip(values, referenced.tolist())]
+
+
+def _code_matrix(strings: list[str], width: int) -> np.ndarray:
+    """``(len(strings), width)`` code points, each row zero-padded."""
+    return np.array(strings, dtype=f"U{width}").view(np.uint32).reshape(
+        len(strings), width)
 
 
 def character_positions(pattern: str) -> dict[str, int]:
     """Bitmask of the positions of every character of ``pattern``.
 
-    The table feeding :func:`bitparallel_levenshtein`; callers that compare
-    one string against many (the batched featurizer) build it once per
-    string and reuse it across comparisons.
+    The table feeding :func:`bitparallel_levenshtein`.
     """
     positions: dict[str, int] = {}
     bit = 1
@@ -105,6 +149,82 @@ def levenshtein_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein_distance(a, b) / longest
 
 
+def levenshtein_similarities(values: Sequence[str], left: np.ndarray,
+                             right: np.ndarray) -> np.ndarray:
+    """:func:`levenshtein_similarity` of every pair of ``values[left[i]]``, ``values[right[i]]``.
+
+    A pair whose shorter normalized value fits 64 characters is one lane of
+    :func:`_myers_pass`, with the shorter value as its pattern; lanes run
+    longest text first, so the lanes still reading text at step ``j`` are a
+    prefix of a pass.  A longer pattern (Unicode lowercasing can lengthen a
+    value) takes :func:`levenshtein_distance`'s dynamic program.
+    """
+    normalized = _normalized(values, left, right)
+    lengths = np.fromiter(map(len, normalized), dtype=np.int64,
+                          count=len(normalized))
+    left_lengths, right_lengths = lengths[left], lengths[right]
+    longest = np.maximum(left_lengths, right_lengths)
+    shortest = np.minimum(left_lengths, right_lengths)
+    swap = left_lengths > right_lengths
+    patterns = np.where(swap, right, left)
+    texts = np.where(swap, left, right)
+    similarities = np.where(longest == 0, 1.0, 0.0)
+    lanes = np.flatnonzero((shortest > 0) & (shortest <= 64))
+    lanes = lanes[np.argsort(-longest[lanes], kind="stable")]
+    for chunk in _chunks(len(lanes)):
+        pairs = lanes[chunk]
+        distances = _myers_pass(
+            [normalized[i] for i in patterns[pairs].tolist()],
+            [normalized[i] for i in texts[pairs].tolist()],
+            shortest[pairs], longest[pairs])
+        similarities[pairs] = 1.0 - distances / longest[pairs]
+    for pair in np.flatnonzero(shortest > 64).tolist():
+        distance = levenshtein_distance(normalized[left[pair]],
+                                        normalized[right[pair]])
+        similarities[pair] = 1.0 - distance / int(longest[pair])
+    return similarities
+
+
+def _myers_pass(patterns: list[str], texts: list[str],
+                pattern_lengths: np.ndarray,
+                text_lengths: np.ndarray) -> np.ndarray:
+    """:func:`bitparallel_levenshtein` with one ``uint64`` lane per pair.
+
+    Texts come longest first.  ``match[j, lane]`` holds the lane's
+    :func:`character_positions` entry for its ``j``-th text character in its
+    low bits, built for all lanes with one comparison and one
+    :func:`numpy.packbits`.  The recurrence is the scalar's without its
+    ``& mask``: sums carry and shifts move bits only upwards, so the bits
+    above a lane's pattern length never reach the bits the scalar keeps,
+    and the distance reads bit ``length - 1`` only.
+    """
+    lanes, width = len(patterns), int(text_lengths[0])
+    pattern_width = int(pattern_lengths.max())
+    pattern_codes = _code_matrix(patterns, pattern_width)
+    text_codes = _code_matrix(texts, width)
+    table = np.zeros((width, lanes, 8), dtype=np.uint8)
+    table[:, :, :(pattern_width + 7) // 8] = np.packbits(
+        text_codes.T[:, :, None] == pattern_codes, axis=2, bitorder="little")
+    match = table.view("<u8")[:, :, 0]
+    top = (pattern_lengths - 1).astype(np.uint64)
+    vp = np.full(lanes, 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64)
+    vn = np.zeros(lanes, dtype=np.uint64)
+    distance = pattern_lengths.astype(np.uint64)
+    active = np.searchsorted(-text_lengths, -np.arange(width), side="left")
+    for step, count in enumerate(active.tolist()):
+        pm = match[step, :count]
+        vp_, vn_ = vp[:count], vn[:count]
+        d0 = (((pm & vp_) + vp_) ^ vp_) | pm | vn_
+        hp = vn_ | ~(d0 | vp_)
+        hn = d0 & vp_
+        distance[:count] += (hp >> top[:count]) & 1
+        distance[:count] -= (hn >> top[:count]) & 1
+        hp = (hp << 1) | 1
+        vp[:count] = (hn << 1) | ~(d0 | hp)
+        vn[:count] = hp & d0
+    return distance.astype(np.int64)
+
+
 def jaro_similarity(a: str, b: str) -> float:
     """Jaro similarity between ``a`` and ``b``."""
     a, b = normalize(a), normalize(b)
@@ -157,6 +277,82 @@ def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float
     return jaro + prefix * prefix_weight * (1.0 - jaro)
 
 
+def jaro_winkler_similarities(values: Sequence[str], left: np.ndarray,
+                              right: np.ndarray,
+                              prefix_weight: float = 0.1) -> np.ndarray:
+    """:func:`jaro_winkler_similarity` of every pair of ``values[left[i]]``, ``values[right[i]]``.
+
+    Pairs of distinct non-empty normalized values are lanes of
+    :func:`_jaro_pass`; the common prefix and the Winkler boost are the
+    scalar's, in the scalar's order.
+    """
+    normalized = _normalized(values, left, right)
+    lengths = np.fromiter(map(len, normalized), dtype=np.int64,
+                          count=len(normalized))
+    left_lengths, right_lengths = lengths[left], lengths[right]
+    equal = np.fromiter(
+        (normalized[a] == normalized[b]
+         for a, b in zip(left.tolist(), right.tolist())),
+        dtype=bool, count=len(left))
+    jaro = np.where(equal, 1.0, 0.0)
+    lanes = np.flatnonzero(~equal & (left_lengths > 0) & (right_lengths > 0))
+    lanes = lanes[np.argsort(-left_lengths[lanes], kind="stable")]
+    for chunk in _chunks(len(lanes)):
+        pairs = lanes[chunk]
+        jaro[pairs] = _jaro_pass(
+            [normalized[i] for i in left[pairs].tolist()],
+            [normalized[i] for i in right[pairs].tolist()],
+            left_lengths[pairs], right_lengths[pairs])
+    heads = _code_matrix([string[:4] for string in normalized], 4)
+    agree = ((heads[left] == heads[right])
+             & (np.arange(4) < np.minimum(left_lengths, right_lengths)[:, None]))
+    prefix = np.cumprod(agree, axis=1).sum(axis=1)
+    return jaro + prefix * prefix_weight * (1.0 - jaro)
+
+
+def _jaro_pass(a_strings: list[str], b_strings: list[str],
+               a_lengths: np.ndarray, b_lengths: np.ndarray) -> np.ndarray:
+    """:func:`jaro_similarity` with one boolean lane per pair.
+
+    The ``a`` strings come longest first, so the lanes still matching at
+    step ``i`` are a prefix.  Each step gives every active lane's ``a[i]``
+    the first free ``b[j]`` inside its window, as the scalar's inner loop
+    does; the ``k``-th matched characters of ``a`` and ``b`` then pair up
+    for the transpositions.
+    """
+    lanes, a_width, b_width = len(a_strings), int(a_lengths[0]), int(b_lengths.max())
+    a_codes = _code_matrix(a_strings, a_width)
+    b_codes = _code_matrix(b_strings, b_width)
+    # Offsets and windows in the narrowest type that holds them: the
+    # comparison spans the whole (lanes, a_width, b_width) table.
+    reach = np.min_scalar_type(max(a_width, b_width))
+    offsets = np.abs(np.arange(a_width)[:, None] - np.arange(b_width)).astype(reach)
+    window = np.maximum(np.maximum(a_lengths, b_lengths) // 2 - 1, 0).astype(reach)
+    candidates = a_codes[:, :, None] == b_codes[:, None, :]
+    candidates &= offsets <= window[:, None, None]
+    # Padding past a lane's b string is never free, so never matched.
+    b_real = np.arange(b_width) < b_lengths[:, None]
+    b_free = b_real.copy()
+    a_matched = np.zeros(a_codes.shape, dtype=bool)
+    rows = np.arange(lanes)
+    active = np.searchsorted(-a_lengths, -np.arange(a_width), side="left")
+    for i, count in enumerate(active.tolist()):
+        options = candidates[:count, i] & b_free[:count]
+        first = options.argmax(axis=1)
+        hit = options[rows[:count], first].nonzero()[0]
+        a_matched[hit, i] = True
+        b_free[hit, first[hit]] = False
+    matches = a_matched.sum(axis=1)
+    crossed = a_codes[a_matched] != b_codes[b_real & ~b_free]
+    transpositions = np.bincount(np.nonzero(a_matched)[0][crossed],
+                                 minlength=lanes) // 2
+    jaro = np.zeros(lanes)
+    hit = matches > 0
+    m, t = matches[hit], transpositions[hit]
+    jaro[hit] = (m / a_lengths[hit] + m / b_lengths[hit] + (m - t) / m) / 3.0
+    return jaro
+
+
 def jaccard_similarity(a: str, b: str) -> float:
     """Jaccard similarity over word tokens."""
     set_a, set_b = token_set(a), token_set(b)
@@ -203,6 +399,123 @@ def cosine_token_similarity(a: str, b: str) -> float:
     if norm_a == 0 or norm_b == 0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+def token_set_similarities(values: Sequence[str], left: np.ndarray,
+                           right: np.ndarray) -> np.ndarray:
+    """Token measures of every pair of ``values[left[i]]``, ``values[right[i]]``.
+
+    Columns: :func:`jaccard_similarity`, :func:`overlap_coefficient` and
+    :func:`cosine_token_similarity`.  The integer union and dot product and
+    the count norms are the scalars' exact integers, so the quotients are
+    their floats.
+    """
+    tokens = [tokenize(value) for value in values]
+    ids: dict[str, int] = {}
+    owner = np.repeat(np.arange(len(values)),
+                      np.fromiter(map(len, tokens), dtype=np.int64, count=len(values)))
+    item = np.fromiter((ids.setdefault(token, len(ids))
+                        for token in chain.from_iterable(tokens)),
+                       dtype=np.int64, count=len(owner))
+    sizes, norms, shared, dot = _set_overlaps(owner, item, len(values), left, right)
+    a, b = sizes[left], sizes[right]
+    similarities = np.zeros((len(left), 3))
+    similarities[(a == 0) & (b == 0)] = 1.0
+    both = np.flatnonzero((a > 0) & (b > 0))
+    a, b, common = a[both], b[both], shared[both]
+    similarities[both, 0] = common / (a + b - common)
+    similarities[both, 1] = common / np.minimum(a, b)
+    similarities[both, 2] = dot[both] / (norms[left[both]] * norms[right[both]])
+    return similarities
+
+
+def qgram_jaccard_similarities(values: Sequence[str], left: np.ndarray,
+                               right: np.ndarray, q: int = 3) -> np.ndarray:
+    """:func:`qgram_jaccard_similarity` of every pair of ``values[left[i]]``, ``values[right[i]]``.
+
+    The q-grams of :func:`~repro.text.tokenization.qgrams` are cut from the
+    code points of all padded values at once, and each gets the dense rank
+    of its code points as its id.
+    """
+    padding = "#" * (q - 1)
+    padded = [f"{padding}{text}{padding}" if text else ""
+              for text in _normalized(values, left, right)]
+    lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
+    # A non-empty padded value is at least q long, so it has len - q + 1 grams.
+    grams = np.maximum(lengths - q + 1, 0)
+    owner = np.repeat(np.arange(len(values)), grams)
+    if len(owner):
+        starts = np.arange(len(owner)) + np.repeat(
+            np.cumsum(lengths) - lengths - (np.cumsum(grams) - grams), grams)
+        codes = _code_matrix(["".join(padded)], int(lengths.sum()))[0]
+        item = _row_ranks(sliding_window_view(codes, q)[starts])
+    else:
+        item = owner
+    sizes, _, shared, _ = _set_overlaps(owner, item, len(values), left, right)
+    union = sizes[left] + sizes[right] - shared
+    similarities = np.ones(len(left))
+    some = np.flatnonzero(union)
+    similarities[some] = shared[some] / union[some]
+    return similarities
+
+
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense ranks of the rows of a ``uint32`` code-point matrix.
+
+    Code points take 21 bits, so up to three columns are packed into one
+    ``uint64`` before a rank replaces them.
+    """
+    ranks = np.zeros(len(rows), dtype=np.uint64)
+    bits = 0
+    for column in rows.T:
+        if bits + 21 > 64:
+            ranks = np.unique(ranks, return_inverse=True)[1].astype(np.uint64)
+            bits = len(rows).bit_length()
+        ranks = (ranks << 21) | column
+        bits += 21
+    return np.unique(ranks, return_inverse=True)[1].astype(np.int64)
+
+
+def _set_overlaps(
+    owner: np.ndarray, item: np.ndarray, num_values: int,
+    left: np.ndarray, right: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Intersections of integer-coded sets, counted in bulk.
+
+    ``item[k]`` is the id of an occurrence in value ``owner[k]``.  Each
+    value's distinct ids and their counts become keys ``value * ids + id``
+    in one sorted array, and each pair looks the keys of its smaller set up
+    in the other's with one :func:`numpy.searchsorted` per pass.  Returns
+    per value its number of distinct items and the norm of its count
+    vector, and per pair the number of shared items and the dot product of
+    the two count vectors.
+    """
+    num_ids = int(item.max()) + 1 if len(item) else 1
+    keys, counts = np.unique(owner * num_ids + item, return_counts=True)
+    key_owner = keys // num_ids
+    size = np.bincount(key_owner, minlength=num_values)
+    norms = np.sqrt(np.bincount(key_owner, weights=counts * counts,
+                                minlength=num_values))
+    starts = np.cumsum(size) - size
+    smaller = size[left] <= size[right]
+    probes = np.where(smaller, left, right)
+    offsets = (np.where(smaller, right, left) - probes) * num_ids
+    shared = np.zeros(len(left), dtype=np.int64)
+    dot = np.zeros(len(left))
+    for chunk in _chunks(len(left)):
+        probe = probes[chunk]
+        lengths = size[probe]
+        pair = np.repeat(np.arange(len(probe)), lengths)
+        entry = np.arange(len(pair)) + np.repeat(
+            starts[probe] - (np.cumsum(lengths) - lengths), lengths)
+        query = keys[entry] + offsets[chunk][pair]
+        where = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        found = keys[where] == query
+        pair, entry, where = pair[found], entry[found], where[found]
+        shared[chunk] = np.bincount(pair, minlength=len(probe))
+        dot[chunk] = np.bincount(pair, weights=counts[entry] * counts[where],
+                                 minlength=len(probe))
+    return size, norms, shared, dot
 
 
 def numeric_similarity(a: str, b: str) -> float:

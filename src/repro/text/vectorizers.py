@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.text.tokenization import qgrams, tokenize
 
+#: Texts hashed per pass of :meth:`HashingVectorizer.transform`.
+_TEXT_CHUNK = 256
+
 
 def _stable_hash(token: str, seed: int = 0) -> int:
     """Deterministic 64-bit hash of ``token`` (stable across processes)."""
@@ -45,11 +48,11 @@ class HashingVectorizer:
 
     :meth:`transform` hashes every *distinct* feature string exactly once
     through a shared feature → ``(column, sign)`` table (kept on the
-    instance, so repeated calls keep amortizing), scatters all occurrences in
-    one :func:`numpy.bincount` pass, and normalizes row-wise.  Its output is
-    bit-identical to hashing every occurrence of every text one vector at a
-    time (the seed path, kept as a test oracle): the scattered values are
-    ±1, whose float64 sums are exact in any order, and each row is
+    instance, so repeated calls keep amortizing), scatters a chunk of texts'
+    occurrences in one :func:`numpy.bincount` pass, and normalizes row-wise.
+    Its output is bit-identical to hashing every occurrence of every text one
+    vector at a time (the seed path, kept as a test oracle): the scattered
+    values are ±1, whose float64 sums are exact in any order, and each row is
     normalized with the very same ``np.linalg.norm(row)`` / in-place
     division.
     """
@@ -83,42 +86,45 @@ class HashingVectorizer:
             self._feature_table[feature] = index + 1
 
     def transform(self, texts: Sequence[str]) -> np.ndarray:
-        """Vectorize a sequence of texts into a ``(n, num_features)`` matrix."""
-        num_features = self.config.num_features
-        n = len(texts)
-        if n == 0:
-            return np.zeros((0, num_features), dtype=np.float64)
-        table = self._feature_table
-        intern = self._intern_feature
-        per_text = [self._features(text) for text in texts]
-        lengths = np.fromiter(map(len, per_text), dtype=np.int64, count=n)
-        total = int(lengths.sum())
-        if total:
-            for features in per_text:
-                for feature in features:
-                    if feature not in table:
-                        intern(feature)
-            # Translate features through the table at C speed; the sign of a
-            # packed entry is the scatter sign, its magnitude - 1 the column.
-            packed = np.fromiter(
-                map(table.__getitem__, chain.from_iterable(per_text)),
-                dtype=np.int64, count=total)
-            rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-            columns = np.abs(packed) - 1
-            signs = np.where(packed > 0, 1.0, -1.0)
-            flat = np.bincount(rows * num_features + columns, weights=signs,
-                               minlength=n * num_features)
-            matrix = flat.reshape(n, num_features)
-        else:
-            matrix = np.zeros((n, num_features), dtype=np.float64)
+        """Vectorize a sequence of texts into a ``(n, num_features)`` matrix.
+
+        Texts are hashed :data:`_TEXT_CHUNK` at a time, so only one chunk's
+        feature strings and occurrence arrays are alive at once; rows are
+        independent, so the chunking changes no bit.
+        """
+        matrix = np.zeros((len(texts), self.config.num_features), dtype=np.float64)
+        for start in range(0, len(texts), _TEXT_CHUNK):
+            chunk = texts[start:start + _TEXT_CHUNK]
+            matrix[start:start + len(chunk)] = self._scatter(chunk)
         if self.config.normalize:
             # Per-row np.linalg.norm, the exact computation of the
             # one-text-at-a-time path, so normalized rows match it bit for bit.
-            for row in range(n):
-                norm = np.linalg.norm(matrix[row])
+            for row in matrix:
+                norm = np.linalg.norm(row)
                 if norm > 0:
-                    matrix[row] /= norm
+                    row /= norm
         return matrix
+
+    def _scatter(self, texts: Sequence[str]) -> np.ndarray:
+        """Unnormalized ``(len(texts), num_features)`` counts of ``texts``."""
+        num_features = self.config.num_features
+        table = self._feature_table
+        per_text = [self._features(text) for text in texts]
+        for features in per_text:
+            for feature in features:
+                if feature not in table:
+                    self._intern_feature(feature)
+        lengths = np.fromiter(map(len, per_text), dtype=np.int64, count=len(texts))
+        # Translate features through the table at C speed; the sign of a
+        # packed entry is the scatter sign, its magnitude - 1 the column.
+        packed = np.fromiter(map(table.__getitem__, chain.from_iterable(per_text)),
+                             dtype=np.int64, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(len(texts), dtype=np.int64), lengths)
+        columns = np.abs(packed) - 1
+        signs = np.where(packed > 0, 1.0, -1.0)
+        counts = np.bincount(rows * num_features + columns, weights=signs,
+                             minlength=len(texts) * num_features)
+        return counts.reshape(len(texts), num_features)
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
