@@ -1,7 +1,8 @@
 """Micro-benchmarks of the batched featurization pipeline.
 
-``PairFeaturizer.transform`` (batched: record dedup + bulk hashing + the
-batched similarity kernels over unique value pairs) is timed against
+``PairFeaturizer.transform`` (batched: record dedup + bulk hashing +
+similarity features once per unique value pair, the edit measures through
+batched kernels) is timed against
 ``transform_reference`` (the seed-era per-pair loop, the oracle in
 ``tests/reference/featurizer.py``) on a 2k-pair candidate pool and must
 produce a bit-identical matrix.  The measured speedup is reported, not

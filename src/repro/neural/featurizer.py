@@ -22,23 +22,25 @@ once per dataset.
 record text is vectorized exactly once through the bulk
 :meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, and
 per-attribute similarity features are computed once per unique
-``(left_value, right_value)`` pair by the batched kernels of
-:mod:`repro.text.similarity`: integer-coded token and q-gram sets for the
-set measures, Myers' recurrence on ``uint64`` lanes for Levenshtein and
-boolean lanes for Jaro-Winkler; only the numeric measure runs one pair at a
-time.  The output matrix is allocated once and every feature family is
-written into its own columns: the raw blocks are gathered from the
-per-record matrix in row chunks, the interactions are computed from them in
-place, and the similarities fill the last columns, so no second
-matrix-sized array is ever alive.  The output is bit-identical to the seed's
-per-pair loop, which re-hashed both records and recomputed every measure
-from the raw strings for each pair.  That loop is kept as the oracle of the
-test suite's reference package, and artifact stores and curves recorded
-with it stay valid.
+``(left_value, right_value)`` pair: Levenshtein and Jaro-Winkler by the
+batched kernels of :mod:`repro.text.similarity` (Myers' recurrence on
+``uint64`` lanes, greedy matching on boolean lanes), the set measures from
+each value's token and q-gram sets, built once per value, and the numeric
+measure one pair at a time.  The output matrix is allocated once and
+every feature family is written into its own columns: the raw blocks are
+gathered from the per-record matrix in row chunks, the interactions are
+computed from them in place, and the similarities fill the last columns,
+so no second matrix-sized array is ever alive.  The output is
+bit-identical to the seed's per-pair loop, which re-hashed both records and
+recomputed every measure from the raw strings for each pair.  That loop is
+kept as the oracle of the test suite's reference package, and artifact
+stores and curves recorded with it stay valid.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,9 +54,8 @@ from repro.text.similarity import (
     jaro_winkler_similarities,
     levenshtein_similarities,
     numeric_similarity,
-    qgram_jaccard_similarities,
-    token_set_similarities,
 )
+from repro.text.tokenization import qgram_set, tokenize
 from repro.text.vectorizers import HashingVectorizer, HashingVectorizerConfig
 
 #: Values longer than this fall back from edit distance to Jaccard (cost control).
@@ -153,9 +154,9 @@ class PairFeaturizer:
            each chunk with ``np.multiply`` and ``np.subtract`` + ``np.abs``
            into their slices; the per-record matrix is then released;
         3. per attribute, the unique ``(left_value, right_value)`` pairs are
-           numbered in one dict pass, the batched similarity kernels fill
-           one row per unique pair, and one ``np.take`` scatters the rows
-           into the last columns.
+           numbered in one dict pass, one row per unique pair is filled
+           (the edit measures by the batched similarity kernels), and one
+           ``np.take`` scatters the rows into the last columns.
 
         No second matrix-sized array is alive at any point: the hashing,
         gather and kernel transients are bounded by a chunk, and the
@@ -275,8 +276,7 @@ class PairFeaturizer:
         :attr:`SIMILARITIES_PER_ATTRIBUTE` columns per attribute.  Per
         attribute, one dict pass numbers the unique ``(left_value,
         right_value)`` pairs, :func:`_value_pair_features` fills a ``(unique,
-        6)`` array with the batched kernels, and one ``np.take`` scatters it
-        to the rows.
+        6)`` array, and one ``np.take`` scatters it to the rows.
         """
         per_attribute = self.SIMILARITIES_PER_ATTRIBUTE
         for attribute_index, name in enumerate(attributes):
@@ -297,12 +297,12 @@ def _value_pair_features(keys: list[tuple[str, str]], kind: AttributeType,
     """The similarity features of each unique value pair of one attribute.
 
     Columns: token Jaccard, q-gram Jaccard, overlap coefficient, token
-    cosine, then a numeric measure (numeric attributes, one pair at a
-    time), Levenshtein (values up to ``_EDIT_DISTANCE_MAX_LENGTH``
-    characters) or Jaro-Winkler on the truncated values, and finally a
-    missing-value flag.  Each column comes from the batched form of its
-    measure in :mod:`repro.text.similarity`, which equals the measure bit
-    for bit.
+    cosine (:func:`_set_measures`), then a numeric measure (numeric
+    attributes, one pair at a time), Levenshtein (values up to
+    ``_EDIT_DISTANCE_MAX_LENGTH`` characters) or Jaro-Winkler on the
+    truncated values, both from the batched kernels of
+    :mod:`repro.text.similarity`, and finally a missing-value flag.  Every
+    column equals its measure of :mod:`repro.text.similarity` bit for bit.
     """
     index: dict[str, int] = {}
     left = np.fromiter((index.setdefault(value, len(index)) for value, _ in keys),
@@ -311,8 +311,7 @@ def _value_pair_features(keys: list[tuple[str, str]], kind: AttributeType,
                         dtype=np.int64, count=len(keys))
     values = list(index)
     features = np.empty((len(keys), PairFeaturizer.SIMILARITIES_PER_ATTRIBUTE))
-    features[:, [0, 2, 3]] = token_set_similarities(values, left, right)
-    features[:, 1] = qgram_jaccard_similarities(values, left, right, q=qgram_size)
+    features[:, :4] = _set_measures(values, left, right, qgram_size)
     if kind is AttributeType.NUMERIC:
         features[:, 4] = [numeric_similarity(a, b) for a, b in keys]
     else:
@@ -327,3 +326,44 @@ def _value_pair_features(keys: list[tuple[str, str]], kind: AttributeType,
                         count=len(values))
     features[:, 5] = blank[left] | blank[right]
     return features
+
+
+def _set_measures(values: list[str], left: np.ndarray, right: np.ndarray,
+                  qgram_size: int) -> np.ndarray:
+    """Token Jaccard, q-gram Jaccard, overlap and token cosine of each pair.
+
+    Each value is tokenized and cut into q-grams once; a pair then only
+    intersects its two values' sets.  ``len(a | b)`` becomes the equal
+    integer ``len(a) + len(b) - len(a & b)``, and the dot product and the
+    count norms are the scalars' exact integers, so every quotient is the
+    scalar measure's float.
+    """
+    token_lists = [tokenize(value) for value in values]
+    tokens = [set(found) for found in token_lists]
+    counts = [Counter(found) for found in token_lists]
+    norms = [math.sqrt(sum(count * count for count in found.values()))
+             for found in counts]
+    grams = [qgram_set(value, q=qgram_size) for value in values]
+    measures: list[tuple[float, float, float, float]] = []
+    for a, b in zip(left.tolist(), right.tolist()):
+        tokens_a, tokens_b = tokens[a], tokens[b]
+        if not tokens_a and not tokens_b:
+            jaccard = overlap = cosine = 1.0
+        elif not tokens_a or not tokens_b:
+            jaccard = overlap = cosine = 0.0
+        else:
+            shared = tokens_a & tokens_b
+            common = len(shared)
+            jaccard = common / (len(tokens_a) + len(tokens_b) - common)
+            overlap = common / min(len(tokens_a), len(tokens_b))
+            counts_a, counts_b = counts[a], counts[b]
+            cosine = (sum(counts_a[token] * counts_b[token] for token in shared)
+                      / (norms[a] * norms[b]))
+        grams_a, grams_b = grams[a], grams[b]
+        if not grams_a and not grams_b:
+            qgram = 1.0
+        else:
+            common = len(grams_a & grams_b)
+            qgram = common / (len(grams_a) + len(grams_b) - common)
+        measures.append((jaccard, qgram, overlap, cosine))
+    return np.array(measures, dtype=np.float64).reshape(len(measures), 4)

@@ -9,32 +9,27 @@ overlap coefficient, cosine similarity over token counts, and a numeric
 measure.  All measures return values in ``[0, 1]`` with 1 meaning identical.
 
 The scalar measures are the definitions.  The featurizer compares many value
-pairs at once through their batched forms (the ``*_similarities`` kernels
-next to each definition): every kernel takes a list of unique ``values`` and
-two integer arrays ``left``/``right`` indexing it, and its element ``i``
-equals the scalar measure on ``(values[left[i]], values[right[i]])`` bit for
-bit.  The set measures count intersections of integer-coded sets in bulk,
-Levenshtein runs Myers' recurrence on ``uint64`` lanes and Jaro-Winkler runs
-its greedy matching on boolean lanes, one lane per pair, at most
-:data:`_LANE_CHUNK` pairs per pass.
+pairs at once through the batched forms of the two edit measures
+(:func:`levenshtein_similarities` and :func:`jaro_winkler_similarities`):
+each takes a list of unique ``values`` and two integer arrays
+``left``/``right`` indexing it, and its element ``i`` equals the scalar
+measure on ``(values[left[i]], values[right[i]])`` bit for bit.  Levenshtein
+runs Myers' recurrence on ``uint64`` lanes and Jaro-Winkler runs its greedy
+matching on boolean lanes, one lane per pair, at most :data:`_LANE_CHUNK`
+pairs per pass.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.text.tokenization import (
-    normalize,
-    qgram_set,
-    token_counts,
-    token_set,
-    tokenize,
-)
+from repro.text.tokenization import normalize, qgram_set, token_counts, token_set
+
+#: Weight of each common-prefix character in Jaro-Winkler.
+_PREFIX_WEIGHT = 0.1
 
 #: Pairs per pass of the batched kernels; bounds every per-pass array (a
 #: Levenshtein pass holds a ``(pairs, text length, 64)`` boolean table).
@@ -62,29 +57,20 @@ def _code_matrix(strings: list[str], width: int) -> np.ndarray:
         len(strings), width)
 
 
-def character_positions(pattern: str) -> dict[str, int]:
-    """Bitmask of the positions of every character of ``pattern``.
+def _levenshtein_bitparallel(pattern: str, text: str) -> int:
+    """Myers' bit-parallel exact edit distance (pattern of <= 64 chars).
 
-    The table feeding :func:`bitparallel_levenshtein`.
+    Encodes a whole DP column in the bits of one integer (Myers 1999, in
+    Hyyrö's formulation), so each text character costs a handful of integer
+    operations instead of a Python inner loop over the pattern; returns the
+    same integer as the dynamic program.
     """
     positions: dict[str, int] = {}
     bit = 1
     for char in pattern:
         positions[char] = positions.get(char, 0) | bit
         bit <<= 1
-    return positions
-
-
-def bitparallel_levenshtein(positions: dict[str, int], length: int,
-                            text: str) -> int:
-    """Myers' bit-parallel exact edit distance (pattern of <= 64 chars).
-
-    Encodes a whole DP column in the bits of one integer (Myers 1999, in
-    Hyyrö's formulation), so each text character costs a handful of integer
-    operations instead of a Python inner loop over the pattern.  Takes the
-    pattern pre-digested as its :func:`character_positions` table plus its
-    ``length``; returns the same integer as the dynamic program.
-    """
+    length = len(pattern)
     mask = (1 << length) - 1
     high = 1 << (length - 1)
     vp = mask
@@ -105,12 +91,6 @@ def bitparallel_levenshtein(positions: dict[str, int], length: int,
         vp = hn | (~(d0 | hp) & mask)
         vn = hp & d0
     return distance
-
-
-def _levenshtein_bitparallel(pattern: str, text: str) -> int:
-    """Exact edit distance via the bit-parallel core (pattern <= 64 chars)."""
-    return bitparallel_levenshtein(character_positions(pattern), len(pattern),
-                                   text)
 
 
 def levenshtein_distance(a: str, b: str) -> int:
@@ -188,15 +168,15 @@ def levenshtein_similarities(values: Sequence[str], left: np.ndarray,
 def _myers_pass(patterns: list[str], texts: list[str],
                 pattern_lengths: np.ndarray,
                 text_lengths: np.ndarray) -> np.ndarray:
-    """:func:`bitparallel_levenshtein` with one ``uint64`` lane per pair.
+    """:func:`_levenshtein_bitparallel` with one ``uint64`` lane per pair.
 
-    Texts come longest first.  ``match[j, lane]`` holds the lane's
-    :func:`character_positions` entry for its ``j``-th text character in its
-    low bits, built for all lanes with one comparison and one
-    :func:`numpy.packbits`.  The recurrence is the scalar's without its
-    ``& mask``: sums carry and shifts move bits only upwards, so the bits
-    above a lane's pattern length never reach the bits the scalar keeps,
-    and the distance reads bit ``length - 1`` only.
+    Texts come longest first.  ``match[j, lane]`` holds the lane's bitmask
+    of the pattern positions equal to its ``j``-th text character, built
+    for all lanes with one comparison and one :func:`numpy.packbits`.  The
+    recurrence is the scalar's without its ``& mask``: sums carry and
+    shifts move bits only upwards, so the bits above a lane's pattern
+    length never reach the bits the scalar keeps, and the distance reads
+    bit ``length - 1`` only.
     """
     lanes, width = len(patterns), int(text_lengths[0])
     pattern_width = int(pattern_lengths.max())
@@ -265,7 +245,8 @@ def jaro_similarity(a: str, b: str) -> float:
     return (matches / len(a) + matches / len(b) + (matches - transpositions) / matches) / 3.0
 
 
-def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float:
+def jaro_winkler_similarity(a: str, b: str,
+                            prefix_weight: float = _PREFIX_WEIGHT) -> float:
     """Jaro-Winkler similarity: Jaro boosted by the length of the common prefix."""
     jaro = jaro_similarity(a, b)
     a, b = normalize(a), normalize(b)
@@ -278,8 +259,7 @@ def jaro_winkler_similarity(a: str, b: str, prefix_weight: float = 0.1) -> float
 
 
 def jaro_winkler_similarities(values: Sequence[str], left: np.ndarray,
-                              right: np.ndarray,
-                              prefix_weight: float = 0.1) -> np.ndarray:
+                              right: np.ndarray) -> np.ndarray:
     """:func:`jaro_winkler_similarity` of every pair of ``values[left[i]]``, ``values[right[i]]``.
 
     Pairs of distinct non-empty normalized values are lanes of
@@ -307,7 +287,7 @@ def jaro_winkler_similarities(values: Sequence[str], left: np.ndarray,
     agree = ((heads[left] == heads[right])
              & (np.arange(4) < np.minimum(left_lengths, right_lengths)[:, None]))
     prefix = np.cumprod(agree, axis=1).sum(axis=1)
-    return jaro + prefix * prefix_weight * (1.0 - jaro)
+    return jaro + prefix * _PREFIX_WEIGHT * (1.0 - jaro)
 
 
 def _jaro_pass(a_strings: list[str], b_strings: list[str],
@@ -399,123 +379,6 @@ def cosine_token_similarity(a: str, b: str) -> float:
     if norm_a == 0 or norm_b == 0:
         return 0.0
     return dot / (norm_a * norm_b)
-
-
-def token_set_similarities(values: Sequence[str], left: np.ndarray,
-                           right: np.ndarray) -> np.ndarray:
-    """Token measures of every pair of ``values[left[i]]``, ``values[right[i]]``.
-
-    Columns: :func:`jaccard_similarity`, :func:`overlap_coefficient` and
-    :func:`cosine_token_similarity`.  The integer union and dot product and
-    the count norms are the scalars' exact integers, so the quotients are
-    their floats.
-    """
-    tokens = [tokenize(value) for value in values]
-    ids: dict[str, int] = {}
-    owner = np.repeat(np.arange(len(values)),
-                      np.fromiter(map(len, tokens), dtype=np.int64, count=len(values)))
-    item = np.fromiter((ids.setdefault(token, len(ids))
-                        for token in chain.from_iterable(tokens)),
-                       dtype=np.int64, count=len(owner))
-    sizes, norms, shared, dot = _set_overlaps(owner, item, len(values), left, right)
-    a, b = sizes[left], sizes[right]
-    similarities = np.zeros((len(left), 3))
-    similarities[(a == 0) & (b == 0)] = 1.0
-    both = np.flatnonzero((a > 0) & (b > 0))
-    a, b, common = a[both], b[both], shared[both]
-    similarities[both, 0] = common / (a + b - common)
-    similarities[both, 1] = common / np.minimum(a, b)
-    similarities[both, 2] = dot[both] / (norms[left[both]] * norms[right[both]])
-    return similarities
-
-
-def qgram_jaccard_similarities(values: Sequence[str], left: np.ndarray,
-                               right: np.ndarray, q: int = 3) -> np.ndarray:
-    """:func:`qgram_jaccard_similarity` of every pair of ``values[left[i]]``, ``values[right[i]]``.
-
-    The q-grams of :func:`~repro.text.tokenization.qgrams` are cut from the
-    code points of all padded values at once, and each gets the dense rank
-    of its code points as its id.
-    """
-    padding = "#" * (q - 1)
-    padded = [f"{padding}{text}{padding}" if text else ""
-              for text in _normalized(values, left, right)]
-    lengths = np.fromiter(map(len, padded), dtype=np.int64, count=len(padded))
-    # A non-empty padded value is at least q long, so it has len - q + 1 grams.
-    grams = np.maximum(lengths - q + 1, 0)
-    owner = np.repeat(np.arange(len(values)), grams)
-    if len(owner):
-        starts = np.arange(len(owner)) + np.repeat(
-            np.cumsum(lengths) - lengths - (np.cumsum(grams) - grams), grams)
-        codes = _code_matrix(["".join(padded)], int(lengths.sum()))[0]
-        item = _row_ranks(sliding_window_view(codes, q)[starts])
-    else:
-        item = owner
-    sizes, _, shared, _ = _set_overlaps(owner, item, len(values), left, right)
-    union = sizes[left] + sizes[right] - shared
-    similarities = np.ones(len(left))
-    some = np.flatnonzero(union)
-    similarities[some] = shared[some] / union[some]
-    return similarities
-
-
-def _row_ranks(rows: np.ndarray) -> np.ndarray:
-    """Dense ranks of the rows of a ``uint32`` code-point matrix.
-
-    Code points take 21 bits, so up to three columns are packed into one
-    ``uint64`` before a rank replaces them.
-    """
-    ranks = np.zeros(len(rows), dtype=np.uint64)
-    bits = 0
-    for column in rows.T:
-        if bits + 21 > 64:
-            ranks = np.unique(ranks, return_inverse=True)[1].astype(np.uint64)
-            bits = len(rows).bit_length()
-        ranks = (ranks << 21) | column
-        bits += 21
-    return np.unique(ranks, return_inverse=True)[1].astype(np.int64)
-
-
-def _set_overlaps(
-    owner: np.ndarray, item: np.ndarray, num_values: int,
-    left: np.ndarray, right: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Intersections of integer-coded sets, counted in bulk.
-
-    ``item[k]`` is the id of an occurrence in value ``owner[k]``.  Each
-    value's distinct ids and their counts become keys ``value * ids + id``
-    in one sorted array, and each pair looks the keys of its smaller set up
-    in the other's with one :func:`numpy.searchsorted` per pass.  Returns
-    per value its number of distinct items and the norm of its count
-    vector, and per pair the number of shared items and the dot product of
-    the two count vectors.
-    """
-    num_ids = int(item.max()) + 1 if len(item) else 1
-    keys, counts = np.unique(owner * num_ids + item, return_counts=True)
-    key_owner = keys // num_ids
-    size = np.bincount(key_owner, minlength=num_values)
-    norms = np.sqrt(np.bincount(key_owner, weights=counts * counts,
-                                minlength=num_values))
-    starts = np.cumsum(size) - size
-    smaller = size[left] <= size[right]
-    probes = np.where(smaller, left, right)
-    offsets = (np.where(smaller, right, left) - probes) * num_ids
-    shared = np.zeros(len(left), dtype=np.int64)
-    dot = np.zeros(len(left))
-    for chunk in _chunks(len(left)):
-        probe = probes[chunk]
-        lengths = size[probe]
-        pair = np.repeat(np.arange(len(probe)), lengths)
-        entry = np.arange(len(pair)) + np.repeat(
-            starts[probe] - (np.cumsum(lengths) - lengths), lengths)
-        query = keys[entry] + offsets[chunk][pair]
-        where = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        found = keys[where] == query
-        pair, entry, where = pair[found], entry[found], where[found]
-        shared[chunk] = np.bincount(pair, minlength=len(probe))
-        dot[chunk] = np.bincount(pair, weights=counts[entry] * counts[where],
-                                 minlength=len(probe))
-    return size, norms, shared, dot
 
 
 def numeric_similarity(a: str, b: str) -> float:

@@ -7,9 +7,11 @@ the per-pair loop ``reference.featurizer.transform_reference``.  The
 hypothesis suite drives the comparison across the edge cases that exercise
 every cache level: empty values, missing attributes, numeric attributes
 (including non-numeric strings hitting the levenshtein fallback), duplicated
-records, and values longer than the edit-distance cutoff.  Two
-``tracemalloc`` bounds check that the output is the only matrix-sized array
-it allocates and that its transients stay a fraction of it.
+records, and values longer than the edit-distance cutoff; the feature-family
+cases also run with texts hashed and rows gathered one and two at a time, so
+the chunked paths meet a chunk boundary.  Two ``tracemalloc`` bounds check
+that the output is the only matrix-sized array it allocates and that its
+transients stay a fraction of it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from repro.data.pair import CandidatePair, PairSet
 from repro.data.record import Record, Table
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.datasets.registry import load_benchmark
+from repro.neural import featurizer as featurizer_module
 from repro.neural.featurizer import FeaturizerConfig, PairFeaturizer
+from repro.text import vectorizers
 
 _SCHEMA = Schema(
     attributes=(
@@ -103,7 +107,7 @@ def test_property_batch_equals_reference_on_subsets(dataset, data):
                           featurizer.transform(dataset, indices))
 
 
-@pytest.mark.parametrize("config", [
+_FAMILY_CONFIGS = (
     FeaturizerConfig(hash_dim=24),
     FeaturizerConfig(hash_dim=24, include_raw=False),
     FeaturizerConfig(hash_dim=24, include_interactions=False),
@@ -111,8 +115,20 @@ def test_property_batch_equals_reference_on_subsets(dataset, data):
     FeaturizerConfig(hash_dim=24, include_raw=False, include_interactions=False),
     FeaturizerConfig(hash_dim=24, include_raw=False, include_similarities=False),
     FeaturizerConfig(hash_dim=24, qgram_size=2),
+)
+
+
+@pytest.mark.parametrize("config, chunk", [
+    pytest.param(config, chunk,
+                 id=f"config{index}" + (f"-chunk{chunk}" if chunk else ""))
+    for chunk in (None, 1, 2) for index, config in enumerate(_FAMILY_CONFIGS)
 ])
-def test_every_feature_family_combination_is_identical(config):
+def test_every_feature_family_combination_is_identical(config, chunk, monkeypatch):
+    """Every family combination; a ``chunk`` hashes texts and gathers pair
+    rows that many at a time, so a chunk boundary falls between rows."""
+    if chunk is not None:
+        monkeypatch.setattr(featurizer_module, "_GATHER_ROWS", chunk)
+        monkeypatch.setattr(vectorizers, "_TEXT_CHUNK", chunk)
     dataset = _build_dataset(
         [{"title": "canon eos", "brand": "canon", "price": "100"},
          {"title": "", "price": "not a number"},

@@ -1,7 +1,8 @@
 """The batched similarity kernels must equal the scalar measures pair by pair.
 
-Every ``*_similarities`` kernel of :mod:`repro.text.similarity` takes a list
-of values and two index arrays, and its element ``i`` must be the very float
+:func:`~repro.text.similarity.levenshtein_similarities` and
+:func:`~repro.text.similarity.jaro_winkler_similarities` take a list of
+values and two index arrays, and their element ``i`` must be the very float
 the scalar measure returns for ``(values[left[i]], values[right[i]])``.  The
 hypothesis suite draws values from a small alphabet (so values collide,
 repeat characters and share tokens) and from arbitrary text, and runs the
@@ -10,9 +11,10 @@ boundary can fall anywhere.  The named cases cover the edges each kernel
 special-cases: empty and whitespace-only values, equal values, characters
 whose lowercase is longer, Levenshtein patterns of exactly 64 and of more
 than 64 characters, Jaro's zero window, values that whitespace collapsing
-shortens and repeated characters.  The featurizer's own column logic (the
-48/49-character edit-distance cutoff, numeric attributes holding text) is
-checked against the per-pair oracle.
+shortens and repeated characters.  The featurizer's whole row of similarity
+features (the set measures at q-gram sizes 1-5, the 48/49-character
+edit-distance cutoff, numeric attributes holding text) is checked against
+the per-pair oracle.
 """
 
 from __future__ import annotations
@@ -27,16 +29,10 @@ from reference.featurizer import attribute_similarities
 from repro.data.schema import AttributeType
 from repro.neural.featurizer import _value_pair_features
 from repro.text.similarity import (
-    cosine_token_similarity,
-    jaccard_similarity,
     jaro_winkler_similarities,
     jaro_winkler_similarity,
     levenshtein_similarities,
     levenshtein_similarity,
-    overlap_coefficient,
-    qgram_jaccard_similarities,
-    qgram_jaccard_similarity,
-    token_set_similarities,
 )
 
 #: Named values: empty and whitespace-only, equal up to case and spacing,
@@ -55,21 +51,13 @@ _value = st.one_of(st.text(alphabet="abAB cİ\t1.", max_size=24),
                    st.text(max_size=90))
 
 
-def _assert_kernels_match(values: list[str], pairs: list[tuple[int, int]],
-                          q: int = 3) -> None:
+def _assert_kernels_match(values: list[str], pairs: list[tuple[int, int]]) -> None:
     left = np.array([a for a, _ in pairs], dtype=np.int64)
     right = np.array([b for _, b in pairs], dtype=np.int64)
-    tokens = token_set_similarities(values, left, right)
-    qgram = qgram_jaccard_similarities(values, left, right, q=q)
     edit = levenshtein_similarities(values, left, right)
     jaro = jaro_winkler_similarities(values, left, right)
-    assert tokens.shape == (len(pairs), 3)
     for pair, (a, b) in enumerate(pairs):
         x, y = values[a], values[b]
-        assert tokens[pair].tolist() == [jaccard_similarity(x, y),
-                                         overlap_coefficient(x, y),
-                                         cosine_token_similarity(x, y)], (x, y)
-        assert qgram[pair] == qgram_jaccard_similarity(x, y, q=q), (x, y)
         assert edit[pair] == levenshtein_similarity(x, y), (x, y)
         assert jaro[pair] == jaro_winkler_similarity(x, y), (x, y)
 
@@ -86,15 +74,6 @@ def test_property_kernels_equal_scalar_measures(lanes, values, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(similarity, "_LANE_CHUNK", lanes)
         _assert_kernels_match(values, pairs)
-
-
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
-@settings(max_examples=20, deadline=None)
-@given(values=st.lists(_value, min_size=1, max_size=6, unique=True))
-def test_property_qgram_sizes(q, values):
-    """Q-grams longer than three code points take more than one rank pass."""
-    pairs = [(a, b) for a in range(len(values)) for b in range(len(values))]
-    _assert_kernels_match(values, pairs, q=q)
 
 
 @pytest.mark.parametrize("lanes", [2, similarity._LANE_CHUNK])
@@ -132,9 +111,7 @@ def test_named_values_reach_the_full_mask_and_the_dp_fallback(monkeypatch):
 
 def test_no_pairs():
     empty = np.zeros(0, dtype=np.int64)
-    assert token_set_similarities(["a"], empty, empty).shape == (0, 3)
-    for kernel in (qgram_jaccard_similarities, levenshtein_similarities,
-                   jaro_winkler_similarities):
+    for kernel in (levenshtein_similarities, jaro_winkler_similarities):
         assert kernel(["a"], empty, empty).shape == (0,)
 
 
@@ -156,3 +133,15 @@ def test_featurizer_columns_equal_per_pair_oracle(kind, values):
     features = _value_pair_features(keys, kind, qgram_size=3)
     for row, (a, b) in zip(features.tolist(), keys):
         assert row == attribute_similarities(a, b, kind, 3), (a, b)
+
+
+@pytest.mark.parametrize("kind", [AttributeType.TEXT, AttributeType.NUMERIC])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@settings(max_examples=20, deadline=None)
+@given(values=st.lists(_value, min_size=1, max_size=6, unique=True))
+def test_property_featurizer_columns_at_every_qgram_size(kind, q, values):
+    """The set measures, built once per value, at q-grams of 1-5 characters."""
+    keys = [(a, b) for a in values for b in values]
+    features = _value_pair_features(keys, kind, qgram_size=q)
+    for row, (a, b) in zip(features.tolist(), keys):
+        assert row == attribute_similarities(a, b, kind, q), (a, b)
