@@ -1,15 +1,15 @@
 """Micro-benchmarks of the substrates (runtime discussion of Section 5.2).
 
 These are the components whose cost dominates a battleship iteration:
-featurization, matcher training, K-Means, graph construction + PageRank, and
-exact nearest-neighbour search.  pytest-benchmark reports their
-individual timings, which backs the Figure 6 runtime discussion.
+featurization, matcher training, K-Means, and graph construction + PageRank
+(whose exact cosine top-k search stands in for the paper's FAISS index).
+pytest-benchmark reports their individual timings, which backs the Figure 6
+runtime discussion.
 """
 
 import numpy as np
 import pytest
 
-from repro.ann.exact import ExactNearestNeighbors
 from repro.clustering.constrained import ConstrainedKMeans, SizeConstraints
 from repro.experiments.engine import get_dataset
 from repro.graphs.sparse import build_sparse_adjacency, pagerank_components
@@ -92,10 +92,4 @@ def test_bench_sparse_substrate_speedup_5k(substrate_scaling_5k):
     print(f"\nsubstrate 5k: reference {measured['reference_seconds']:.3f}s, "
           f"vectorized {measured['vectorized_seconds']:.3f}s, "
           f"speedup {measured['speedup']:.1f}x")
-
-
-def test_bench_exact_knn(benchmark, representation_cloud):
-    index = ExactNearestNeighbors().build(representation_cloud)
-    indices, _ = benchmark(index.query, representation_cloud, 15, True)
-    assert indices.shape == (len(representation_cloud), 15)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.active.loop import ActiveLearningResult
 from repro.active.weak_supervision import WeakSupervisionMode
-from repro.ann.exact import ExactNearestNeighbors
 from repro.baselines.full_training import train_full_matcher
 from repro.evaluation.curves import LearningCurve
 from repro.experiments.configs import ABLATION_DATASETS, ExperimentSettings, default_settings
@@ -32,6 +31,7 @@ from repro.experiments.runner import (
     run_spec_grid,
 )
 from repro.neural.featurizer import PairFeaturizer
+from repro.text.vectorizers import cosine_similarity_matrix
 from repro.visualization.tsne import TSNE, TSNEConfig
 
 
@@ -92,9 +92,8 @@ def figure1_latent_space(
     labels = dataset.labels(indices)
 
     # k-NN label agreement in the representation space.
-    index = ExactNearestNeighbors().build(representations)
-    neighbor_ids, _ = index.query(representations, k=min(num_neighbors, len(indices) - 1),
-                                  exclude_self=True)
+    neighbor_ids = _nearest_neighbors(representations,
+                                      min(num_neighbors, len(indices) - 1))
     agreement = float(np.mean(labels[neighbor_ids] == labels[:, None]))
 
     # Centroid distance ratio for match pairs.
@@ -122,6 +121,22 @@ def figure1_latent_space(
         embedding=embedding,
         labels=labels,
     )
+
+
+def _nearest_neighbors(representations: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` most cosine-similar other rows of each row, most similar first.
+
+    An exact search, standing in for the paper's FAISS flat index: the
+    ``k + 1`` most similar rows are partitioned out and sorted, and the row
+    itself is dropped (or, if ties kept it out of them, the last of them).
+    """
+    similarities = cosine_similarity_matrix(representations)
+    rows = np.arange(len(similarities))[:, None]
+    top = np.argpartition(-similarities, k, axis=1)[:, :k + 1]
+    top = top[rows, np.argsort(-similarities[rows, top], axis=1)]
+    # A stable sort moves the row itself (if present) behind the others.
+    others = np.argsort(top == rows, axis=1, kind="stable")
+    return top[rows, others[:, :k]]
 
 
 # --------------------------------------------------------------------------- #

@@ -19,8 +19,9 @@ once per dataset.
 
 :meth:`PairFeaturizer.transform` is batched.  Records are deduplicated
 (every record typically participates in many candidate pairs), each unique
-record text is vectorized exactly once through the bulk
-:meth:`~repro.text.vectorizers.HashingVectorizer.transform` path, and
+record text is hashed exactly once by one
+:func:`~repro.text.vectorizers.hash_texts` call per transform (which hashes
+each distinct token and q-gram once per call), and
 per-attribute similarity features are computed once per unique
 ``(left_value, right_value)`` pair: Levenshtein and Jaro-Winkler by the
 batched kernels of :mod:`repro.text.similarity` (Myers' recurrence on
@@ -56,7 +57,7 @@ from repro.text.similarity import (
     numeric_similarity,
 )
 from repro.text.tokenization import qgram_set, tokenize
-from repro.text.vectorizers import HashingVectorizer, HashingVectorizerConfig
+from repro.text.vectorizers import hash_texts
 
 #: Values longer than this fall back from edit distance to Jaccard (cost control).
 _EDIT_DISTANCE_MAX_LENGTH = 48
@@ -110,10 +111,6 @@ class PairFeaturizer:
 
     def __init__(self, config: FeaturizerConfig | None = None) -> None:
         self.config = config or FeaturizerConfig()
-        self._hasher = HashingVectorizer(HashingVectorizerConfig(
-            num_features=self.config.hash_dim,
-            qgram_size=self.config.qgram_size,
-        ))
 
     def feature_dim(self, dataset: EMDataset) -> int:
         """Width of the feature vectors produced for ``dataset``."""
@@ -145,8 +142,9 @@ class PairFeaturizer:
 
         1. the records referenced by the requested pairs are deduplicated
            (first by record identity, then by record text, so duplicated
-           records collapse too) and each unique text is vectorized once via
-           the bulk hashing path, a bounded chunk of texts at a time;
+           records collapse too) and each unique text is hashed once by
+           :func:`~repro.text.vectorizers.hash_texts`, a bounded chunk of
+           texts at a time;
         2. the output matrix is allocated once, and every feature family is
            written into its own columns: the raw blocks are gathered from
            the per-record matrix :data:`_GATHER_ROWS` rows at a time with
@@ -158,9 +156,11 @@ class PairFeaturizer:
            (the edit measures by the batched similarity kernels), and one
            ``np.take`` scatters the rows into the last columns.
 
-        No second matrix-sized array is alive at any point: the hashing,
-        gather and kernel transients are bounded by a chunk, and the
-        similarity ones by one attribute's unique value pairs.
+        No second matrix-sized array is alive at any point: the gather and
+        kernel transients are bounded by a chunk, the hashing ones by a
+        chunk plus one copy of the per-record matrix (the squares its row
+        norms sum), and the similarity ones by one attribute's unique value
+        pairs.
         """
         if indices is None:
             indices = range(len(dataset.pairs))
@@ -194,7 +194,9 @@ class PairFeaturizer:
     ) -> None:
         """Fill ``block`` with every pair's raw and interaction columns.
 
-        The per-record matrix is gathered :data:`_GATHER_ROWS` rows at a
+        Each unique record text is hashed once, by one
+        :func:`~repro.text.vectorizers.hash_texts` call, into the per-record
+        matrix.  That matrix is gathered :data:`_GATHER_ROWS` rows at a
         time: ``np.take`` buffers a non-contiguous ``out`` whole, so a
         gather costs one chunk-sized buffer, not one block.  The matrix is
         released when this returns, before the similarity block runs.
@@ -202,7 +204,7 @@ class PairFeaturizer:
         width = self.config.hash_dim
         left_rows, right_rows, unique_texts = self._record_rows(
             pairs, left_records, right_records, attributes)
-        record_matrix = self._hasher.transform(unique_texts)
+        record_matrix = hash_texts(unique_texts, width, self.config.qgram_size)
         for start in range(0, len(pairs), _GATHER_ROWS):
             rows = slice(start, start + _GATHER_ROWS)
             chunk = block[rows]

@@ -1,4 +1,4 @@
-"""Text substrate: tokenization, similarity measures, and vectorizers."""
+"""Text substrate: tokenization, similarity measures, and feature hashing."""
 
 from repro.text.similarity import (
     cosine_token_similarity,
@@ -19,17 +19,12 @@ from repro.text.tokenization import (
     token_set,
     tokenize,
 )
-from repro.text.vectorizers import (
-    HashingVectorizer,
-    HashingVectorizerConfig,
-    cosine_similarity_matrix,
-)
+from repro.text.vectorizers import cosine_similarity_matrix, hash_texts
 
 __all__ = [
-    "HashingVectorizer",
-    "HashingVectorizerConfig",
     "cosine_similarity_matrix",
     "cosine_token_similarity",
+    "hash_texts",
     "jaccard_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",

@@ -245,8 +245,7 @@ def jaro_similarity(a: str, b: str) -> float:
     return (matches / len(a) + matches / len(b) + (matches - transpositions) / matches) / 3.0
 
 
-def jaro_winkler_similarity(a: str, b: str,
-                            prefix_weight: float = _PREFIX_WEIGHT) -> float:
+def jaro_winkler_similarity(a: str, b: str) -> float:
     """Jaro-Winkler similarity: Jaro boosted by the length of the common prefix."""
     jaro = jaro_similarity(a, b)
     a, b = normalize(a), normalize(b)
@@ -255,7 +254,7 @@ def jaro_winkler_similarity(a: str, b: str,
         if char_a != char_b:
             break
         prefix += 1
-    return jaro + prefix * prefix_weight * (1.0 - jaro)
+    return jaro + prefix * _PREFIX_WEIGHT * (1.0 - jaro)
 
 
 def jaro_winkler_similarities(values: Sequence[str], left: np.ndarray,

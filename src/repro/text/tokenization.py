@@ -32,33 +32,25 @@ def token_counts(text: str) -> Counter:
     return Counter(tokenize(text))
 
 
-def qgrams(text: str, q: int = 3, pad: bool = True) -> list[str]:
+def qgrams(text: str, q: int = 3) -> list[str]:
     """Character q-grams of ``text``.
 
-    Parameters
-    ----------
-    text:
-        Input string; normalized (lowercased, whitespace collapsed) first.
-    q:
-        Gram length; must be positive.
-    pad:
-        Pad the string with ``q - 1`` ``#`` characters on both ends so that
-        prefixes/suffixes generate grams, which is the standard construction
-        for q-gram blocking.
+    ``text`` is normalized (lowercased, whitespace collapsed) and padded with
+    ``q - 1`` ``#`` characters on both ends, so that prefixes and suffixes
+    generate grams too (the standard construction for q-gram blocking).  A
+    non-empty text therefore yields at least one gram of length ``q``; ``q``
+    must be positive.
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
     normalized = normalize(text)
     if not normalized:
         return []
-    if pad and q > 1:
-        padding = "#" * (q - 1)
-        normalized = f"{padding}{normalized}{padding}"
-    if len(normalized) < q:
-        return [normalized]
-    return [normalized[i:i + q] for i in range(len(normalized) - q + 1)]
+    padding = "#" * (q - 1)
+    padded = f"{padding}{normalized}{padding}"
+    return [padded[i:i + q] for i in range(len(padded) - q + 1)]
 
 
-def qgram_set(text: str, q: int = 3, pad: bool = True) -> set[str]:
+def qgram_set(text: str, q: int = 3) -> set[str]:
     """The set of distinct character q-grams of ``text``."""
-    return set(qgrams(text, q=q, pad=pad))
+    return set(qgrams(text, q=q))

@@ -20,12 +20,13 @@ from repro.experiments.engine import (
     get_dataset,
     method_factory,
 )
-from repro.experiments.figures import figure5_learning_curves
+from repro.experiments.figures import _nearest_neighbors, figure5_learning_curves
 from repro.experiments.paper_values import TABLE4_F1, TABLE5_AUC
 from repro.experiments.runner import enumerate_run_specs, run_curve_grid, run_spec_grid
 from repro.experiments.tables import table3_dataset_statistics, table4_f1_by_budget, table5_auc
 from repro.neural.featurizer import FeaturizerConfig
 from repro.neural.matcher import MatcherConfig
+from repro.text.vectorizers import cosine_similarity_matrix
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +147,24 @@ class TestPaperValues:
             dal_value = TABLE5_AUC["dal"][dataset]
             if value is not None and dal_value is not None:
                 assert value > dal_value
+
+
+class TestFigure1Neighbours:
+    """Figure 1's neighbours: each row's ``k`` most cosine-similar other rows."""
+
+    @pytest.mark.parametrize("k", [1, 5, 39])
+    def test_equals_a_per_row_sort(self, k):
+        data = np.random.default_rng(0).normal(size=(40, 8))
+        similarities = cosine_similarity_matrix(data)
+        expected = [[j for j in np.argsort(-row, kind="stable") if j != i][:k]
+                    for i, row in enumerate(similarities)]
+        assert _nearest_neighbors(data, k).tolist() == expected
+
+    def test_ties_and_zero_rows_keep_the_most_similar_others(self):
+        """Tied rows may push a row out of its own top ``k + 1`` block."""
+        data = np.vstack([np.zeros(4), np.ones((5, 4)), np.eye(4)])
+        similarities = cosine_similarity_matrix(data)
+        for row, found in enumerate(_nearest_neighbors(data, 3)):
+            assert row not in found
+            others = np.delete(similarities[row], row)
+            assert np.array_equal(similarities[row, found], np.sort(others)[::-1][:3])

@@ -5,8 +5,10 @@ and ``repro.text.vectorizers``.
 both record texts are hashed one feature occurrence at a time
 (:func:`transform_one`) and every similarity measure is recomputed from the
 raw strings with the measures of ``repro.text.similarity``.
-``PairFeaturizer.transform`` must match it bit for bit, and
-``HashingVectorizer.transform`` must match :func:`transform_one` stacked.
+``PairFeaturizer.transform`` must match it bit for bit, and ``hash_texts``
+must match :func:`transform_one` stacked.  The oracle shares ``_stable_hash``,
+``tokenize`` and ``qgrams`` with the code it checks, so the test suite also
+pins the feature matrices' digests.
 """
 
 from __future__ import annotations
@@ -30,27 +32,22 @@ from repro.text.similarity import (
     qgram_jaccard_similarity,
 )
 from repro.text.tokenization import qgrams, tokenize
-from repro.text.vectorizers import HashingVectorizerConfig, _stable_hash
+from repro.text.vectorizers import _stable_hash
 
 
-def transform_one(config: HashingVectorizerConfig, text: str) -> np.ndarray:
+def transform_one(text: str, num_features: int, qgram_size: int) -> np.ndarray:
     """Hash one text, one feature occurrence at a time (the seed path)."""
     features = tokenize(text)
-    if config.use_qgrams:
-        features.extend(qgrams(text, q=config.qgram_size))
-    vector = np.zeros(config.num_features, dtype=np.float64)
+    features.extend(qgrams(text, q=qgram_size))
+    vector = np.zeros(num_features, dtype=np.float64)
     for feature in features:
-        hashed = _stable_hash(feature, config.seed)
-        index = hashed % config.num_features
-        if config.signed:
-            sign = 1.0 if (hashed >> 32) & 1 else -1.0
-        else:
-            sign = 1.0
+        hashed = _stable_hash(feature)
+        index = hashed % num_features
+        sign = 1.0 if (hashed >> 32) & 1 else -1.0
         vector[index] += sign
-    if config.normalize:
-        norm = np.linalg.norm(vector)
-        if norm > 0:
-            vector /= norm
+    norm = np.linalg.norm(vector)
+    if norm > 0:
+        vector /= norm
     return vector
 
 
@@ -95,10 +92,10 @@ def pair_features(featurizer: PairFeaturizer, dataset: EMDataset,
     parts: list[np.ndarray] = []
 
     if config.include_raw or config.include_interactions:
-        hashing = HashingVectorizerConfig(num_features=config.hash_dim,
-                                          qgram_size=config.qgram_size)
-        left_vector = transform_one(hashing, _record_text(left, attributes))
-        right_vector = transform_one(hashing, _record_text(right, attributes))
+        left_vector = transform_one(_record_text(left, attributes),
+                                    config.hash_dim, config.qgram_size)
+        right_vector = transform_one(_record_text(right, attributes),
+                                     config.hash_dim, config.qgram_size)
         if config.include_raw:
             parts.extend((left_vector, right_vector))
         if config.include_interactions:

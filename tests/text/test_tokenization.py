@@ -43,12 +43,6 @@ class TestQgrams:
         grams = qgrams("ab", q=2)
         assert grams == ["#a", "ab", "b#"]
 
-    def test_unpadded_qgrams(self):
-        assert qgrams("abcd", q=3, pad=False) == ["abc", "bcd"]
-
-    def test_short_string_returns_whole(self):
-        assert qgrams("ab", q=5, pad=False) == ["ab"]
-
     def test_empty_string(self):
         assert qgrams("", q=3) == []
 
@@ -63,5 +57,7 @@ class TestQgrams:
     @given(text=st.text(alphabet="abcde ", max_size=30),
            q=st.integers(min_value=1, max_value=5))
     def test_property_gram_lengths(self, text, q):
-        for gram in qgrams(text, q=q, pad=False):
-            assert 1 <= len(gram) <= q
+        grams = qgrams(text, q=q)
+        assert bool(grams) == bool(normalize(text))
+        for gram in grams:
+            assert len(gram) == q

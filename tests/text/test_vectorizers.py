@@ -1,94 +1,68 @@
 """Tests for repro.text.vectorizers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference.featurizer import transform_one
-from repro.text.vectorizers import (
-    HashingVectorizer,
-    HashingVectorizerConfig,
-    cosine_similarity_matrix,
-)
+from repro.text import vectorizers
+from repro.text.vectorizers import cosine_similarity_matrix, hash_texts
 
 
 class TestHashingVectorizer:
     def test_output_shape(self):
-        vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=32))
-        matrix = vectorizer.transform(["sony tv", "lg monitor", ""])
+        matrix = hash_texts(["sony tv", "lg monitor", ""], 32, 3)
         assert matrix.shape == (3, 32)
 
     def test_empty_input(self):
-        vectorizer = HashingVectorizer()
-        assert vectorizer.transform([]).shape == (0, vectorizer.num_features)
+        assert hash_texts([], 192, 3).shape == (0, 192)
 
     def test_deterministic(self):
-        a = HashingVectorizer().transform(["canon eos rebel"])
-        b = HashingVectorizer().transform(["canon eos rebel"])
+        a = hash_texts(["canon eos rebel"], 192, 3)
+        b = hash_texts(["canon eos rebel"], 192, 3)
         assert np.array_equal(a, b)
 
     def test_normalization(self):
-        vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=64))
-        vector = vectorizer.transform(["some text with several tokens"])[0]
+        vector = hash_texts(["some text with several tokens"], 64, 3)[0]
         assert np.linalg.norm(vector) == pytest.approx(1.0)
 
     def test_empty_text_is_zero_vector(self):
-        vectorizer = HashingVectorizer()
-        assert np.allclose(vectorizer.transform([""]), 0.0)
+        assert np.allclose(hash_texts([""], 192, 3), 0.0)
 
     def test_similar_texts_have_higher_cosine(self):
-        vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=256))
-        a, b, c = vectorizer.transform(["canon eos rebel t7i dslr camera",
-                                        "canon eos rebel t7i camera kit",
-                                        "nike air max running shoe"])
+        a, b, c = hash_texts(["canon eos rebel t7i dslr camera",
+                              "canon eos rebel t7i camera kit",
+                              "nike air max running shoe"], 256, 3)
         sim_ab = float(a @ b)
         sim_ac = float(a @ c)
         assert sim_ab > sim_ac
 
-    def test_invalid_num_features(self):
-        with pytest.raises(ValueError):
-            HashingVectorizer(HashingVectorizerConfig(num_features=0))
-
-    def test_different_seeds_hash_differently(self):
-        a = HashingVectorizer(HashingVectorizerConfig(num_features=64, seed=1))
-        b = HashingVectorizer(HashingVectorizerConfig(num_features=64, seed=2))
-        text = "canon eos"
-        assert not np.array_equal(a.transform([text]), b.transform([text]))
-
     @settings(max_examples=25, deadline=None)
     @given(text=st.text(alphabet="abcdef ", max_size=40))
     def test_property_norm_at_most_one(self, text):
-        vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=64))
-        assert np.linalg.norm(vectorizer.transform([text])[0]) <= 1.0 + 1e-9
+        assert np.linalg.norm(hash_texts([text], 64, 3)[0]) <= 1.0 + 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(texts=st.lists(st.text(alphabet="abcdef #,1", max_size=30), max_size=8),
-           signed=st.booleans(), normalize=st.booleans(), use_qgrams=st.booleans())
+           qgram_size=st.integers(min_value=1, max_value=5))
     def test_property_bulk_transform_bit_identical_to_transform_one(
-            self, texts, signed, normalize, use_qgrams):
-        """The bulk path must match the one-text oracle stacked, bit for bit."""
-        config = HashingVectorizerConfig(num_features=32, signed=signed,
-                                         normalize=normalize, use_qgrams=use_qgrams)
-        vectorizer = HashingVectorizer(config)
-        expected = (np.vstack([transform_one(config, text) for text in texts])
+            self, texts, qgram_size):
+        """The bulk path must match the one-text oracle stacked, bit for bit,
+        also when texts are hashed one and two per pass, so empty rows and a
+        chunk boundary meet the all-rows normalization."""
+        expected = (np.vstack([transform_one(text, 32, qgram_size) for text in texts])
                     if texts else np.zeros((0, 32)))
-        bulk = vectorizer.transform(texts)
-        assert bulk.dtype == np.float64
-        assert np.array_equal(expected, bulk)
-
-    def test_bulk_transform_feature_table_reused_across_calls(self):
-        vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=64))
-        first = vectorizer.transform(["canon eos rebel"])
-        table_size = len(vectorizer._feature_table)
-        assert table_size > 0
-        second = vectorizer.transform(["canon eos rebel"])
-        assert len(vectorizer._feature_table) == table_size
-        assert np.array_equal(first, second)
+        for chunk in (1, 2, vectorizers._TEXT_CHUNK):
+            with mock.patch.object(vectorizers, "_TEXT_CHUNK", chunk):
+                bulk = hash_texts(texts, 32, qgram_size)
+            assert bulk.dtype == np.float64
+            assert np.array_equal(expected, bulk)
 
     def test_bulk_transform_all_empty_texts(self):
-        vectorizer = HashingVectorizer(HashingVectorizerConfig(num_features=16))
-        matrix = vectorizer.transform(["", "   ", ""])
+        matrix = hash_texts(["", "   ", ""], 16, 3)
         assert matrix.shape == (3, 16)
         assert np.allclose(matrix, 0.0)
 
